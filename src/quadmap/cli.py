@@ -212,6 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "experiment" and not args.config and not args.name:
         parser.error("experiment needs --name or --config")
+    if args.command == "verify" and not 1 <= args.max_n <= enumeration.MAX_LISTING_N:
+        parser.error(
+            f"--max-n must be between 1 and {enumeration.MAX_LISTING_N} "
+            "(MAX_LISTING_N, the exhaustive listing bound)"
+        )
     return args.func(args)
 
 

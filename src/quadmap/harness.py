@@ -6,10 +6,11 @@ weighted quadrangulation law comes out of rerooting a uniform labeled
 tree at a uniform label minimum, and the pointed law is the image of the
 uniform labeled tree under positivize-construct-point.
 
-Experiments stream per-replica statistics into CSV; the per-replica
-random state is derived from (master seed, size index, replica index), so
-results are byte-identical for a fixed configuration regardless of
-scheduling.
+One replica driver runs every experiment statistic, the snake radius
+included: replica r at size index i evaluates ``stat(n, rng)`` on its own
+stream, keyed by ``[seed, size_index, replica]``.  A value depends only
+on its key, so runs are prefix-stable in the replica count and the CSVs
+are byte-identical for a fixed configuration regardless of scheduling.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labeled import Encoding, LabeledTree, decode, minima_set, reroot
+from .labeled import Encoding, LabeledTree, decode, first_min_corner, minima_set, reroot
 from .paths import (
     contour_accumulate,
     doddering_rdfw,
@@ -29,7 +30,7 @@ from .paths import (
 )
 from .planar_map import PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import point, quad_of_tree
-from .snake import DEFAULT_HEAD_COV, distance, reroot_path, sample_snake_batch
+from .snake import SnakePath, distance, reroot_path, sample_snake_batch
 from .trees import Walk
 
 __all__ = [
@@ -78,6 +79,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("experiment config must be a JSON object")
+        missing = [k for k in ("name", "sizes", "replicas", "seed") if k not in data]
+        if missing:
+            raise ValueError(f"experiment config is missing {', '.join(map(repr, missing))}")
         return cls(
             name=data["name"],
             sizes=tuple(data["sizes"]),
@@ -176,8 +182,7 @@ def sample_pointed_ps(n: int, rng: np.random.Generator) -> PointedQuadrangulatio
     """Draw a pointed quadrangulation as the image of a uniform labeled tree."""
     labels, walks = uniform_encoding_arrays(n, rng)
     enc = _encoding_from_arrays(labels[0], walks[0])
-    theta = min(range(2 * n), key=lambda i: (enc.labels[i], i))
-    tree = decode(reroot(enc, theta))
+    tree = decode(reroot(enc, first_min_corner(enc.labels)))
     return point(quad_of_tree(tree))
 
 
@@ -194,16 +199,21 @@ def perturbed_walk(
     """
     if min(encoding.labels) < 1:
         raise ValueError("encoding must be well-labeled")
-    n = encoding.n
-    body = np.array(encoding.labels[:-1], dtype=np.int64)
-    walk = doddering_rdfw(body)[None, :]
-    n_edges = (walk.shape[1] - 1) // 2
-    lengths = model.sample(n_edges, rng)
-    weighted = contour_accumulate(walk, lengths, start=0.0)[0]
-    scale = n**0.25
+    walk, weighted = _chord_contours(np.array(encoding.labels[:-1]), model, rng)
+    scale = encoding.n**0.25
     c_tilde = weighted / scale
-    gap = float(np.abs(c_tilde - walk[0] / scale).max())
+    gap = float(np.abs(c_tilde - walk / scale).max())
     return c_tilde, gap
+
+
+def _chord_contours(
+    body: np.ndarray, model: EdgeLengthModel, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit and length-weighted contours of the chord tree of a positive
+    label body; the edge lengths are drawn from ``rng``."""
+    walk = doddering_rdfw(body)[None, :]
+    lengths = model.sample((walk.shape[1] - 1) // 2, rng)
+    return walk[0], contour_accumulate(walk, lengths, start=0.0)[0]
 
 
 # -- statistics ---------------------------------------------------------------
@@ -224,44 +234,34 @@ def ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
 # -- experiment statistics ----------------------------------------------------
 
 
-def radius_samples(
-    n: int, replicas: int, seed: int, law: str = "rooted_pd", size_index: int = 0
-) -> np.ndarray:
-    """Scaled radius draws.
+def _replicas(stat, n: int, replicas: int, seed: int, size_index: int) -> np.ndarray:
+    """``stat(n, rng)`` for r in range(replicas), each on the stream
+    ``replica_rng(seed, size_index, r)``, stacked in replica order."""
+    return np.array([stat(n, replica_rng(seed, size_index, r)) for r in range(replicas)])
 
-    ``rooted_pd``: (max label - 1) / n^(1/4) for the degree-weighted rooted
-    law; because the statistic only sees the label range, it equals
-    (max - min) of a uniform labeled tree's labels.  ``pointed_ps``:
-    (max - min) / n^(1/4) on the unrerooted uniform encoding, which is the
-    same functional, drawn from independent replicas.
+
+def radius_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.ndarray:
+    """Scaled label ranges (max - min) / n^(1/4) of uniform labeled trees.
+
+    This is the scaled radius under both laws of the ``radius`` experiment:
+    for ``rooted_pd`` it is (max label - 1) / n^(1/4) of the rerooted
+    well-labeled tree, which only sees the label range, and for
+    ``pointed_ps`` it is the range of the unrerooted encoding.
     """
-    if law not in ("rooted_pd", "pointed_ps"):
-        raise ValueError("law must be rooted_pd or pointed_ps")
-    out = np.empty(replicas)
-    scale = n**0.25
-    for r in range(replicas):
-        rng = replica_rng(seed, size_index, r)
+    def stat(n, rng):
         labels, _ = uniform_encoding_arrays(n, rng)
-        out[r] = (labels.max() - labels.min()) / scale
-    return out
+        return (labels.max() - labels.min()) / n**0.25
+
+    return _replicas(stat, n, replicas, seed, size_index)
 
 
-def snake_radius_samples(
-    m: int, replicas: int, seed: int, head_cov: float = DEFAULT_HEAD_COV
-) -> np.ndarray:
+def snake_radius_samples(m: int, replicas: int, seed: int) -> np.ndarray:
     """Range of the sampled head process per draw (max of the rerooted head)."""
-    out = np.empty(replicas)
-    chunk = max(1, min(replicas, (1 << 22) // max(1, m)))
-    done = 0
-    part = 0
-    while done < replicas:
-        take = min(chunk, replicas - done)
-        rng = replica_rng(seed, 0, part)
-        f, _ = sample_snake_batch(m, take, rng, head_cov)
-        out[done : done + take] = f.max(axis=1) - f.min(axis=1)
-        done += take
-        part += 1
-    return out
+    def stat(m, rng):
+        f, _ = sample_snake_batch(m, 1, rng)
+        return f.max() - f.min()
+
+    return _replicas(stat, m, replicas, seed, 0)
 
 
 def profile_curve(
@@ -278,18 +278,17 @@ def profile_curve(
     between integer levels; the labels are centered at their minimum, which
     matches the well-labeled representative of the draw.
     """
-    scale = n**0.25
-    acc = np.zeros(lambdas.shape[0])
-    for r in range(replicas):
-        rng = replica_rng(seed, size_index, r)
+    levels = lambdas * n**0.25 + 1.0
+
+    def stat(n, rng):
         labels, _ = uniform_encoding_arrays(n, rng)
         body = labels[0, : 2 * n] - labels.min()
-        hist = np.bincount(body)
-        cum = np.concatenate(([0], np.cumsum(hist))) / (2 * n)
         # cum[j] = fraction with centered label < j; level function at integers
-        levels = lambdas * scale + 1.0
-        acc += np.interp(levels, np.arange(cum.size), cum, right=1.0)
-    return acc / replicas
+        cum = np.concatenate(([0], np.cumsum(np.bincount(body)))) / (2 * n)
+        return np.interp(levels, np.arange(cum.size), cum, right=1.0)
+
+    curves = _replicas(stat, n, replicas, seed, size_index)
+    return sum(curves, np.zeros(lambdas.shape[0])) / replicas
 
 
 def hp_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.ndarray:
@@ -299,18 +298,16 @@ def hp_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.
     linear interpolation.  Both processes visit nodes in the same order, so
     the gap vanishes as n grows.
     """
-    out = np.empty(replicas)
-    for r in range(replicas):
-        rng = replica_rng(seed, size_index, r)
+    def stat(n, rng):
         walk = dyck_walk_batch(n, 1, rng)[0]
-        steps = np.diff(walk)
-        heights = np.concatenate(([0], walk[1:][steps > 0]))
+        heights = np.concatenate(([0], walk[1:][np.diff(walk) > 0]))
         # height process at half-integer positions j/2, j = 0..2n
         dense = np.empty(2 * n + 1)
         dense[0::2] = heights
         dense[1::2] = (heights[:-1] + heights[1:]) / 2.0
-        out[r] = np.abs(walk - dense).max() / math.sqrt(n)
-    return out
+        return np.abs(walk - dense).max() / math.sqrt(n)
+
+    return _replicas(stat, n, replicas, seed, size_index)
 
 
 def class_diameter_samples(
@@ -318,11 +315,7 @@ def class_diameter_samples(
 ) -> np.ndarray:
     """Farthest metric distance between a class representative and the
     first-minimum representative of a normalized uniform encoding."""
-    from .snake import SnakePath
-
-    out = np.empty(replicas)
-    for r in range(replicas):
-        rng = replica_rng(seed, size_index, r)
+    def stat(n, rng):
         labels, walks = uniform_encoding_arrays(n, rng)
         path = SnakePath(
             (labels[0] - 1.0) / n**0.25, walks[0] / n**0.5, _checked=True
@@ -330,10 +323,11 @@ def class_diameter_samples(
         body = labels[0, : 2 * n]
         minima = np.nonzero(body == body.min())[0]
         target = reroot_path(path, int(minima[0]) / (2 * n))
-        out[r] = max(
+        return max(
             distance(reroot_path(path, int(k) / (2 * n)), target) for k in minima
         )
-    return out
+
+    return _replicas(stat, n, replicas, seed, size_index)
 
 
 def edge_gap_samples(
@@ -346,19 +340,15 @@ def edge_gap_samples(
     """Sup gap between the unit and length-perturbed chord-tree contours."""
     if model is None:
         model = EdgeLengthModel("uniform", (0.5, 1.5))
-    out = np.empty(replicas)
-    scale = n**0.25
-    for r in range(replicas):
-        rng = replica_rng(seed, size_index, r)
+
+    def stat(n, rng):
         labels, _ = uniform_encoding_arrays(n, rng)
         # well-labeled representative: rotate the first minimum to the front
         body = np.roll(labels[0, : 2 * n], -int(np.argmin(labels[0, : 2 * n])))
-        body = body - body[0] + 1
-        walk = doddering_rdfw(body)[None, :]
-        lengths = model.sample((walk.shape[1] - 1) // 2, rng)
-        weighted = contour_accumulate(walk, lengths, start=0.0)[0]
-        out[r] = np.abs(weighted - walk[0]).max() / scale
-    return out
+        walk, weighted = _chord_contours(body - body[0] + 1, model, rng)
+        return np.abs(weighted - walk).max() / n**0.25
+
+    return _replicas(stat, n, replicas, seed, size_index)
 
 
 # -- experiment driver --------------------------------------------------------
@@ -384,10 +374,9 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     if cfg.name == "radius":
         lines = _csv_header(cfg, ("experiment", "law", "n", "replica", "value"))
         for si, n in enumerate(cfg.sizes):
-            vals = radius_samples(n, cfg.replicas, cfg.seed, "rooted_pd", si)
-            rows += [f"radius,rooted_pd,{n},{r},{float(v)!r}" for r, v in enumerate(vals)]
-            vals = radius_samples(n, cfg.replicas, cfg.seed + 1, "pointed_ps", si)
-            rows += [f"radius,pointed_ps,{n},{r},{float(v)!r}" for r, v in enumerate(vals)]
+            for offset, law in enumerate(("rooted_pd", "pointed_ps")):
+                vals = radius_samples(n, cfg.replicas, cfg.seed + offset, si)
+                rows += [f"radius,{law},{n},{r},{float(v)!r}" for r, v in enumerate(vals)]
         vals = snake_radius_samples(cfg.grid_m, cfg.replicas, cfg.seed + 2)
         rows += [f"radius,snake,{cfg.grid_m},{r},{float(v)!r}" for r, v in enumerate(vals)]
     elif cfg.name == "profile":

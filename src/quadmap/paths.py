@@ -48,26 +48,19 @@ def contour_edges(walks: np.ndarray) -> np.ndarray:
     """Edge id per contour step; the two steps of one edge share an id.
 
     ``walks`` has shape (count, 2n+1); the result has shape (count, 2n) with
-    ids in [0, count*n).  Within a fixed height level the up- and down-steps
-    alternate along the contour, so sorting steps by (row, level, time) and
-    pairing consecutive entries matches each up-step with the down-step
-    closing the same edge.
+    ids in [0, count*n).  A step's level is the higher of its two heights.
+    Within a fixed level the up- and down-steps alternate along the
+    contour, so a stable sort of the steps by the single key
+    row * (2n+1) + level (levels are at most n) keeps time order inside
+    each (row, level) group, and pairing consecutive entries matches each
+    up-step with the down-step closing the same edge.
     """
     count, width = walks.shape
-    steps = np.diff(walks, axis=1)
     level = np.maximum(walks[:, :-1], walks[:, 1:])
-    rows = np.repeat(np.arange(count), width - 1)
-    order = np.lexsort(
-        (
-            np.tile(np.arange(width - 1), count),
-            level.ravel(),
-            rows,
-        )
-    )
-    edge = np.empty(count * (width - 1), dtype=np.int64)
-    ids = np.repeat(np.arange(count * (width - 1) // 2), 2)
-    edge[order] = ids
-    del steps
+    key = level + width * np.arange(count)[:, None]
+    order = np.argsort(key.ravel(), kind="stable")
+    edge = np.empty(order.size, dtype=np.int64)
+    edge[order] = np.arange(order.size) // 2
     return edge.reshape(count, width - 1)
 
 

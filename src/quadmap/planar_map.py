@@ -153,14 +153,6 @@ class HalfEdgeMap:
             out.append(tuple(cyc))
         return tuple(out)
 
-    @cached_property
-    def face_of(self) -> tuple[int, ...]:
-        fo = [0] * self.n_darts
-        for i, cyc in enumerate(self.faces):
-            for d in cyc:
-                fo[d] = i
-        return tuple(fo)
-
     def degree(self, v: int) -> int:
         return len(self.vertex_cycles[v])
 
@@ -462,8 +454,10 @@ def load_map(text: str, quadrangulation: bool | None = None):
     nxt = tuple(int(t) for t in lines[2].split(","))
     if len(twin) != 2 * n_edges:
         raise ValueError("edge count does not match dart arrays")
-    # vertices = cycles of nxt, numbered by smallest dart
     m = len(nxt)
+    if any(not 0 <= d < m for d in nxt):
+        raise ValueError("rotation array entry is not a dart index")
+    # vertices = cycles of nxt, numbered by smallest dart
     tail = [0] * m
     visited = [False] * m
     n_vertices = 0

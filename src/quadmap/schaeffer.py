@@ -90,14 +90,6 @@ class DodderingTree:
     tree: PlaneTree
     tags: tuple[int, ...]
 
-    @property
-    def n_labels(self) -> int:
-        """Length N+1 of the label process the tree was built from."""
-        return self.tree.n
-
-    def node_of_tag(self, tag: int) -> int:
-        return self.tags.index(tag)
-
 
 def doddering(labels) -> DodderingTree:
     """Build the doddering tree of a positive label process."""
@@ -136,9 +128,6 @@ class GluerTree:
     @property
     def walk(self) -> Walk:
         return dfw(self.tree)
-
-    def corner_node(self, k: int) -> int:
-        return contour_nodes(self.walk)[k]
 
 
 def gluer(tree: LabeledTree | PlaneTree) -> GluerTree:

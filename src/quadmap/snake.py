@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labeled import Encoding
-from .paths import contour_edges, dyck_walk_batch
+from .paths import contour_accumulate, dyck_walk_batch
 
 __all__ = [
     "SnakePath",
@@ -75,6 +75,8 @@ class SnakePath:
             return
         if f.ndim != 1 or f.shape != z.shape or f.shape[0] < 3:
             raise ValueError("head and contour must be equal-length grids, m >= 2")
+        if not (np.isfinite(f).all() and np.isfinite(z).all()):
+            raise ValueError("head and contour must be finite")
         tol = max(self.snake_tol, 1e-12)
         if max(abs(f[0]), abs(f[-1]), abs(z[0]), abs(z[-1])) > tol:
             raise ValueError("head and contour must vanish at both endpoints")
@@ -235,13 +237,9 @@ def sample_snake_batch(
     half = m // 2
     walks = dyck_walk_batch(half, count, rng)
     z = walks * (math.sqrt(2.0) / math.sqrt(m))
-    steps = np.diff(walks, axis=1)
-    edges = contour_edges(walks)
     sigma = math.sqrt(head_cov * math.sqrt(2.0) / math.sqrt(m))
     incs = rng.normal(0.0, sigma, size=count * half)
-    contrib = np.where(steps > 0, incs[edges], -incs[edges])
-    f = np.zeros((count, m + 1))
-    np.cumsum(contrib, axis=1, out=f[:, 1:])
+    f = contour_accumulate(walks, incs, start=0.0)
     f[:, -1] = 0.0  # exact zero; the cumsum only leaves float residue
     return f, z
 

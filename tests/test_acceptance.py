@@ -224,10 +224,16 @@ def test_criterion_4_structural_identities(n, replicas):
 @pytest.fixture(scope="module")
 def radius_pools():
     return {
-        "pd12": radius_samples(2**12, REPLICAS, SEED, "rooted_pd", 0),
-        "pd14": radius_samples(2**14, REPLICAS, SEED, "rooted_pd", 1),
-        "ps14": radius_samples(2**14, REPLICAS, SEED + 1, "pointed_ps", 1),
+        "pd12": radius_samples(2**12, REPLICAS, SEED, 0),
+        "pd14": radius_samples(2**14, REPLICAS, SEED, 1),
+        "ps14": radius_samples(2**14, REPLICAS, SEED + 1, 1),
     }
+
+
+@pytest.fixture(scope="module")
+def snake_pool():
+    """Snake head ranges on the 2^14 grid, one stream per replica."""
+    return snake_radius_samples(2**14, REPLICAS, SEED + 2)
 
 
 @pytest.fixture(scope="module")
@@ -285,23 +291,14 @@ def test_criterion_5b_rooted_vs_pointed(radius_pools):
     assert _verdict("criterion 5b (rooted vs pointed)", ks <= 0.05, f"KS = {ks:.4f}")
 
 
-def test_criterion_5c_discrete_vs_snake(radius_pools):
-    snake = snake_radius_samples(2**14, REPLICAS, SEED + 2, DEFAULT_HEAD_COV)
-    ks = ks_statistic(radius_pools["pd14"], snake)
+def test_criterion_5c_discrete_vs_snake(radius_pools, snake_pool):
+    # the pool is drawn at the default coefficient, the discrete model's 2/3
+    assert DEFAULT_HEAD_COV == DISCRETE_HEAD_COV
+    ks = ks_statistic(radius_pools["pd14"], snake_pool)
     assert _verdict(
         f"criterion 5c (discrete vs snake, head_cov={DEFAULT_HEAD_COV:.4f})",
         ks <= 0.08,
         f"KS = {ks:.4f}",
-    )
-
-
-def test_criterion_5c_diagnostic_discrete_coefficient(radius_pools):
-    # Not a criterion: the same comparison through the exported discrete
-    # coefficient DISCRETE_HEAD_COV = 2/3, which the default equals.
-    snake = snake_radius_samples(2**14, REPLICAS, SEED + 2, DISCRETE_HEAD_COV)
-    ks = ks_statistic(radius_pools["pd14"], snake)
-    assert _verdict(
-        "criterion 5c diagnostic (head_cov=2/3)", ks <= 0.08, f"KS = {ks:.4f}"
     )
 
 

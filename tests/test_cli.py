@@ -85,6 +85,14 @@ def test_verify_passes(capsys):
     assert "checks passed" in out
 
 
+def test_verify_rejects_max_n_above_listing_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-n", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "MAX_LISTING_N" in err and "6" in err
+
+
 def test_experiment_requires_name():
     with pytest.raises(SystemExit):
         main(["experiment"])

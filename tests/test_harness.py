@@ -1,21 +1,27 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from quadmap import harness
 from quadmap.enumeration import law_tables
 from quadmap.harness import (
     EdgeLengthModel,
     ExperimentConfig,
+    class_diameter_samples,
     edge_gap_samples,
+    hp_gap_samples,
     ks_statistic,
     perturbed_walk,
+    profile_curve,
     radius_samples,
     replica_rng,
     run_experiment,
     sample_labeled_uniform,
     sample_pointed_ps,
     sample_rooted_pd,
+    snake_radius_samples,
 )
 from quadmap.labeled import encode, is_well_labeled, minima_set
 from quadmap.planar_map import bfs_distances, radius, rooted_code, validate_quadrangulation
@@ -163,6 +169,10 @@ def test_experiment_config_validation():
         '{"name": "hp_gap", "sizes": [64, 128], "replicas": 3, "seed": 5}'
     )
     assert cfg.sizes == (64, 128)
+    with pytest.raises(ValueError, match="'replicas'"):
+        ExperimentConfig.from_json('{"name": "radius", "sizes": [8]}')
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentConfig.from_json("[1, 2]")
 
 
 @pytest.mark.parametrize("name", ["radius", "profile", "hp_gap", "class_diameter", "edge_gap"])
@@ -178,8 +188,53 @@ def test_experiment_csv_deterministic(name):
         float(row.rsplit(",", 1)[1])  # value column parses
 
 
-def test_radius_samples_equal_laws():
-    # the rooted and pointed scaled radii are the same functional exactly
-    a = radius_samples(64, 400, 3, "rooted_pd")
-    b = radius_samples(64, 400, 3, "pointed_ps")
-    assert np.array_equal(a, b)
+# sha256 of run_experiment output at ExperimentConfig(name, (32, 64), 4, 99,
+# grid_m=16), with the radius experiment's snake rows left out: every
+# discrete row is pinned, so a change to any of them is seen here
+GOLDEN_DISCRETE_CSV = {
+    "radius": "e099b45641c97b743ee18630921f74eeb2af5bfcc7e296a5f9cc9adc212f5a8f",
+    "profile": "572008e16b9fc99d0b8397aaafe6a3ff93c361a9ef77bd0cee7bb3459548d1d0",
+    "hp_gap": "01d6d04ffb3dcc85af3b78a4219d7a947ab55531ed1630465ca818d243bfa26f",
+    "class_diameter": "df5bd08a63c6531714d09d97aa48ba5d88f3c1b4405df51ebaf5efb1937badf0",
+    "edge_gap": "24c54a7a817c2c2edeef313b5d394adb2bf1c0387e98c70a03c263970b2da543",
+}
+
+
+def test_experiment_discrete_rows_golden():
+    digests = {}
+    for name in GOLDEN_DISCRETE_CSV:
+        text = run_experiment(ExperimentConfig(name, (32, 64), 4, 99, grid_m=16))
+        lines = text.splitlines(keepends=True)
+        kept = "".join(line for line in lines if not line.startswith("radius,snake,"))
+        digests[name] = hashlib.sha256(kept.encode()).hexdigest()
+    assert digests == GOLDEN_DISCRETE_CSV
+
+
+LAMBDAS = np.linspace(0.0, 3.0, 7)
+STATISTICS = {
+    "radius": lambda reps: radius_samples(64, reps, 21, size_index=1),
+    "snake_radius": lambda reps: snake_radius_samples(16, reps, 21),
+    "profile": lambda reps: profile_curve(64, reps, 21, LAMBDAS, size_index=1),
+    "hp_gap": lambda reps: hp_gap_samples(64, reps, 21, size_index=1),
+    "class_diameter": lambda reps: class_diameter_samples(64, reps, 21, size_index=1),
+    "edge_gap": lambda reps: edge_gap_samples(64, reps, 21, size_index=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATISTICS))
+def test_statistics_prefix_stable(name, monkeypatch):
+    # the first k replicas do not depend on how many replicas are run
+    draw, k, big = STATISTICS[name], 3, 5
+    if name != "profile":
+        assert np.array_equal(draw(big)[:k], draw(k))
+        return
+    # profile_curve returns a mean: rebuild it from one-replica runs whose
+    # replica 0 is moved onto stream r
+    real = harness.replica_rng
+    curves = []
+    for r in range(big):
+        monkeypatch.setattr(harness, "replica_rng", lambda s, i, _, r=r: real(s, i, r))
+        curves.append(draw(1))
+    monkeypatch.undo()
+    for reps in (k, big):
+        assert np.array_equal(draw(reps), sum(curves[:reps], np.zeros(LAMBDAS.size)) / reps)

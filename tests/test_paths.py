@@ -53,6 +53,25 @@ def test_contour_edges_match_stack():
         assert not set(edges[0].tolist()) & set(edges[1].tolist())
 
 
+def test_contour_edges_match_lexsort_reference():
+    # the former 3-key sort: by row, then level, then time
+    rng = np.random.default_rng(8)
+    for count, n in ((1, 1), (1, 257), (6, 40), (40, 300)):
+        walks = dyck_walk_batch(n, count, rng)
+        width = walks.shape[1]
+        level = np.maximum(walks[:, :-1], walks[:, 1:])
+        order = np.lexsort(
+            (
+                np.tile(np.arange(width - 1), count),
+                level.ravel(),
+                np.repeat(np.arange(count), width - 1),
+            )
+        )
+        ref = np.empty(order.size, dtype=np.int64)
+        ref[order] = np.repeat(np.arange(order.size // 2), 2)
+        assert np.array_equal(contour_edges(walks), ref.reshape(count, width - 1))
+
+
 def test_contour_accumulate_depth():
     # unit edge values reproduce the walk itself
     rng = np.random.default_rng(4)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadmap.enumeration import rooted_quads, well_labeled_trees
 from quadmap.labeled import LabeledTree
@@ -181,3 +183,19 @@ def test_load_map_rejects_malformed():
         load_map("n=1\n0,1\n1,0\n")
     with pytest.raises(ValueError):
         load_map("n=2\n1,0\n0,1\n0\n")
+
+
+@given(st.integers(0, 3), st.integers(-8, 8))
+@example(0, 5)
+@settings(max_examples=100, deadline=None)
+def test_load_map_fuzz_rotation_entry(index, value):
+    # one of the four rotation entries of a valid map text replaced by any integer
+    head, twin, nxt, root = save_map(path_quad((1, 2))).splitlines()
+    entries = nxt.split(",")
+    entries[index] = str(value)
+    text = "\n".join((head, twin, ",".join(entries), root)) + "\n"
+    try:
+        back = load_map(text)
+    except ValueError:
+        return
+    assert save_map(back) == text

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadmap.enumeration import labeled_trees
@@ -201,3 +201,21 @@ def test_snake_csv_round_trip():
     assert text.splitlines()[0] == "s,f,zeta"
     y = SnakePath.from_csv(text)
     assert distance(x, y) < 1e-15
+
+
+_CSV_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", " ", "x", "1e999"]),
+)
+
+
+@given(st.lists(st.lists(_CSV_FIELD, min_size=1, max_size=4), max_size=8))
+@example([["0.0", "0.0", "0.0"], ["0.5", "nan", "0.0"], ["1.0", "0.0", "0.0"]])
+@settings(max_examples=200, deadline=None)
+def test_snake_csv_rejects_malformed_rows(rows):
+    text = "s,f,zeta\n" + "".join(",".join(row) + "\n" for row in rows)
+    try:
+        path = SnakePath.from_csv(text)
+    except ValueError:
+        return
+    assert np.isfinite(path.head).all() and np.isfinite(path.contour).all()
