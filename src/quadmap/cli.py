@@ -5,6 +5,8 @@ Subcommands: ``sample`` (draw trees or quadrangulations), ``enumerate``
 0 only if everything passes), ``experiment`` (scaling statistics to CSV)
 and ``snake`` (limit-path draws as CSV).  The default master seed comes
 from the QUADMAP_SEED environment variable when a command omits --seed.
+A bad argument value or an unreadable file (a ``ValueError`` or
+``OSError`` from the command) is reported as a usage error, exit code 2.
 """
 from __future__ import annotations
 
@@ -217,7 +219,10 @@ def main(argv: list[str] | None = None) -> int:
             f"--max-n must be between 1 and {enumeration.MAX_LISTING_N} "
             "(MAX_LISTING_N, the exhaustive listing bound)"
         )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

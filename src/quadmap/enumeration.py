@@ -22,7 +22,7 @@ from .labeled import (
 )
 from .planar_map import pointed_code, radius, rooted_code
 from .schaeffer import point, quad_of_tree
-from .trees import PlaneTree, Walk, walk_to_tree
+from .trees import PlaneTree, Walk, _trusted, walk_to_tree
 
 __all__ = [
     "MAX_LISTING_N",
@@ -85,7 +85,7 @@ def _walks(n: int) -> list[tuple[int, ...]]:
 def plane_trees(n: int) -> list[PlaneTree]:
     """All C_n plane trees with n edges."""
     _check_bound(n, MAX_LISTING_N)
-    return [walk_to_tree(Walk(w)) for w in _walks(n)]
+    return [walk_to_tree(_trusted(Walk, steps=w)) for w in _walks(n)]
 
 
 def labeled_trees(n: int) -> list[LabeledTree]:
@@ -97,7 +97,7 @@ def labeled_trees(n: int) -> list[LabeledTree]:
             labels = [1] * tree.n_nodes
             for u in range(1, tree.n_nodes):
                 labels[u] = labels[tree.parent[u]] + incs[u - 1]
-            out.append(LabeledTree(tree, tuple(labels)))
+            out.append(_trusted(LabeledTree, tree=tree, labels=tuple(labels)))
     return out
 
 
@@ -147,7 +147,7 @@ def _euler_phi(n: int) -> int:
 
 
 def _reroot_walk(w: tuple[int, ...], theta: int) -> tuple[int, ...]:
-    enc = Encoding(tuple(1 for _ in w), Walk(w))
+    enc = _trusted(Encoding, labels=(1,) * len(w), walk=_trusted(Walk, steps=w))
     return reroot(enc, theta).walk.steps
 
 

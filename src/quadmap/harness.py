@@ -30,8 +30,8 @@ from .paths import (
 )
 from .planar_map import PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import point, quad_of_tree
-from .snake import SnakePath, distance, reroot_path, sample_snake_batch
-from .trees import Walk
+from .snake import _path, distance, reroot_path, sample_snake_batch
+from .trees import Walk, _trusted
 
 __all__ = [
     "ExperimentConfig",
@@ -58,7 +58,8 @@ EXPERIMENTS = ("radius", "profile", "hp_gap", "class_diameter", "edge_gap")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What to run: experiment name, sizes, replicas per size, master seed,
-    snake grid size, optional output path."""
+    snake grid size, optional output path.  Every value ``run_experiment``
+    would reject is rejected here, before any row is computed."""
 
     name: str
     sizes: tuple[int, ...]
@@ -75,6 +76,12 @@ class ExperimentConfig:
             raise ValueError("replicas must be >= 1")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])) or not self.sizes:
             raise ValueError("sizes must be nonempty and strictly increasing")
+        if self.sizes[0] < 1:
+            raise ValueError("sizes must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.name == "radius" and (self.grid_m < 2 or self.grid_m % 2):
+            raise ValueError("the radius experiment needs an even grid_m >= 2")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -152,7 +159,8 @@ def replica_rng(master_seed: int, size_index: int, replica: int) -> np.random.Ge
 
 
 def _encoding_from_arrays(labels: np.ndarray, walk: np.ndarray) -> Encoding:
-    return Encoding(tuple(int(x) for x in labels), Walk(tuple(int(x) for x in walk)))
+    steps = _trusted(Walk, steps=tuple(walk.tolist()))
+    return _trusted(Encoding, labels=tuple(labels.tolist()), walk=steps)
 
 
 def sample_labeled_uniform(n: int, rng: np.random.Generator) -> LabeledTree:
@@ -317,9 +325,7 @@ def class_diameter_samples(
     first-minimum representative of a normalized uniform encoding."""
     def stat(n, rng):
         labels, walks = uniform_encoding_arrays(n, rng)
-        path = SnakePath(
-            (labels[0] - 1.0) / n**0.25, walks[0] / n**0.5, _checked=True
-        )
+        path = _path((labels[0] - 1.0) / n**0.25, walks[0] / n**0.5)
         body = labels[0, : 2 * n]
         minima = np.nonzero(body == body.min())[0]
         target = reroot_path(path, int(minima[0]) / (2 * n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trees import PlaneTree, Walk, contour_nodes, dfw, walk_to_tree
+from .trees import PlaneTree, Walk, _trusted, contour_nodes, dfw, walk_to_tree
 
 __all__ = [
     "LabeledTree",
@@ -95,7 +95,10 @@ class Encoding:
 
     @classmethod
     def from_lines(cls, text: str) -> "Encoding":
-        first, second = text.strip().splitlines()
+        lines = text.strip().splitlines()
+        if len(lines) != 2:
+            raise ValueError(f"encoding text must be two lines (labels, walk), got {len(lines)}")
+        first, second = lines
         return cls(
             tuple(int(tok) for tok in first.split(",")),
             Walk.from_line(second),
@@ -126,7 +129,7 @@ def encode(tree: LabeledTree) -> Encoding:
     """Encoding of a labeled tree: labels along the clockwise contour."""
     walk = dfw(tree.tree)
     nodes = contour_nodes(walk)
-    return Encoding(tuple(tree.labels[u] for u in nodes), walk)
+    return _trusted(Encoding, labels=tuple(tree.labels[u] for u in nodes), walk=walk)
 
 
 def decode(enc: Encoding) -> LabeledTree:
@@ -140,7 +143,7 @@ def decode(enc: Encoding) -> LabeledTree:
         if w[i] > w[i - 1]:
             labels[next_id] = enc.labels[i]
             next_id += 1
-    return LabeledTree(tree, tuple(labels))
+    return _trusted(LabeledTree, tree=tree, labels=tuple(labels))
 
 
 def is_well_labeled(tree: LabeledTree) -> bool:
@@ -177,7 +180,8 @@ def reroot(enc: Encoding, theta: int) -> Encoding:
         if w[j] < run_min:
             run_min = w[j]
         new_walk[j + two_n - th] = w[j] + w[th] - 2 * run_min
-    return Encoding(tuple(new_labels), Walk(tuple(new_walk)))
+    walk = _trusted(Walk, steps=tuple(new_walk))
+    return _trusted(Encoding, labels=tuple(new_labels), walk=walk)
 
 
 def first_min_corner(labels) -> int:
@@ -214,7 +218,7 @@ def to_marked(tree: LabeledTree) -> MarkedTree:
         tree.labels[u] - tree.labels[tree.tree.parent[u]]
         for u in range(1, tree.tree.n_nodes)
     )
-    return MarkedTree(tree.tree, marks)
+    return _trusted(MarkedTree, tree=tree.tree, marks=marks)
 
 
 def from_marked(marked: MarkedTree) -> LabeledTree:
@@ -223,4 +227,4 @@ def from_marked(marked: MarkedTree) -> LabeledTree:
     labels[0] = 1
     for u in range(1, marked.tree.n_nodes):
         labels[u] = labels[marked.tree.parent[u]] + marked.marks[u - 1]
-    return LabeledTree(marked.tree, tuple(labels))
+    return _trusted(LabeledTree, tree=marked.tree, labels=tuple(labels))

@@ -2,10 +2,13 @@
 
 A map is stored as two permutations of its darts: ``twin`` swaps the two
 darts of each edge and ``nxt`` is the rotation successor around the dart's
-origin vertex.  Faces are the orbits of d -> nxt[twin[d]].  Connectivity
-and the Euler relation V - E + F = 2 are enforced at construction, so every
-``HalfEdgeMap`` is a genus-0 map.  Instances are immutable; BFS helpers
-allocate their own scratch and may be called concurrently.
+origin vertex.  Faces are the orbits of d -> nxt[twin[d]].  Every
+``HalfEdgeMap`` is a connected genus-0 map: the public constructor,
+``from_rotations`` and ``load_map`` enforce connectivity and the Euler
+relation V - E + F = 2, and the maps this library derives from valid
+values (``quad_of_map``, ``map_of_quad``, the chord bijection) satisfy
+them by construction, so they skip the check.  Instances are immutable;
+BFS helpers allocate their own scratch and may be called concurrently.
 """
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+from .trees import _trusted
 
 __all__ = [
     "HalfEdgeMap",
@@ -66,19 +71,11 @@ class HalfEdgeMap:
             if tail[nxt[d]] != tail[d]:
                 raise ValueError("nxt mixes darts of different vertices")
         # rotation cycles must cover each vertex exactly once
-        seen = [False] * m
         vertices = set()
-        for d in range(m):
-            if seen[d]:
-                continue
-            v = tail[d]
-            if v in vertices:
+        for cyc in _orbits(nxt):
+            if tail[cyc[0]] in vertices:
                 raise ValueError("vertex split across several rotation cycles")
-            vertices.add(v)
-            e = d
-            while not seen[e]:
-                seen[e] = True
-                e = nxt[e]
+            vertices.add(tail[cyc[0]])
         if vertices != set(range(len(vertices))):
             raise ValueError("vertex ids must be 0..V-1")
         # connectivity under <nxt, twin>
@@ -123,35 +120,15 @@ class HalfEdgeMap:
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Rotation cycle (dart list) per vertex, indexed by vertex id."""
         cycles: list[tuple[int, ...]] = [()] * self.n_vertices
-        seen = [False] * self.n_darts
-        for d in range(self.n_darts):
-            if seen[d]:
-                continue
-            cyc = []
-            e = d
-            while not seen[e]:
-                seen[e] = True
-                cyc.append(e)
-                e = self.nxt[e]
-            cycles[self.tail[d]] = tuple(cyc)
+        for cyc in _orbits(self.nxt):
+            cycles[self.tail[cyc[0]]] = cyc
         return tuple(cycles)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the face permutation d -> nxt[twin[d]]."""
-        seen = [False] * self.n_darts
-        out = []
-        for d in range(self.n_darts):
-            if seen[d]:
-                continue
-            cyc = []
-            e = d
-            while not seen[e]:
-                seen[e] = True
-                cyc.append(e)
-                e = self.nxt[self.twin[e]]
-            out.append(tuple(cyc))
-        return tuple(out)
+        nxt = self.nxt
+        return tuple(_orbits([nxt[t] for t in self.twin]))
 
     def degree(self, v: int) -> int:
         return len(self.vertex_cycles[v])
@@ -169,17 +146,44 @@ class HalfEdgeMap:
 
         With ``twin`` omitted, dart 2e and 2e+1 are the two sides of edge e.
         """
-        darts = [d for cyc in rotations for d in cyc]
-        m = len(darts)
-        if twin is None:
-            twin = [d ^ 1 for d in range(m)]
-        nxt = [0] * m
-        tail = [0] * m
-        for v, cyc in enumerate(rotations):
-            for i, d in enumerate(cyc):
-                nxt[d] = cyc[(i + 1) % len(cyc)]
-                tail[d] = v
-        return cls(tuple(twin), tuple(nxt), tuple(tail))
+        darts = sorted(d for cyc in rotations for d in cyc)
+        if darts != list(range(len(darts))):
+            raise ValueError("rotations must list every dart 0..m-1 exactly once")
+        return cls(*_rotation_arrays(rotations, twin))
+
+
+def _orbits(perm: Sequence[int]):
+    """Cycles of ``perm`` in order of their smallest dart, each starting there."""
+    seen = [False] * len(perm)
+    for d in range(len(perm)):
+        if seen[d]:
+            continue
+        cyc = []
+        e = d
+        while not seen[e]:
+            seen[e] = True
+            cyc.append(e)
+            e = perm[e]
+        yield tuple(cyc)
+
+
+def _rotation_arrays(rotations, twin=None) -> tuple[tuple[int, ...], ...]:
+    """(twin, nxt, tail) of per-vertex dart lists in rotation order."""
+    m = sum(len(cyc) for cyc in rotations)
+    nxt = [0] * m
+    tail = [0] * m
+    for v, cyc in enumerate(rotations):
+        for i, d in enumerate(cyc):
+            nxt[d] = cyc[(i + 1) % len(cyc)]
+            tail[d] = v
+    twin = tuple(d ^ 1 for d in range(m)) if twin is None else tuple(twin)
+    return twin, tuple(nxt), tuple(tail)
+
+
+def _rotation_map(rotations) -> HalfEdgeMap:
+    """Map of rotations that a library construction made valid (no re-check)."""
+    twin, nxt, tail = _rotation_arrays(rotations)
+    return _trusted(HalfEdgeMap, twin=twin, nxt=nxt, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,11 @@ class RootedMap:
     def __post_init__(self) -> None:
         if not 0 <= self.root < self.map.n_darts:
             raise ValueError("root dart out of range")
+
+    @property
+    def origin(self) -> int:
+        """Start vertex of the root dart."""
+        return self.map.tail[self.root]
 
 
 @dataclass(frozen=True)
@@ -214,51 +223,37 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
     """
     if m.has_loop():
         return False
+    # the counts follow: 4F = 2E darts give E = 2F, and Euler gives V = F + 2
     return all(len(f) == 4 for f in m.faces)
 
 
 @dataclass(frozen=True)
-class RootedQuadrangulation:
+class RootedQuadrangulation(RootedMap):
     """Quadrangulation with a root dart; n faces, 2n edges, n+2 vertices."""
 
-    map: HalfEdgeMap
-    root: int
-
     def __post_init__(self) -> None:
-        if not 0 <= self.root < self.map.n_darts:
-            raise ValueError("root dart out of range")
+        super().__post_init__()
         if not validate_quadrangulation(self.map):
             raise ValueError("not a quadrangulation")
-        n = self.map.n_faces
-        if self.map.n_edges != 2 * n or self.map.n_vertices != n + 2:
-            raise ValueError("quadrangulation counts are off")
 
     @property
     def n(self) -> int:
         """Face count."""
         return self.map.n_faces
 
-    @property
-    def origin(self) -> int:
-        """Start vertex of the root dart."""
-        return self.map.tail[self.root]
-
 
 @dataclass(frozen=True)
-class PointedQuadrangulation:
+class PointedQuadrangulation(PointedMap):
     """Quadrangulation with a distinguished origin vertex, no root edge."""
 
-    map: HalfEdgeMap
-    origin: int
-
     def __post_init__(self) -> None:
-        if not 0 <= self.origin < self.map.n_vertices:
-            raise ValueError("origin vertex out of range")
+        super().__post_init__()
         if not validate_quadrangulation(self.map):
             raise ValueError("not a quadrangulation")
 
     @property
     def n(self) -> int:
+        """Face count."""
         return self.map.n_faces
 
 
@@ -277,26 +272,22 @@ def bfs_distances(m: HalfEdgeMap, origin: int) -> tuple[int, ...]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
-    if min(dist) < 0:
-        raise ValueError("map is not connected")
     return tuple(dist)
 
 
-def radius(q: RootedQuadrangulation | PointedQuadrangulation) -> int:
+def radius(q: RootedMap | PointedMap) -> int:
     """Largest distance from the origin to a vertex."""
-    origin = q.origin if isinstance(q, PointedQuadrangulation) else q.map.tail[q.root]
-    return max(bfs_distances(q.map, origin))
+    return max(bfs_distances(q.map, q.origin))
 
 
-def profile(q: RootedQuadrangulation | PointedQuadrangulation) -> list[float]:
+def profile(q: RootedMap | PointedMap) -> list[float]:
     """Cumulative edge proportions by distance.
 
     Entry j is the fraction of edges whose nearer endpoint lies at distance
     at most j from the origin; the sequence is nondecreasing and its last
     entry (j = radius - 1) equals 1.
     """
-    origin = q.origin if isinstance(q, PointedQuadrangulation) else q.map.tail[q.root]
-    dist = bfs_distances(q.map, origin)
+    dist = bfs_distances(q.map, q.origin)
     m = q.map
     rad = max(dist)
     counts = [0] * rad
@@ -343,15 +334,11 @@ def pointed_code(m: HalfEdgeMap, origin: int) -> bytes:
     return min(rooted_code(m, d) for d in m.vertex_cycles[origin])
 
 
-def canonical_code(obj, mode: str | None = None) -> bytes:
-    """Canonical code of a rooted or pointed map-like object."""
-    if mode is None:
-        mode = "pointed" if isinstance(obj, (PointedQuadrangulation, PointedMap)) else "rooted"
-    if mode == "rooted":
-        return rooted_code(obj.map, obj.root)
-    if mode == "pointed":
+def canonical_code(obj: RootedMap | PointedMap) -> bytes:
+    """Canonical code of a rooted or pointed map (or quadrangulation)."""
+    if isinstance(obj, PointedMap):
         return pointed_code(obj.map, obj.origin)
-    raise ValueError("mode must be 'rooted' or 'pointed'")
+    return rooted_code(obj.map, obj.root)
 
 
 # -- maps <-> quadrangulations ------------------------------------------
@@ -373,10 +360,10 @@ def quad_of_map(m: RootedMap | PointedMap):
     # against the boundary orientation
     for face in he.faces:
         rotations.append([2 * d + 1 for d in reversed(face)])
-    quad = HalfEdgeMap.from_rotations(rotations)
+    quad = _rotation_map(rotations)
     if isinstance(m, RootedMap):
-        return RootedQuadrangulation(quad, 2 * m.root)
-    return PointedQuadrangulation(quad, m.origin)
+        return _trusted(RootedQuadrangulation, map=quad, root=2 * m.root)
+    return _trusted(PointedQuadrangulation, map=quad, origin=m.origin)
 
 
 def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
@@ -385,15 +372,14 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
     Vertices at even distance from the origin are kept; in each face the
     diagonal between its two even corners becomes an edge of the result.
     """
+    if not isinstance(q, (RootedQuadrangulation, PointedQuadrangulation)):
+        raise TypeError("map_of_quad needs a rooted or pointed quadrangulation")
     he = q.map
-    origin = q.origin if isinstance(q, PointedQuadrangulation) else he.tail[q.root]
-    dist = bfs_distances(he, origin)
+    dist = bfs_distances(he, q.origin)
     # per face: the two darts whose tails are the even-parity corners
     attach: dict[int, int] = {}  # host dart -> new dart id
     for f, face in enumerate(he.faces):
         evens = [d for d in face if dist[he.tail[d]] % 2 == 0]
-        if len(evens) != 2:
-            raise ValueError("face without an even-corner diagonal")
         attach[evens[0]] = 2 * f
         attach[evens[1]] = 2 * f + 1
     # new rotation around each even vertex: the diagonals in host-dart order
@@ -403,11 +389,11 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
     for v in old_vertices:
         rot = [attach[d] for d in he.vertex_cycles[v] if d in attach]
         rotations.append(rot)
-    out = HalfEdgeMap.from_rotations(rotations)
-    if isinstance(q, RootedQuadrangulation):
+    out = _rotation_map(rotations)
+    if isinstance(q, RootedMap):
         # root on the diagonal of the face on the far side of the root dart
-        return RootedMap(out, attach[he.nxt[q.root]])
-    return PointedMap(out, new_id[origin])
+        return _trusted(RootedMap, map=out, root=attach[he.nxt[q.root]])
+    return _trusted(PointedMap, map=out, origin=new_id[q.origin])
 
 
 # -- serialization -------------------------------------------------------
@@ -433,19 +419,16 @@ def save_map(obj) -> str:
         ",".join(map(str, m.twin)),
         ",".join(map(str, m.nxt)),
     ]
-    if isinstance(obj, (RootedMap, RootedQuadrangulation)):
+    if isinstance(obj, RootedMap):
         lines.append(str(obj.root))
     else:
         lines.append(f"origin={_canonical_origin_index(m, obj.origin)}")
     return "\n".join(lines) + "\n"
 
 
-def load_map(text: str, quadrangulation: bool | None = None):
-    """Parse :func:`save_map` output; returns the matching rooted/pointed type.
-
-    With ``quadrangulation=None`` the stricter quadrangulation types are used
-    whenever the map validates as one.
-    """
+def load_map(text: str) -> RootedMap | PointedMap:
+    """Parse :func:`save_map` output; returns the matching rooted/pointed type,
+    a quadrangulation type whenever the map is one."""
     lines = text.strip().splitlines()
     if len(lines) != 4 or not lines[0].startswith("n="):
         raise ValueError("malformed map text")
@@ -459,26 +442,14 @@ def load_map(text: str, quadrangulation: bool | None = None):
         raise ValueError("rotation array entry is not a dart index")
     # vertices = cycles of nxt, numbered by smallest dart
     tail = [0] * m
-    visited = [False] * m
-    n_vertices = 0
-    for d in range(m):
-        if visited[d]:
-            continue
-        e = d
-        while not visited[e]:
-            visited[e] = True
-            tail[e] = n_vertices
-            e = nxt[e]
-        n_vertices += 1
+    for v, cyc in enumerate(_orbits(nxt)):
+        for d in cyc:
+            tail[d] = v
     he = HalfEdgeMap(twin, nxt, tuple(tail))
-    if quadrangulation is None:
-        quadrangulation = validate_quadrangulation(he) and he.n_vertices == he.n_faces + 2
     if lines[3].startswith("origin="):
-        origin = int(lines[3][7:])
-        return (
-            PointedQuadrangulation(he, origin)
-            if quadrangulation
-            else PointedMap(he, origin)
-        )
-    root = int(lines[3])
-    return RootedQuadrangulation(he, root) if quadrangulation else RootedMap(he, root)
+        general, quad, mark = PointedMap, PointedQuadrangulation, int(lines[3][7:])
+    else:
+        general, quad, mark = RootedMap, RootedQuadrangulation, int(lines[3])
+    obj = general(he, mark)
+    # the quadrangulation types add only the check made here
+    return _trusted(quad, **vars(obj)) if validate_quadrangulation(he) else obj

@@ -22,10 +22,11 @@ from .planar_map import (
     HalfEdgeMap,
     PointedQuadrangulation,
     RootedQuadrangulation,
+    _rotation_map,
     bfs_distances,
     rooted_code,
 )
-from .trees import PlaneTree, Walk, contour_nodes, dfw
+from .trees import PlaneTree, Walk, _trusted, contour_nodes, dfw
 
 __all__ = [
     "PredecessorTable",
@@ -66,13 +67,16 @@ def _check_label_process(labels) -> tuple[int, ...]:
 
 def predecessor_table(labels) -> PredecessorTable:
     """Predecessor table of a positive label process on [0, N]."""
-    labs = _check_label_process(labels)
+    return PredecessorTable(_predecessors(_check_label_process(labels)))
+
+
+def _predecessors(labs) -> tuple[int, ...]:
     last_seen: dict[int, int] = {0: -1}
     out = []
     for i, v in enumerate(labs):
         out.append(last_seen[v - 1])
         last_seen[v] = i
-    return PredecessorTable(tuple(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ def doddering(labels) -> DodderingTree:
     # second pass: children ids in clockwise order
     for uid, tag in enumerate(tags):
         kids_by_id[uid] = [id_of_tag[c] for c in children.get(tag, [])]
-    tree = PlaneTree(tuple(tuple(cs) for cs in kids_by_id))
+    tree = _trusted(PlaneTree, children=tuple(tuple(cs) for cs in kids_by_id))
     return DodderingTree(tree, tuple(tags))
 
 
@@ -159,7 +163,7 @@ def canonical_gluing(d: DodderingTree, g: GluerTree) -> GluingAssignment:
     n_nonroot = d.tree.n_nodes - 1
     if n_nonroot != 2 * g.tree.n:
         raise ValueError("doddering and gluer sizes do not match")
-    return GluingAssignment(tuple(range(n_nonroot)))
+    return _trusted(GluingAssignment, targets=tuple(range(n_nonroot)))
 
 
 # -- forward construction -------------------------------------------------
@@ -173,9 +177,10 @@ def _chord_rotations(labels_body, walk: Walk):
     origin; vertex u+1 is tree node u.  In the stored (clockwise) rotation
     a vertex enumerates its corners in contour order, each corner holding
     its outgoing chord then its incoming chords by decreasing source; the
-    origin sees its incoming chords by decreasing source.
+    origin sees its incoming chords by decreasing source.  The labels come
+    from a valid well-labeled tree, so they are not checked again.
     """
-    pred = predecessor_table(labels_body).values
+    pred = _predecessors(labels_body)
     two_n = len(labels_body)
     incoming: list[list[int]] = [[] for _ in range(two_n)]
     origin_in: list[int] = []
@@ -206,9 +211,8 @@ def quad_of_tree(tree: LabeledTree) -> RootedQuadrangulation:
         raise ValueError("tree must be well-labeled")
     enc = encode(tree)
     body = enc.labels[:-1]  # the closing corner 2n is excluded
-    rotations = _chord_rotations(body, enc.walk)
-    quad = HalfEdgeMap.from_rotations(rotations)
-    return RootedQuadrangulation(quad, 1)
+    quad = _rotation_map(_chord_rotations(body, enc.walk))
+    return _trusted(RootedQuadrangulation, map=quad, root=1)
 
 
 def assemble(
@@ -272,8 +276,7 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     first selection after the root edge around its endpoint.
     """
     he = q.map
-    origin = he.tail[q.root]
-    dist = bfs_distances(he, origin)
+    dist = bfs_distances(he, q.origin)
     n_darts = he.n_darts
     twin = list(he.twin)
     nxt = list(he.nxt)
@@ -332,12 +335,7 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
         return out
 
     # the root vertex enumerates all its blue darts starting at root_dart
-    first_darts: list[int] = [root_dart]
-    e = nxt[root_dart]
-    while e != root_dart:
-        if blue[e]:
-            first_darts.append(e)
-        e = nxt[e]
+    first_darts = [root_dart] + blue_children(root_dart)
     stack: list[tuple[int, list[int]]] = []
     children.append([])
     labels_out.append(dist[w])
@@ -368,7 +366,8 @@ def _relabel_preorder(children: list[list[int]], labels: list[int]) -> LabeledTr
             stack.append(c)
     new_children = tuple(tuple(new_id[c] for c in children[u]) for u in order)
     new_labels = tuple(labels[u] for u in order)
-    return LabeledTree(PlaneTree(new_children), new_labels)
+    tree = _trusted(PlaneTree, children=new_children)
+    return _trusted(LabeledTree, tree=tree, labels=new_labels)
 
 
 # -- pointing and fibers ---------------------------------------------------
@@ -376,7 +375,7 @@ def _relabel_preorder(children: list[list[int]], labels: list[int]) -> LabeledTr
 
 def point(q: RootedQuadrangulation) -> PointedQuadrangulation:
     """Forget the root edge, keep its start vertex as the origin."""
-    return PointedQuadrangulation(q.map, q.map.tail[q.root])
+    return _trusted(PointedQuadrangulation, map=q.map, origin=q.origin)
 
 
 def fiber(pq: PointedQuadrangulation) -> list[RootedQuadrangulation]:
@@ -390,5 +389,5 @@ def fiber(pq: PointedQuadrangulation) -> list[RootedQuadrangulation]:
     for d in pq.map.vertex_cycles[pq.origin]:
         code = rooted_code(pq.map, d)
         if code not in seen:
-            seen[code] = RootedQuadrangulation(pq.map, d)
+            seen[code] = _trusted(RootedQuadrangulation, map=pq.map, root=d)
     return [seen[c] for c in sorted(seen)]

@@ -32,6 +32,7 @@ import numpy as np
 
 from .labeled import Encoding
 from .paths import contour_accumulate, dyck_walk_batch
+from .trees import _trusted
 
 __all__ = [
     "SnakePath",
@@ -62,7 +63,6 @@ class SnakePath:
     head: np.ndarray
     contour: np.ndarray
     snake_tol: float = field(default=_SNAKE_TOL_EXACT, compare=False)
-    _checked: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         f = np.asarray(self.head, dtype=float)
@@ -71,8 +71,6 @@ class SnakePath:
         z.setflags(write=False)
         object.__setattr__(self, "head", f)
         object.__setattr__(self, "contour", z)
-        if self._checked:
-            return
         if f.ndim != 1 or f.shape != z.shape or f.shape[0] < 3:
             raise ValueError("head and contour must be equal-length grids, m >= 2")
         if not (np.isfinite(f).all() and np.isfinite(z).all()):
@@ -108,6 +106,13 @@ class SnakePath:
             f.append(float(fv))
             z.append(float(zv))
         return cls(np.array(f), np.array(z), snake_tol=_SNAKE_TOL_SAMPLED)
+
+
+def _path(head: np.ndarray, contour: np.ndarray, snake_tol=_SNAKE_TOL_EXACT) -> SnakePath:
+    """SnakePath of new float arrays that already form a valid pair."""
+    head.setflags(write=False)
+    contour.setflags(write=False)
+    return _trusted(SnakePath, head=head, contour=contour, snake_tol=snake_tol)
 
 
 def check_snake_property(head, contour, tol: float) -> bool:
@@ -162,9 +167,7 @@ def reroot_path(x: SnakePath, theta: float) -> SnakePath:
     bwd = np.minimum.accumulate(z[: k + 1][::-1])[::-1]
     z2[m - k :] = z[: k + 1] + z[k] - 2.0 * bwd
     # rerooting preserves membership, so skip the per-point re-validation
-    return SnakePath(
-        f2, z2, snake_tol=max(x.snake_tol, _SNAKE_TOL_SAMPLED), _checked=True
-    )
+    return _path(f2, z2, max(x.snake_tol, _SNAKE_TOL_SAMPLED))
 
 
 def first_argmin(values) -> float:
@@ -212,7 +215,7 @@ def normalize_encoding(e: Encoding, n: int | None = None) -> SnakePath:
     f = (np.array(e.labels, dtype=float) - 1.0) / n**0.25
     z = np.array(e.walk.steps, dtype=float) / n**0.5
     # the encoding invariants already give the snake property exactly
-    return SnakePath(f, z, _checked=True)
+    return _path(f, z)
 
 
 def sample_snake_batch(

@@ -31,6 +31,16 @@ __all__ = [
 _DIRECTIONS = ("clockwise", "reverse")
 
 
+def _trusted(cls, **fields):
+    """Instance of the frozen dataclass ``cls`` with ``fields`` as given, for
+    values derived from valid values: skips ``__post_init__``.  Callers pass
+    every field in the form the constructor stores (tuples of Python ints)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_direction(direction: str) -> None:
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
@@ -175,7 +185,7 @@ def dfw(tree: PlaneTree, direction: str = "clockwise") -> Walk:
         else:
             stack.append(iter(_ordered_children(tree, child, direction)))
             values.append(len(stack) - 1)
-    return Walk(tuple(values))
+    return _trusted(Walk, steps=tuple(values))
 
 
 def walk_to_tree(walk: Walk) -> PlaneTree:
@@ -193,7 +203,7 @@ def walk_to_tree(walk: Walk) -> PlaneTree:
             next_id += 1
         else:
             stack.pop()
-    return PlaneTree(tuple(tuple(cs) for cs in children))
+    return _trusted(PlaneTree, children=tuple(tuple(cs) for cs in children))
 
 
 def visit_order(tree: PlaneTree, direction: str = "clockwise") -> tuple[int, ...]:
@@ -253,8 +263,9 @@ def same_node(walk: Walk, i: int, j: int) -> bool:
     both endpoint values.
     """
     w = walk.steps
-    if not (0 <= i < len(w)) or not (0 <= j < len(w)):
-        raise IndexError("corner index out of range")
+    for corner in (i, j):
+        if not 0 <= corner < len(w):
+            raise ValueError(f"corner {corner} out of range 0..{len(w) - 1}")
     lo, hi = min(i, j), max(i, j)
     return min(w[lo : hi + 1]) == w[i] == w[j]
 

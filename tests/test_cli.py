@@ -93,6 +93,29 @@ def test_verify_rejects_max_n_above_listing_bound(capsys):
     assert "MAX_LISTING_N" in err and "6" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--kind", "labeled", "--n", "0"], "n must be >= 1"),
+        (["snake", "--m", "3"], "m must be even"),
+        (["enumerate", "--n", "7"], "exhaustive bound 6"),
+        (["experiment", "--config", "{missing}"], "No such file"),
+        (
+            ["experiment", "--name", "radius", "--sizes", "4", "8", "--grid-m", "3",
+             "--replicas", "2", "--seed", "1"],
+            "even grid_m",
+        ),
+    ],
+)
+def test_bad_arguments_are_usage_errors(argv, message, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
 def test_experiment_requires_name():
     with pytest.raises(SystemExit):
         main(["experiment"])

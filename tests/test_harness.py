@@ -173,6 +173,11 @@ def test_experiment_config_validation():
         ExperimentConfig.from_json('{"name": "radius", "sizes": [8]}')
     with pytest.raises(ValueError, match="JSON object"):
         ExperimentConfig.from_json("[1, 2]")
+    # what run_experiment would reject mid-run is rejected up front
+    for bad in ({"sizes": (0, 4)}, {"seed": -1}, {"grid_m": 3}, {"grid_m": 0}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{"name": "radius", "sizes": (4, 8), "replicas": 2, "seed": 0, **bad})
+    assert ExperimentConfig("hp_gap", (4, 8), 2, 0, grid_m=3).grid_m == 3  # unused there
 
 
 @pytest.mark.parametrize("name", ["radius", "profile", "hp_gap", "class_diameter", "edge_gap"])

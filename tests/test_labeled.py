@@ -24,6 +24,12 @@ EDGE = walk_to_tree(Walk((0, 1, 0)))
 CHERRY = walk_to_tree(Walk((0, 1, 0, 1, 0)))
 
 
+@pytest.mark.parametrize("text", ["1,1,1", "1,1,1\n0,1,0\n0,1,0"])
+def test_encoding_from_lines_needs_two_lines(text):
+    with pytest.raises(ValueError, match=r"two lines \(labels, walk\)"):
+        Encoding.from_lines(text)
+
+
 def test_encode_hand_cases():
     assert encode(LabeledTree(EDGE, (1, 2))).labels == (1, 2, 1)
     assert encode(LabeledTree(EDGE, (1, 1))).labels == (1, 1, 1)

@@ -52,6 +52,8 @@ def test_half_edge_validation():
         HalfEdgeMap((1, 0), (0, 0), (0, 0))
     with pytest.raises(ValueError):  # disconnected
         HalfEdgeMap.from_rotations([[0], [1], [2], [3]], twin=(1, 0, 3, 2))
+    with pytest.raises(ValueError, match="every dart"):  # dart 5 of 2
+        HalfEdgeMap.from_rotations([[0, 5]])
 
 
 def test_validate_quadrangulation():
@@ -99,6 +101,8 @@ def test_quad_of_map_single_edge_maps():
     for m in (loop_map(), link_map()):
         back = map_of_quad(quad_of_map(m))
         assert rooted_code(back.map, back.root) == rooted_code(m.map, m.root)
+        with pytest.raises(TypeError):  # a general map is not a quadrangulation
+            map_of_quad(m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -176,6 +180,33 @@ def test_serialization_bit_exact():
 
     m = loop_map()
     assert save_map(load_map(save_map(m))) == save_map(m)
+
+
+def reference_orbits(perm):
+    """Cycles of perm found by scanning darts in increasing order."""
+    seen = [False] * len(perm)
+    cycles = []
+    for d in range(len(perm)):
+        cyc = []
+        while not seen[d]:
+            seen[d] = True
+            cyc.append(d)
+            d = perm[d]
+        if cyc:
+            cycles.append(tuple(cyc))
+    return cycles
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_walk_matches_reference_loop(n, rooted_maps_by_size):
+    for rm in rooted_maps_by_size[n].values():
+        # the quadrangulation's vertex ids follow its rotation lists, not its darts
+        for m in (rm.map, quad_of_map(rm).map):
+            by_vertex = {m.tail[c[0]]: c for c in reference_orbits(m.nxt)}
+            assert m.vertex_cycles == tuple(by_vertex[v] for v in range(m.n_vertices))
+            face_perm = [m.nxt[m.twin[d]] for d in range(m.n_darts)]
+            assert m.faces == tuple(reference_orbits(face_perm))
+        assert load_map(save_map(rm)).map == rm.map  # enumerated tails: smallest-dart order
 
 
 def test_load_map_rejects_malformed():

@@ -91,7 +91,7 @@ def test_same_node_hand_cases():
     assert same_node(w, 0, 4)
     assert not same_node(w, 1, 3)
     assert same_node(Walk((0, 1, 2, 1, 0)), 1, 3)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"corner 5 out of range 0\.\.4"):
         same_node(w, 0, 5)
 
 
