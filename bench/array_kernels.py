@@ -1,0 +1,121 @@
+"""Per-layer timings of the map kernels, written as JSON.
+
+Run from the repository root against the ``quadmap`` on ``PYTHONPATH``:
+
+    PYTHONPATH=src python3 bench/array_kernels.py --sizes 1000 10000 --repeats 3 --out after.json
+    PYTHONPATH=/path/to/older/src python3 bench/array_kernels.py ... --out before.json
+    PYTHONPATH=src python3 bench/array_kernels.py --crossover --out crossover.json
+
+Each layer is timed with ``perf_counter`` on the same seeded draw per size
+(``harness.sample_rooted_pd(n, default_rng([seed, n]))``); the median and
+the spread of ``--repeats`` runs are reported.  ``--crossover`` times the
+Python loops against the array kernels of the same tree at small dart
+counts by moving the package's size constant (``_ARRAY_MIN_DARTS``) out of
+the way and back; it needs a tree that has the constant.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import time
+
+import numpy as np
+
+from quadmap import harness, planar_map, schaeffer
+
+MODULES_WITH_CONSTANT = (planar_map, schaeffer, harness)
+
+
+def _timed(fn, repeats: int, setup=lambda: None) -> dict:
+    times = []
+    for _ in range(repeats):
+        arg = setup()
+        start = time.perf_counter()
+        fn(arg)
+        times.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(times), "min_s": min(times), "max_s": max(times)}
+
+
+def layers(n: int, seed: int, repeats: int) -> dict:
+    """Time every map layer on one draw of size n.  Each repeat gets a map
+    freshly built by ``quad_of_tree``, so no repeat reuses the orbits or
+    arrays an earlier one cached on the map."""
+    tree, quad = harness.sample_rooted_pd(n, np.random.default_rng([seed, n]))
+    text = planar_map.save_map(quad)
+    fresh = lambda: schaeffer.quad_of_tree(tree)  # noqa: E731
+    return {
+        "sample_rooted_pd": _timed(
+            lambda _: harness.sample_rooted_pd(n, np.random.default_rng([seed, n])), repeats
+        ),
+        "quad_of_tree": _timed(lambda _: schaeffer.quad_of_tree(tree), repeats),
+        "tree_of_quad": _timed(schaeffer.tree_of_quad, repeats, fresh),
+        "bfs_distances": _timed(lambda q: planar_map.bfs_distances(q.map, q.origin), repeats, fresh),
+        "rooted_code": _timed(lambda q: planar_map.rooted_code(q.map, q.root), repeats, fresh),
+        "save_map": _timed(planar_map.save_map, repeats, fresh),
+        "load_map": _timed(lambda _: planar_map.load_map(text), repeats),
+        "HalfEdgeMap_validation": _timed(
+            lambda q: planar_map.HalfEdgeMap(q.map.twin, q.map.nxt, q.map.tail), repeats, fresh
+        ),
+    }
+
+
+def crossover(darts: list[int], seed: int, repeats: int) -> list[dict]:
+    """Python loops against array kernels at each dart count (n = darts / 4)."""
+    constant = planar_map._ARRAY_MIN_DARTS
+    rows = []
+    try:
+        for m in darts:
+            row = {"darts": m}
+            for path, value in (("python", m + 1), ("array", m)):
+                for module in MODULES_WITH_CONSTANT:
+                    module._ARRAY_MIN_DARTS = value
+                timings = layers(m // 4, seed, repeats)
+                row[path] = {k: v["median_s"] for k, v in timings.items()}
+            rows.append(row)
+    finally:
+        for module in MODULES_WITH_CONSTANT:
+            module._ARRAY_MIN_DARTS = constant
+    return rows
+
+
+def machine() -> dict:
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), "")
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--sizes", type=int, nargs="*", default=[1000, 10000, 100000, 1000000])
+    p.add_argument("--darts", type=int, nargs="*", default=[64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384])
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--crossover", action="store_true")
+    p.add_argument("--out", required=True)
+    args = p.parse_args()
+    record = {"machine": machine(), "seed": args.seed, "repeats": args.repeats}
+    if args.crossover:
+        record["crossover"] = crossover(args.darts, args.seed, args.repeats)
+    else:
+        record["layers"] = {n: layers(n, args.seed, args.repeats) for n in args.sizes}
+    record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+
+
+if __name__ == "__main__":
+    main()

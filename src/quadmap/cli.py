@@ -109,20 +109,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for n in range(1, args.max_n + 1):
         trees = enumeration.well_labeled_trees(n)
         quads = [quad_of_tree(t) for t in trees]
-        codes = {rooted_code(q.map, q.root) for q in quads}
-        check(f"bijection injective n={n}", len(codes) == len(trees), f"{len(codes)} codes")
+        codes = [rooted_code(q.map, q.root) for q in quads]
+        distinct = len(set(codes))
+        check(f"bijection injective n={n}", distinct == len(trees), f"{distinct} codes")
         check(
             f"inverse round trip n={n}",
             all(tree_of_quad(q) == t for q, t in zip(quads, trees)),
         )
         ok = True
-        for t, q in zip(trees, quads):
+        for t, q, code in zip(trees, quads, codes):
             enc = encode(t)
             body = enc.labels[:-1]
             d = doddering(body)
             g = gluer(t)
             built = assemble(d, g, canonical_gluing(d, g))
-            ok = ok and rooted_code(built.map, built.root) == rooted_code(q.map, q.root)
+            ok = ok and rooted_code(built.map, built.root) == code
             rhp = height_process(d.tree, "reverse")
             ok = ok and rhp == (0,) + tuple(body)
             dist = bfs_distances(q.map, 0)
@@ -145,10 +146,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     for n in range(1, min(args.max_n, enumeration.MAX_LAW_N) + 1):
         dec = enumeration.orbit_decomposition(n)
-        pointed = {
-            pointed_code(q.map, q.map.tail[q.root])
-            for q in enumeration.rooted_quads(n)
-        }
+        pointed = {pointed_code(q.map, q.origin) for q in enumeration.rooted_quads(n)}
         check(f"orbits = pointed quads n={n}", dec.n_orbits == len(pointed))
     for n in range(1, min(args.max_n, 3) + 1):
         tables = enumeration.law_tables(n)

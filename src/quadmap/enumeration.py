@@ -301,7 +301,7 @@ def law_tables(n: int) -> LawTables:
         code = rooted_code(q.map, q.root)
         if code in rooted_rows_map:
             continue
-        deg = q.map.degree(q.map.tail[q.root])
+        deg = q.map.degree(q.origin)
         rooted_rows_map[code] = RootedLaw(code, deg, Fraction(2 * n, total * deg))
     rooted_rows = tuple(rooted_rows_map[c] for c in sorted(rooted_rows_map))
     assert sum(r.p_s for r in pointed_rows) == 1

@@ -114,3 +114,25 @@ def doddering_rdfw(labels_body: np.ndarray) -> np.ndarray:
     walk = np.zeros(length + 1, dtype=np.int64)
     np.cumsum(steps, axis=0, out=walk[1:])
     return walk
+
+
+def _reroot_arrays(
+    labels: np.ndarray, walk: np.ndarray, theta: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`quadmap.labeled.reroot` for one encoding
+    (labels and walk of length 2n+1) and a corner ``theta`` in [0, 2n).
+
+    The labels rotate by ``theta`` and shift so the new root is labeled 1;
+    the new walk is the tree distance to the node at corner ``theta``,
+    w(j) + w(theta) - 2 min w[theta..j], read forward from ``theta`` to 2n
+    and then backward from ``theta`` to 0.
+    """
+    two_n = labels.size - 1
+    new_labels = np.ones_like(labels)
+    new_labels[:two_n] = np.roll(labels[:two_n], -theta) - labels[theta] + 1
+    new_walk = np.empty_like(walk)
+    ahead = walk[theta:]
+    new_walk[: two_n + 1 - theta] = ahead + walk[theta] - 2 * np.minimum.accumulate(ahead)
+    behind = walk[theta::-1]
+    new_walk[two_n - theta :] = (behind + walk[theta] - 2 * np.minimum.accumulate(behind))[::-1]
+    return new_labels, new_walk

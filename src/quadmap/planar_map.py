@@ -9,13 +9,23 @@ relation V - E + F = 2, and the maps this library derives from valid
 values (``quad_of_map``, ``map_of_quad``, the chord bijection) satisfy
 them by construction, so they skip the check.  Instances are immutable;
 BFS helpers allocate their own scratch and may be called concurrently.
+
+Maps with at least ``_ARRAY_MIN_DARTS`` darts run the per-dart work
+(validation, orbits, BFS, rooted codes, map text) as numpy kernels over
+int64 copies of the dart tuples, cached per map; smaller maps, which the
+exhaustive battery builds by the ten thousand, keep the Python loops,
+whose constant cost is lower there.  Both forms give identical results
+and raise identical messages.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .trees import _trusted
 
@@ -38,6 +48,10 @@ __all__ = [
     "load_map",
 ]
 
+# Dart count from which maps use the array kernels; chosen from the
+# measured crossover table in BENCH_array_kernels.json.
+_ARRAY_MIN_DARTS = 2048
+
 
 @dataclass(frozen=True)
 class HalfEdgeMap:
@@ -52,15 +66,21 @@ class HalfEdgeMap:
     tail: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        twin = tuple(int(x) for x in self.twin)
-        nxt = tuple(int(x) for x in self.nxt)
-        tail = tuple(int(x) for x in self.tail)
+        twin, nxt, tail = _int_tuple(self.twin), _int_tuple(self.nxt), _int_tuple(self.tail)
         object.__setattr__(self, "twin", twin)
         object.__setattr__(self, "nxt", nxt)
         object.__setattr__(self, "tail", tail)
         m = len(twin)
         if m == 0 or m % 2 or len(nxt) != m or len(tail) != m:
             raise ValueError("twin, nxt and tail must have equal positive even length")
+        if m >= _ARRAY_MIN_DARTS:
+            try:
+                self._arrays
+            except OverflowError:
+                pass  # an entry beyond int64 is invalid; the loops below say which check fails
+            else:
+                _check_arrays(self)
+                return
         if sorted(nxt) != list(range(m)):
             raise ValueError("nxt is not a permutation of the darts")
         for d in range(m):
@@ -109,10 +129,26 @@ class HalfEdgeMap:
 
     @property
     def n_faces(self) -> int:
+        if self.n_darts >= _ARRAY_MIN_DARTS:
+            return len(self._face_orbits[1]) - 1
         return len(self.faces)
 
     def head(self, d: int) -> int:
         return self.tail[self.twin[d]]
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int64 copies of (twin, nxt, tail) for the array kernels."""
+        arrays = tuple(np.array(t, dtype=np.int64) for t in (self.twin, self.nxt, self.tail))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @cached_property
+    def _face_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_orbit_arrays`` of the face permutation."""
+        twin, nxt, _ = self._arrays
+        return _orbit_arrays(nxt[twin])
 
     # -- orbits -------------------------------------------------------
 
@@ -120,13 +156,19 @@ class HalfEdgeMap:
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Rotation cycle (dart list) per vertex, indexed by vertex id."""
         cycles: list[tuple[int, ...]] = [()] * self.n_vertices
-        for cyc in _orbits(self.nxt):
+        if self.n_darts >= _ARRAY_MIN_DARTS:
+            found = _split(*_orbit_arrays(self._arrays[1]))
+        else:
+            found = _orbits(self.nxt)
+        for cyc in found:
             cycles[self.tail[cyc[0]]] = cyc
         return tuple(cycles)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the face permutation d -> nxt[twin[d]]."""
+        if self.n_darts >= _ARRAY_MIN_DARTS:
+            return tuple(_split(*self._face_orbits))
         nxt = self.nxt
         return tuple(_orbits([nxt[t] for t in self.twin]))
 
@@ -134,6 +176,9 @@ class HalfEdgeMap:
         return len(self.vertex_cycles[v])
 
     def has_loop(self) -> bool:
+        if self.n_darts >= _ARRAY_MIN_DARTS:
+            twin, _, tail = self._arrays
+            return bool(np.any(tail[0::2] == tail[twin[0::2]]))
         return any(self.tail[d] == self.head(d) for d in range(0, self.n_darts, 2))
 
     @classmethod
@@ -152,6 +197,13 @@ class HalfEdgeMap:
         return cls(*_rotation_arrays(rotations, twin))
 
 
+def _int_tuple(values) -> tuple[int, ...]:
+    """``tuple(map(int, values))``, returning a tuple of Python ints as is."""
+    if type(values) is tuple and set(map(type, values)) <= {int}:
+        return values
+    return tuple(map(int, values))
+
+
 def _orbits(perm: Sequence[int]):
     """Cycles of ``perm`` in order of their smallest dart, each starting there."""
     seen = [False] * len(perm)
@@ -167,23 +219,225 @@ def _orbits(perm: Sequence[int]):
         yield tuple(cyc)
 
 
+def _cycle_mins(perm: np.ndarray) -> np.ndarray:
+    """Smallest dart of each dart's cycle of the permutation ``perm``.
+
+    Pointer jumping: after pass k, ``low[d]`` is the smallest dart among the
+    first 2^k iterates of d; it stops changing exactly when every window
+    covers its cycle, so there are O(log longest cycle) passes.
+    """
+    low, jump = np.arange(perm.size), perm
+    while True:
+        new = np.minimum(low, low[jump])
+        if np.array_equal(new, low):
+            return low
+        low, jump = new, jump[jump]
+
+
+def _orbit_arrays(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`_orbits`: ``(darts, starts)``, the cycles' darts
+    listed cycle after cycle in ``_orbits``' order and ``starts[k]`` the
+    position of cycle k (with ``starts[-1] == len(perm)``).  A dart's place
+    in its cycle comes from list ranking the cycle opened at its smallest
+    dart."""
+    low = _cycle_mins(perm)
+    left = _steps_to_end(perm, perm == low)
+    is_first = low == np.arange(perm.size)
+    first = np.flatnonzero(is_first)
+    starts = np.zeros(first.size + 1, dtype=np.int64)
+    np.cumsum(left[first] + 1, out=starts[1:])
+    cycle = np.cumsum(is_first) - 1  # cycle index, read at first darts
+    darts = np.empty(perm.size, dtype=np.int64)
+    darts[starts[cycle[low]] + left[low] - left] = np.arange(perm.size)
+    return darts, starts
+
+
+def _steps_to_end(succ: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """List ranking: the number of ``succ`` steps from each element to the
+    end of its chain, where ``last`` marks the chain ends (pointer jumping,
+    O(log longest chain) passes)."""
+    left = (~last).astype(np.int64)
+    jump = np.where(last, np.arange(succ.size), succ)
+    while True:
+        ahead = jump[jump]
+        if np.array_equal(ahead, jump):
+            return left
+        left += left[jump]
+        jump = ahead
+
+
+def _split(darts: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
+    """The cycles of an ``_orbit_arrays`` result as tuples of Python ints."""
+    flat = darts.tolist()
+    bounds = starts.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _check_arrays(he: HalfEdgeMap) -> None:
+    """``HalfEdgeMap``'s checks after the length check, as array kernels,
+    in the same order and with the same messages as its loops."""
+    twin, nxt, tail = he._arrays
+    m = twin.size
+    ids = np.arange(m)
+    if nxt.min() < 0 or nxt.max() >= m or np.any(np.bincount(nxt, minlength=m) != 1):
+        raise ValueError("nxt is not a permutation of the darts")
+    if twin.min() < 0 or twin.max() >= m or np.any(twin == ids) or np.any(twin[twin] != ids):
+        raise ValueError("twin is not a fixed-point-free involution")
+    if np.any(tail[nxt] != tail):
+        raise ValueError("nxt mixes darts of different vertices")
+    owners = tail[_cycle_mins(nxt) == ids]  # one tail per rotation cycle
+    n_vertices = owners.size
+    # distinct ids inside 0..V-1 are exactly 0..V-1
+    in_range = owners.min() >= 0 and owners.max() < n_vertices
+    if in_range:
+        split = np.bincount(owners).max() > 1
+    else:
+        split = np.unique(owners).size < n_vertices
+    if split:
+        raise ValueError("vertex split across several rotation cycles")
+    if not in_range:
+        raise ValueError("vertex ids must be 0..V-1")
+    # each vertex is one rotation cycle, so darts connect iff vertices do
+    if np.any(_bfs_arrays(twin, tail, n_vertices, int(tail[0])) < 0):
+        raise ValueError("map is not connected")
+    if n_vertices - m // 2 + he.n_faces != 2:
+        raise ValueError("map is not of genus 0")
+
+
 def _rotation_arrays(rotations, twin=None) -> tuple[tuple[int, ...], ...]:
     """(twin, nxt, tail) of per-vertex dart lists in rotation order."""
     m = sum(len(cyc) for cyc in rotations)
-    nxt = [0] * m
-    tail = [0] * m
-    for v, cyc in enumerate(rotations):
-        for i, d in enumerate(cyc):
-            nxt[d] = cyc[(i + 1) % len(cyc)]
-            tail[d] = v
+    if m >= _ARRAY_MIN_DARTS:
+        nxt, tail = _segment_rotations(rotations, m)
+        nxt, tail = tuple(nxt.tolist()), tuple(tail.tolist())
+    else:
+        nxt = [0] * m
+        tail = [0] * m
+        for v, cyc in enumerate(rotations):
+            for i, d in enumerate(cyc):
+                nxt[d] = cyc[(i + 1) % len(cyc)]
+                tail[d] = v
+        nxt, tail = tuple(nxt), tuple(tail)
     twin = tuple(d ^ 1 for d in range(m)) if twin is None else tuple(twin)
-    return twin, tuple(nxt), tuple(tail)
+    return twin, nxt, tail
+
+
+def _segment_rotations(rotations, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nxt, tail) arrays of the rotation lists, by segment offsets."""
+    flat = np.fromiter(itertools.chain.from_iterable(rotations), dtype=np.int64, count=m)
+    sizes = np.fromiter(map(len, rotations), dtype=np.int64, count=len(rotations))
+    ends = np.cumsum(sizes)
+    succ = np.arange(1, m + 1)
+    succ[ends[sizes > 0] - 1] = (ends - sizes)[sizes > 0]  # last of a list -> its first
+    nxt = np.empty(m, dtype=np.int64)
+    tail = np.empty(m, dtype=np.int64)
+    nxt[flat] = flat[succ]
+    tail[flat] = np.repeat(np.arange(len(rotations)), sizes)
+    return nxt, tail
 
 
 def _rotation_map(rotations) -> HalfEdgeMap:
     """Map of rotations that a library construction made valid (no re-check)."""
     twin, nxt, tail = _rotation_arrays(rotations)
     return _trusted(HalfEdgeMap, twin=twin, nxt=nxt, tail=tail)
+
+
+def _array_map(twin: np.ndarray, nxt: np.ndarray, tail: np.ndarray) -> HalfEdgeMap:
+    """Map of int64 arrays that a library construction made valid (no
+    re-check); the arrays become its cached ``_arrays``."""
+    he = _trusted(
+        HalfEdgeMap,
+        twin=tuple(twin.tolist()),
+        nxt=tuple(nxt.tolist()),
+        tail=tuple(tail.tolist()),
+    )
+    for a in (twin, nxt, tail):
+        a.flags.writeable = False
+    vars(he)["_arrays"] = (twin, nxt, tail)
+    return he
+
+
+def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin: int) -> np.ndarray:
+    """Frontier BFS over the vertex -> dart CSR of ``tail``; -1 marks a
+    vertex that ``origin`` does not reach."""
+    by_vertex = np.argsort(tail, kind="stable")
+    heads = tail[twin[by_vertex]]
+    first = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n_vertices), out=first[1:])
+    dist = np.full(n_vertices, -1, dtype=np.int64)
+    dist[origin] = 0
+    frontier = np.array([origin])
+    level = 0
+    while frontier.size:
+        level += 1
+        lo, sizes = first[frontier], first[frontier + 1] - first[frontier]
+        # positions lo[i] .. lo[i] + sizes[i] - 1, concatenated
+        pos = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        seen = heads[pos]
+        frontier = np.unique(seen[dist[seen] < 0])
+        dist[frontier] = level
+    return dist
+
+
+def _ascii_ints(values: np.ndarray) -> bytes:
+    """``",".join(map(str, values))`` in ASCII for nonnegative int64
+    values: a row of fixed-width digits plus a comma per value, with the
+    leading zeros masked out."""
+    width = len(str(int(values.max())))
+    chars = np.full((values.size, width + 1), ord(","), dtype=np.uint8)
+    rest = values.astype(np.uint32 if width < 10 else np.uint64)
+    for column in range(width - 1, -1, -1):
+        chars[:, column] = rest % 10 + ord("0")
+        rest //= 10
+    keep = np.ones(chars.shape, dtype=bool)
+    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
+    keep[:, :-2] = values[:, None] >= powers  # the units digit always stays
+    return chars[keep][:-1].tobytes()
+
+
+def _parse_ascii_ints(line: str) -> np.ndarray | None:
+    """The values of a comma-separated line of unsigned decimal integers
+    (at most 18 digits each) as int64, or None for any other line, which
+    is left to ``int``."""
+    try:
+        raw = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    comma = raw == ord(",")
+    if np.any(((raw < ord("0")) & ~comma) | (raw > ord("9"))):
+        return None
+    sizes = np.diff(np.flatnonzero(comma), prepend=-1, append=raw.size) - 1
+    if sizes.min() < 1 or sizes.max() > 18:
+        return None
+    # digits and commas only, every token 1-18 digits: numpy's own reader is exact
+    return np.fromstring(line, dtype=np.int64, sep=",")
+
+
+def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root: int) -> bytes:
+    """:func:`rooted_code` by levels of the dart BFS.  A level's candidates
+    are its darts' (nxt, twin) images interleaved in queue order; the new
+    ones, first occurrences kept in order, are exactly what the queue
+    appends while it works through that level."""
+    label = np.full(twin.size, -1, dtype=np.int64)
+    label[root] = 0
+    levels = [np.array([root])]
+    count = 1
+    while levels[-1].size:
+        level = levels[-1]
+        cand = np.empty(2 * level.size, dtype=np.int64)
+        cand[0::2] = nxt[level]
+        cand[1::2] = twin[level]
+        cand = cand[label[cand] < 0]
+        _, first = np.unique(cand, return_index=True)
+        new = cand[np.sort(first)]
+        label[new] = np.arange(count, count + new.size)
+        count += new.size
+        levels.append(new)
+    order = np.concatenate(levels)
+    parts = np.empty(2 * order.size, dtype=np.int64)
+    parts[0::2] = label[nxt[order]]
+    parts[1::2] = label[twin[order]]
+    return _ascii_ints(parts)
 
 
 @dataclass(frozen=True)
@@ -224,7 +478,14 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
     if m.has_loop():
         return False
     # the counts follow: 4F = 2E darts give E = 2F, and Euler gives V = F + 2
+    if m.n_darts >= _ARRAY_MIN_DARTS:
+        return bool(np.all(np.diff(m._face_orbits[1]) == 4))
     return all(len(f) == 4 for f in m.faces)
+
+
+def _face_array(m: HalfEdgeMap) -> np.ndarray:
+    """A quadrangulation's faces as an (F, 4) dart array in ``faces`` order."""
+    return m._face_orbits[0].reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -262,6 +523,9 @@ class PointedQuadrangulation(PointedMap):
 
 def bfs_distances(m: HalfEdgeMap, origin: int) -> tuple[int, ...]:
     """Graph distance from ``origin`` to every vertex."""
+    if m.n_darts >= _ARRAY_MIN_DARTS:
+        twin, _, tail = m._arrays
+        return tuple(_bfs_arrays(twin, tail, m.n_vertices, origin).tolist())
     dist = [-1] * m.n_vertices
     dist[origin] = 0
     queue = deque([origin])
@@ -311,6 +575,9 @@ def rooted_code(m: HalfEdgeMap, root: int) -> bytes:
     Darts are relabeled breadth-first from the root along the rotation and
     twin permutations, which is invariant under dart renaming.
     """
+    if m.n_darts >= _ARRAY_MIN_DARTS:
+        twin, nxt, _ = m._arrays
+        return _rooted_code_arrays(nxt, twin, root)
     label = [-1] * m.n_darts
     label[root] = 0
     order = [root]
@@ -401,6 +668,9 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
 
 def _canonical_origin_index(m: HalfEdgeMap, origin: int) -> int:
     """Index of the origin when vertices are numbered by smallest dart."""
+    if m.n_darts >= _ARRAY_MIN_DARTS:
+        _, first = np.unique(m._arrays[2], return_index=True)  # smallest dart per vertex
+        return int(np.count_nonzero(first < first[origin]))
     mins = sorted(min(cyc) for cyc in m.vertex_cycles)
     return mins.index(min(m.vertex_cycles[origin]))
 
@@ -414,11 +684,12 @@ def save_map(obj) -> str:
     so the text round-trips bit-exactly through :func:`load_map`.
     """
     m = obj.map
-    lines = [
-        f"n={m.n_edges}",
-        ",".join(map(str, m.twin)),
-        ",".join(map(str, m.nxt)),
-    ]
+    if m.n_darts >= _ARRAY_MIN_DARTS:
+        twin, nxt, _ = m._arrays
+        darts = [_ascii_ints(twin).decode("ascii"), _ascii_ints(nxt).decode("ascii")]
+    else:
+        darts = [",".join(map(str, m.twin)), ",".join(map(str, m.nxt))]
+    lines = [f"n={m.n_edges}", *darts]
     if isinstance(obj, RootedMap):
         lines.append(str(obj.root))
     else:
@@ -432,24 +703,53 @@ def load_map(text: str) -> RootedMap | PointedMap:
     lines = text.strip().splitlines()
     if len(lines) != 4 or not lines[0].startswith("n="):
         raise ValueError("malformed map text")
-    n_edges = int(lines[0][2:])
-    twin = tuple(int(t) for t in lines[1].split(","))
-    nxt = tuple(int(t) for t in lines[2].split(","))
+    n_edges = _parse_line(lines[0][2:], "edge count", int)
+    twin = _parse_line(lines[1], "twin", _int_line)
+    nxt = _parse_line(lines[2], "rotation", _int_line)
     if len(twin) != 2 * n_edges:
         raise ValueError("edge count does not match dart arrays")
     m = len(nxt)
-    if any(not 0 <= d < m for d in nxt):
+    if min(nxt) < 0 or max(nxt) >= m:
         raise ValueError("rotation array entry is not a dart index")
-    # vertices = cycles of nxt, numbered by smallest dart
+    he = HalfEdgeMap(twin, nxt, _cycle_numbers(nxt))
+    if lines[3].startswith("origin="):
+        general, quad = PointedMap, PointedQuadrangulation
+        mark = _parse_line(lines[3][7:], "origin", int)
+    else:
+        general, quad = RootedMap, RootedQuadrangulation
+        mark = _parse_line(lines[3], "root", int)
+    obj = general(he, mark)
+    # the quadrangulation types add only the check made here
+    return _trusted(quad, **vars(obj)) if validate_quadrangulation(he) else obj
+
+
+def _int_line(line: str) -> tuple[int, ...]:
+    values = _parse_ascii_ints(line) if len(line) >= _ARRAY_MIN_DARTS else None
+    if values is not None:
+        return tuple(values.tolist())
+    return tuple(map(int, line.split(",")))
+
+
+def _parse_line(line: str, name: str, parse):
+    """``parse(line)``; a malformed entry raises a ValueError naming the line."""
+    try:
+        return parse(line)
+    except ValueError:
+        raise ValueError(f"map text: the {name} line is not made of integers: {line[:40]!r}") from None
+
+
+def _cycle_numbers(nxt: tuple[int, ...]) -> tuple[int, ...]:
+    """Per dart, the index of its cycle of ``nxt`` (the vertex numbering of
+    the map text: cycles ordered by smallest dart)."""
+    m = len(nxt)
+    if m >= _ARRAY_MIN_DARTS:
+        perm = np.array(nxt, dtype=np.int64)
+        if np.any(np.bincount(perm, minlength=m) != 1):
+            return (0,) * m  # not a permutation, which the map check reports
+        low = _cycle_mins(perm)
+        return tuple((np.cumsum(low == np.arange(m)) - 1)[low].tolist())
     tail = [0] * m
     for v, cyc in enumerate(_orbits(nxt)):
         for d in cyc:
             tail[d] = v
-    he = HalfEdgeMap(twin, nxt, tuple(tail))
-    if lines[3].startswith("origin="):
-        general, quad, mark = PointedMap, PointedQuadrangulation, int(lines[3][7:])
-    else:
-        general, quad, mark = RootedMap, RootedQuadrangulation, int(lines[3])
-    obj = general(he, mark)
-    # the quadrangulation types add only the check made here
-    return _trusted(quad, **vars(obj)) if validate_quadrangulation(he) else obj
+    return tuple(tail)

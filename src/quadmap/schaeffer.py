@@ -17,12 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .labeled import LabeledTree, encode, is_well_labeled
 from .planar_map import (
+    _ARRAY_MIN_DARTS,
     HalfEdgeMap,
     PointedQuadrangulation,
     RootedQuadrangulation,
+    _array_map,
+    _bfs_arrays,
+    _face_array,
     _rotation_map,
+    _steps_to_end,
     bfs_distances,
     rooted_code,
 )
@@ -77,6 +84,19 @@ def _predecessors(labs) -> tuple[int, ...]:
         out.append(last_seen[v - 1])
         last_seen[v] = i
     return tuple(out)
+
+
+def _predecessor_array(labs: np.ndarray) -> np.ndarray:
+    """Array form of :func:`_predecessors`: corners sorted stably by label
+    hold each label's corners in time order, and a ``searchsorted`` for
+    (label - 1, i) lands just after the latest corner with label - 1
+    before i."""
+    size = labs.size
+    by_label = np.argsort(labs, kind="stable")
+    keys = labs[by_label] * size + by_label
+    below = np.searchsorted(keys, (labs - 1) * size + np.arange(size)) - 1
+    cand = by_label[np.maximum(below, 0)]
+    return np.where((below >= 0) & (labs[cand] == labs - 1), cand, -1)
 
 
 @dataclass(frozen=True)
@@ -200,6 +220,55 @@ def _chord_rotations(labels_body, walk: Walk):
     return rotations
 
 
+def _contour_node_array(walk: np.ndarray) -> np.ndarray:
+    """Array form of :func:`~quadmap.trees.contour_nodes`: the node under
+    the walker is the last one first visited at the same level, at or
+    before that time.  Sorting the times stably by level puts a first visit
+    at the head of every level's run, so a running maximum of first-visit
+    positions never reaches back into the previous level."""
+    arrival = np.concatenate(([True], walk[1:] > walk[:-1]))
+    ids = np.cumsum(arrival) - 1  # node id, read at its first visit
+    by_level = np.argsort(walk, kind="stable")
+    at = np.where(arrival[by_level], np.arange(walk.size), 0)
+    np.maximum.accumulate(at, out=at)
+    nodes = np.empty(walk.size, dtype=np.int64)
+    nodes[by_level] = ids[by_level[at]]
+    return nodes
+
+
+def _chord_arrays(body: np.ndarray, walk: np.ndarray):
+    """(twin, nxt, tail) of the chord map, the array form of
+    ``_rotation_arrays(_chord_rotations(body, walk))``.  One sort orders all
+    darts by (vertex, corner, outgoing first, decreasing source), with the
+    corners of each vertex ranked in contour order."""
+    size = body.size  # 2n corners, 4n darts
+    pred = _predecessor_array(body)
+    nodes = _contour_node_array(walk)[:size]
+    rank = np.empty(size, dtype=np.int64)  # 1 + position in (node, time) order
+    rank[np.argsort(nodes, kind="stable")] = np.arange(1, size + 1)
+    at_origin = pred < 0
+    source_key = size - 1 - np.arange(size)
+    key = np.empty(2 * size, dtype=np.int64)
+    key[0::2] = 2 * rank * size + source_key
+    key[1::2] = (2 * np.where(at_origin, 0, rank[pred]) + 1) * size + source_key
+    tail = np.empty(2 * size, dtype=np.int64)
+    tail[0::2] = nodes + 1
+    tail[1::2] = np.where(at_origin, 0, nodes[pred] + 1)
+    order = np.argsort(key)
+    vertex = tail[order]
+    first = np.flatnonzero(np.concatenate(([True], vertex[1:] != vertex[:-1])))
+    nxt = np.empty(2 * size, dtype=np.int64)
+    nxt[order[:-1]] = order[1:]
+    nxt[order[np.append(first[1:] - 1, 2 * size - 1)]] = order[first]
+    return np.arange(2 * size) ^ 1, nxt, tail
+
+
+def _quad_of_arrays(labels: np.ndarray, walk: np.ndarray) -> RootedQuadrangulation:
+    """:func:`quad_of_tree` of the well-labeled encoding (labels, walk)."""
+    quad = _array_map(*_chord_arrays(labels[:-1], walk))
+    return _trusted(RootedQuadrangulation, map=quad, root=1)
+
+
 def quad_of_tree(tree: LabeledTree) -> RootedQuadrangulation:
     """Rooted quadrangulation encoded by a well-labeled tree.
 
@@ -210,6 +279,8 @@ def quad_of_tree(tree: LabeledTree) -> RootedQuadrangulation:
     if not is_well_labeled(tree):
         raise ValueError("tree must be well-labeled")
     enc = encode(tree)
+    if 4 * tree.n >= _ARRAY_MIN_DARTS:
+        return _quad_of_arrays(np.array(enc.labels), np.array(enc.walk.steps))
     body = enc.labels[:-1]  # the closing corner 2n is excluded
     quad = _rotation_map(_chord_rotations(body, enc.walk))
     return _trusted(RootedQuadrangulation, map=quad, root=1)
@@ -276,6 +347,10 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     first selection after the root edge around its endpoint.
     """
     he = q.map
+    if he.n_darts >= _ARRAY_MIN_DARTS:
+        twin, nxt, tail = he._arrays
+        dist = _bfs_arrays(twin, tail, he.n_vertices, q.origin)
+        return _tree_of_quad_arrays(twin, nxt, tail, _face_array(he), dist, q.root)
     dist = bfs_distances(he, q.origin)
     n_darts = he.n_darts
     twin = list(he.twin)
@@ -352,6 +427,71 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
             stack.append((cid, blue_children(twin[out_dart])))
     # ids above follow the work stack, not the traversal; renumber in preorder
     return _relabel_preorder(children, labels_out)
+
+
+def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root: int) -> LabeledTree:
+    """:func:`tree_of_quad` on arrays: the face patterns are read over the
+    (F, 4) face array, the diagonals are spliced in one scatter, and the
+    blue tree's contour is the cycle of d -> next blue dart after twin(d),
+    ranked by pointer jumping from the root's first blue dart."""
+    m = twin.size
+    lab = dist[tail[faces]]
+    lo = lab.min(axis=1)
+    three = lab.max(axis=1) - lo == 2
+    rows = np.arange(faces.shape[0])
+    # pattern (m, m+1, m+2, m+1): the side leaving the m+2 corner
+    p = lab.argmin(axis=1)
+    side = faces[rows, (p + 2) % 4][three]
+    # pattern (m, m+1, m, m+1): the k-th such face gets darts m + 2k (at its
+    # first m+1 corner) and m + 2k + 1, each just before its host dart
+    p = (lab == lo[:, None] + 1).argmax(axis=1)
+    hosts = np.stack((faces[rows, p], faces[rows, (p + 2) % 4]), axis=1)[~three].ravel()
+    new = np.arange(m, m + hosts.size)
+    prev = np.empty(m, dtype=np.int64)
+    prev[nxt] = np.arange(m)
+    nxt = np.concatenate((nxt, hosts))
+    nxt[prev[hosts]] = new
+    twin = np.concatenate((twin, new ^ 1))
+    tail = np.concatenate((tail, tail[hosts]))
+    blue = np.zeros(nxt.size, dtype=bool)
+    blue[side] = True
+    blue[twin[side]] = True
+    blue[m:] = True
+    # first blue dart at or after each dart in rotation order; the origin
+    # carries no blue dart and is left alone
+    ids = np.arange(nxt.size)
+    jump = np.where(blue | (tail == tail[root]), ids, nxt)
+    for _ in range(nxt.size.bit_length()):
+        ahead = jump[jump]
+        if np.array_equal(ahead, jump):
+            break
+        jump = ahead
+    darts = np.flatnonzero(blue)
+    index = np.empty(nxt.size, dtype=np.int64)
+    index[darts] = np.arange(darts.size)
+    succ = index[jump[nxt[twin[darts]]]]
+    start = index[jump[nxt[twin[root]]]]
+    position = darts.size - 1 - _steps_to_end(succ, succ == start)
+    contour = np.empty(darts.size, dtype=np.int64)
+    contour[position] = darts
+    down = np.arange(darts.size) < position[index[twin[contour]]]
+    walk = np.zeros(darts.size + 1, dtype=np.int64)
+    np.cumsum(np.where(down, 1, -1), out=walk[1:])
+    node_labels = np.concatenate(([dist[tail[twin[root]]]], dist[tail[twin[contour[down]]]]))
+    return _labeled_tree_of_arrays(walk, node_labels)
+
+
+def _labeled_tree_of_arrays(walk: np.ndarray, node_labels: np.ndarray) -> LabeledTree:
+    """The labeled tree with contour walk ``walk`` and ``node_labels`` in
+    first-visit order; a node's parent is the node under the walker just
+    before its first visit."""
+    up = walk[1:] > walk[:-1]
+    parents = _contour_node_array(walk)[:-1][up]
+    kids = (np.argsort(parents, kind="stable") + 1).tolist()
+    ends = np.cumsum(np.bincount(parents, minlength=walk.size // 2 + 1)).tolist()
+    children = tuple(tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    tree = _trusted(PlaneTree, children=children)
+    return _trusted(LabeledTree, tree=tree, labels=tuple(node_labels.tolist()))
 
 
 def _relabel_preorder(children: list[list[int]], labels: list[int]) -> LabeledTree:

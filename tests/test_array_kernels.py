@@ -1,0 +1,320 @@
+"""The array kernels against the Python loops they stand in for.
+
+Maps with at least ``planar_map._ARRAY_MIN_DARTS`` darts (and trees whose
+quadrangulation has that many) run numpy kernels; smaller ones run the
+Python loops.  Each kernel is called directly here and compared with the
+Python path (the public functions with the constant moved out of reach)
+on every enumerated small object and on random draws on both sides of the
+constant; the public functions are compared across the two paths; and
+corrupted map arrays must be rejected with the same message on both.
+"""
+import numpy as np
+import pytest
+
+from quadmap import harness, planar_map, schaeffer
+from quadmap.enumeration import well_labeled_trees
+from quadmap.labeled import decode, encode, reroot
+from quadmap.paths import _reroot_arrays, uniform_encoding_arrays
+from quadmap.planar_map import (
+    HalfEdgeMap,
+    _ascii_ints,
+    _bfs_arrays,
+    _check_arrays,
+    _orbit_arrays,
+    _orbits,
+    _parse_ascii_ints,
+    _rooted_code_arrays,
+    _rotation_arrays,
+    _split,
+    bfs_distances,
+    load_map,
+    quad_of_map,
+    rooted_code,
+    save_map,
+)
+from quadmap.schaeffer import (
+    _chord_arrays,
+    _chord_rotations,
+    _contour_node_array,
+    _labeled_tree_of_arrays,
+    _predecessor_array,
+    _predecessors,
+    _tree_of_quad_arrays,
+    point,
+    quad_of_tree,
+    tree_of_quad,
+)
+from quadmap.trees import _trusted, contour_nodes
+
+SIZE_MODULES = (planar_map, schaeffer, harness)
+SAMPLED_N = (2**6, 2**8, 2**9, 2**10, 2**12)  # 256 .. 16384 darts
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """``paths(name)`` sends every size to the "python" loops or the "array"
+    kernels until the test ends."""
+
+    def use(name: str) -> None:
+        value = 10**18 if name == "python" else 2
+        for module in SIZE_MODULES:
+            monkeypatch.setattr(module, "_ARRAY_MIN_DARTS", value)
+
+    return use
+
+
+def fresh(he: HalfEdgeMap) -> HalfEdgeMap:
+    """The same map without cached orbits or arrays."""
+    return _trusted(HalfEdgeMap, twin=he.twin, nxt=he.nxt, tail=he.tail)
+
+
+def int_arrays(he: HalfEdgeMap):
+    return tuple(np.array(t, dtype=np.int64) for t in (he.twin, he.nxt, he.tail))
+
+
+def check_map_kernels(he: HalfEdgeMap, origin: int, roots) -> None:
+    """Every map kernel equals the Python path on ``he`` (the caller has
+    sent every size to the Python loops)."""
+    twin, nxt, tail = int_arrays(he)
+    for perm in (he.nxt, [he.nxt[t] for t in he.twin]):
+        assert _split(*_orbit_arrays(np.array(perm))) == list(_orbits(perm))
+    _check_arrays(fresh(he))
+    ref = fresh(he)
+    assert tuple(_bfs_arrays(twin, tail, he.n_vertices, origin).tolist()) == bfs_distances(
+        ref, origin
+    )
+    for root in roots:
+        assert _rooted_code_arrays(nxt, twin, root) == rooted_code(ref, root)
+    assert _ascii_ints(nxt).decode() == ",".join(map(str, he.nxt))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kernels_match_python_on_all_small_quads(n, paths):
+    paths("python")
+    for tree in well_labeled_trees(n):
+        q = quad_of_tree(tree)
+        he = q.map
+        check_map_kernels(he, q.origin, range(he.n_darts) if n <= 3 else (q.root, 0))
+        enc = encode(tree)
+        labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
+        assert tuple(_predecessor_array(labels[:-1]).tolist()) == _predecessors(enc.labels[:-1])
+        assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
+        built = _rotation_arrays(_chord_rotations(enc.labels[:-1], enc.walk))
+        assert tuple(tuple(a.tolist()) for a in _chord_arrays(labels[:-1], walk)) == built
+        dist = np.array(bfs_distances(he, q.origin))
+        faces = np.array(he.faces)
+        assert _tree_of_quad_arrays(*int_arrays(he), faces, dist, q.root) == tree_of_quad(q)
+        up = walk[1:] > walk[:-1]
+        node_labels = np.concatenate((labels[:1], labels[1:][up]))
+        assert _labeled_tree_of_arrays(walk, node_labels) == decode(enc) == tree
+        for theta in range(2 * n):
+            new_labels, new_walk = _reroot_arrays(labels, walk, theta)
+            again = reroot(enc, theta)
+            assert tuple(new_labels.tolist()) == again.labels
+            assert tuple(new_walk.tolist()) == again.walk.steps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernels_match_python_on_all_small_maps(n, rooted_maps_by_size, paths):
+    paths("python")
+    for rm in rooted_maps_by_size[n].values():
+        for he in (rm.map, quad_of_map(rm).map):
+            for origin in range(he.n_vertices):
+                check_map_kernels(he, origin, range(he.n_darts) if origin == 0 else ())
+
+
+@pytest.mark.parametrize("n", SAMPLED_N)
+def test_kernels_match_python_on_sampled_maps(n, paths):
+    paths("python")
+    rng = np.random.default_rng([17, n])
+    tree, q = harness.sample_rooted_pd(n, rng)
+    he = q.map
+    check_map_kernels(he, q.origin, (q.root, 0, he.n_darts - 1))
+    enc = encode(tree)
+    labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
+    assert tuple(_predecessor_array(labels[:-1]).tolist()) == _predecessors(enc.labels[:-1])
+    assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
+    built = _rotation_arrays(_chord_rotations(enc.labels[:-1], enc.walk))
+    assert tuple(tuple(a.tolist()) for a in _chord_arrays(labels[:-1], walk)) == built
+    dist = np.array(bfs_distances(he, q.origin))
+    faces = np.array(he.faces)
+    assert _tree_of_quad_arrays(*int_arrays(he), faces, dist, q.root) == tree_of_quad(q) == tree
+    raw_labels, raw_walks = uniform_encoding_arrays(n, rng)
+    raw = decode(harness._encoding_from_arrays(raw_labels[0], raw_walks[0]))
+    raw_enc = encode(raw)
+    for theta in rng.integers(0, 2 * n, size=5):
+        new_labels, new_walk = _reroot_arrays(raw_labels[0], raw_walks[0], int(theta))
+        again = reroot(raw_enc, int(theta))
+        assert tuple(new_labels.tolist()) == again.labels
+        assert tuple(new_walk.tolist()) == again.walk.steps
+
+
+@pytest.mark.parametrize("n", SAMPLED_N)
+def test_public_functions_equal_on_both_paths(n, paths):
+    results = {}
+    for name in ("python", "array"):
+        paths(name)
+        rng = np.random.default_rng([23, n])
+        tree, q = harness.sample_rooted_pd(n, rng)
+        pq = harness.sample_pointed_ps(n, rng)
+        he = fresh(q.map)
+        text, pointed_text = save_map(q), save_map(pq)
+        loaded, loaded_pointed = load_map(text), load_map(pointed_text)
+        results[name] = (
+            tree,
+            q,
+            pq,
+            he.faces,
+            he.vertex_cycles,
+            he.n_faces,
+            he.has_loop(),
+            bfs_distances(he, q.origin),
+            rooted_code(he, q.root),
+            text,
+            pointed_text,
+            loaded,
+            type(loaded),
+            loaded_pointed,
+            type(loaded_pointed),
+            quad_of_tree(tree),
+            tree_of_quad(q),
+            point(q),
+            HalfEdgeMap.from_rotations(q.map.vertex_cycles),
+        )
+    assert results["python"] == results["array"]
+
+
+def test_text_kernels_match_join_and_int():
+    rng = np.random.default_rng(3)
+    samples = [
+        np.array([0]),
+        np.array([7, 0, 10, 99, 100, 101]),
+        np.array([2**32 - 1, 2**32, 10**17, 10**18 - 1, 10**18, 2**63 - 1]),
+        rng.integers(0, 10**6, 5000),
+    ]
+    for values in samples:
+        line = ",".join(map(str, values.tolist()))
+        assert _ascii_ints(values) == line.encode("ascii")
+        parsed = _parse_ascii_ints(line)
+        if values.max() < 10**18:
+            assert parsed.tolist() == values.tolist()
+        else:
+            assert parsed is None  # 19 digits: left to int
+    for line in ("", ",", "1,", ",1", "1,,2", "-1,2", " 1", "1_0", "+1", "１", "1 "):
+        assert _parse_ascii_ints(line) is None
+
+
+# -- rejection parity ---------------------------------------------------------
+
+
+def _quad_arrays():
+    _, q = harness.sample_rooted_pd(2**10, np.random.default_rng([29, 2**10]))
+    return [list(t) for t in (q.map.twin, q.map.nxt, q.map.tail)]
+
+
+def _nxt_not_permutation(twin, nxt, tail):
+    nxt[0] = nxt[1]
+
+
+def _twin_fixed_point(twin, nxt, tail):
+    twin[5] = 5
+
+
+def _twin_not_involution(twin, nxt, tail):
+    a = 0
+    twin[a] = next(c for c in range(len(twin)) if c not in (a, twin[a]))
+
+
+def _tail_mismatch(twin, nxt, tail):
+    d = next(d for d in range(len(nxt)) if nxt[d] != d)
+    tail[d] = (tail[d] + 1) % (max(tail) + 1)
+
+
+def _split_vertex(twin, nxt, tail):
+    a = next(d for d in range(len(nxt)) if nxt[nxt[d]] != d and nxt[d] != d)
+    b = nxt[nxt[a]]  # a third dart of a's rotation: swapping cuts it in two
+    nxt[a], nxt[b] = nxt[b], nxt[a]
+
+
+def _vertex_id_gap(twin, nxt, tail):
+    tail[:] = [v + (v >= 1) for v in tail]
+
+
+def _two_copies(twin, nxt, tail):
+    m, v = len(twin), max(tail) + 1
+    twin += [t + m for t in twin]
+    nxt += [d + m for d in nxt]
+    tail += [u + v for u in tail]
+
+
+def _genus_one(twin, nxt, tail):
+    # re-pair two edges crosswise; keep the first re-pairing that lowers the
+    # face count by two (a connected map with V - E + F = 0: a torus)
+    m = len(twin)
+    faces = lambda tw: len(list(_orbits([nxt[t] for t in tw])))  # noqa: E731
+    before = faces(twin)
+    for b in range(2, m, 2):
+        tw = list(twin)
+        a, a2, b2 = 0, twin[0], twin[b]
+        if b in (a, a2):
+            continue
+        tw[a], tw[b], tw[a2], tw[b2] = b, a, b2, a2
+        if faces(tw) == before - 2:
+            twin[:] = tw
+            return
+    raise AssertionError("no re-pairing adds a handle")
+
+
+CORRUPTIONS = {
+    _nxt_not_permutation: "nxt is not a permutation of the darts",
+    _twin_fixed_point: "twin is not a fixed-point-free involution",
+    _twin_not_involution: "twin is not a fixed-point-free involution",
+    _tail_mismatch: "nxt mixes darts of different vertices",
+    _split_vertex: "vertex split across several rotation cycles",
+    _vertex_id_gap: "vertex ids must be 0..V-1",
+    _two_copies: "map is not connected",
+    _genus_one: "map is not of genus 0",
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+def test_rejections_match_on_both_paths(corrupt, paths):
+    twin, nxt, tail = _quad_arrays()
+    corrupt(twin, nxt, tail)
+    assert len(twin) >= 4096
+    messages = []
+    for name in ("python", "array"):
+        paths(name)
+        with pytest.raises(ValueError) as exc:
+            HalfEdgeMap(twin, nxt, tail)
+        messages.append(str(exc.value))
+    with pytest.raises(ValueError) as exc:  # the kernel itself
+        _check_arrays(_trusted(HalfEdgeMap, twin=tuple(twin), nxt=tuple(nxt), tail=tuple(tail)))
+    messages.append(str(exc.value))
+    assert messages == [CORRUPTIONS[corrupt]] * 3
+
+
+def test_valid_arrays_pass_both_paths(paths):
+    twin, nxt, tail = _quad_arrays()
+    for name in ("python", "array"):
+        paths(name)
+        he = HalfEdgeMap(twin, nxt, tail)
+        assert he.n_faces == 2**10 and not he.has_loop()
+
+
+@pytest.mark.parametrize("token", ["x", "", "-3", "1.0"])
+def test_large_map_text_names_the_bad_line(token, paths):
+    _, q = harness.sample_rooted_pd(2**10, np.random.default_rng([31, 2**10]))
+    head, twin, nxt, root = save_map(q).splitlines()
+    entries = nxt.split(",")
+    entries[100] = token
+    text = "\n".join((head, twin, ",".join(entries), root)) + "\n"
+    messages = []
+    for name in ("python", "array"):
+        paths(name)
+        with pytest.raises(ValueError) as exc:
+            load_map(text)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    expected = "rotation array entry" if token == "-3" else "the rotation line"
+    assert expected in messages[0]

@@ -230,3 +230,20 @@ def test_load_map_fuzz_rotation_entry(index, value):
     except ValueError:
         return
     assert save_map(back) == text
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n=0\n\n\n0\n", "twin"),
+        ("n=x\n1,0\n0,1\n0\n", "edge count"),
+        ("n=1\n1,0\n0,a\n0\n", "rotation"),
+        ("n=1\n1,0\n0,1\nz\n", "root"),
+        ("n=1\n1,0\n0,1\norigin=q\n", "origin"),
+        ("n=1\n1,,0\n0,1\n0\n", "twin"),
+        ("n=1\n1,0\n0,1.5\n0\n", "rotation"),
+    ],
+)
+def test_load_map_names_the_bad_line(text, line):
+    with pytest.raises(ValueError, match=f"the {line} line"):
+        load_map(text)
