@@ -42,8 +42,8 @@ def _timed(fn, repeats: int, setup=lambda: None) -> dict:
 
 def layers(n: int, seed: int, repeats: int) -> dict:
     """Time every map layer on one draw of size n.  Each repeat gets a map
-    freshly built by ``quad_of_tree``, so no repeat reuses the orbits or
-    arrays an earlier one cached on the map."""
+    freshly built by ``quad_of_tree``, so no repeat reuses the orbits an
+    earlier one cached on the map."""
     tree, quad = harness.sample_rooted_pd(n, np.random.default_rng([seed, n]))
     text = planar_map.save_map(quad)
     fresh = lambda: schaeffer.quad_of_tree(tree)  # noqa: E731

@@ -2,20 +2,23 @@
 
 A map is stored as two permutations of its darts: ``twin`` swaps the two
 darts of each edge and ``nxt`` is the rotation successor around the dart's
-origin vertex.  Faces are the orbits of d -> nxt[twin[d]].  Every
+origin vertex, and ``tail`` names each dart's origin vertex.  The three
+are stored once, as read-only one-dimensional int64 arrays copied from the
+values given.  Faces are the orbits of d -> nxt[twin[d]].  Every
 ``HalfEdgeMap`` is a connected genus-0 map: the public constructor,
 ``from_rotations`` and ``load_map`` enforce connectivity and the Euler
 relation V - E + F = 2, and the maps this library derives from valid
 values (``quad_of_map``, ``map_of_quad``, the chord bijection) satisfy
-them by construction, so they skip the check.  Instances are immutable;
-BFS helpers allocate their own scratch and may be called concurrently.
+them by construction, so they skip the check.  Instances are immutable
+and compare and hash by their arrays; BFS helpers allocate their own
+scratch and may be called concurrently.
 
 Maps with at least ``_ARRAY_MIN_DARTS`` darts run the per-dart work
-(validation, orbits, BFS, rooted codes, map text) as numpy kernels over
-int64 copies of the dart tuples, cached per map; smaller maps, which the
-exhaustive battery builds by the ten thousand, keep the Python loops,
-whose constant cost is lower there.  Both forms give identical results
-and raise identical messages.
+(validation, orbits, BFS, rooted codes) as numpy kernels over the arrays;
+smaller maps, which the exhaustive battery builds by the ten thousand, run
+Python loops over one ``tolist`` copy per call, whose constant cost is
+lower there.  Both forms give identical results and raise identical
+messages.  Map text is written and read by array kernels at every size.
 """
 from __future__ import annotations
 
@@ -53,34 +56,29 @@ __all__ = [
 _ARRAY_MIN_DARTS = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfEdgeMap:
     """Connected genus-0 map given by its twin involution and rotations.
 
     ``tail[d]`` is the origin vertex of dart d; vertex ids are whatever the
     constructor supplied (``from_rotations`` numbers them by list position).
+    The fields are read-only int64 copies of the sequences given.
     """
 
-    twin: tuple[int, ...]
-    nxt: tuple[int, ...]
-    tail: tuple[int, ...]
+    twin: np.ndarray
+    nxt: np.ndarray
+    tail: np.ndarray
 
     def __post_init__(self) -> None:
-        twin, nxt, tail = _int_tuple(self.twin), _int_tuple(self.nxt), _int_tuple(self.tail)
-        object.__setattr__(self, "twin", twin)
-        object.__setattr__(self, "nxt", nxt)
-        object.__setattr__(self, "tail", tail)
-        m = len(twin)
-        if m == 0 or m % 2 or len(nxt) != m or len(tail) != m:
+        for name in ("twin", "nxt", "tail"):
+            object.__setattr__(self, name, _int64(getattr(self, name), name))
+        m = self.twin.size
+        if m == 0 or m % 2 or self.nxt.size != m or self.tail.size != m:
             raise ValueError("twin, nxt and tail must have equal positive even length")
         if m >= _ARRAY_MIN_DARTS:
-            try:
-                self._arrays
-            except OverflowError:
-                pass  # an entry beyond int64 is invalid; the loops below say which check fails
-            else:
-                _check_arrays(self)
-                return
+            _check_arrays(self)
+            return
+        twin, nxt, tail = self.twin.tolist(), self.nxt.tolist(), self.tail.tolist()
         if sorted(nxt) != list(range(m)):
             raise ValueError("nxt is not a permutation of the darts")
         for d in range(m):
@@ -110,22 +108,34 @@ class HalfEdgeMap:
                     stack.append(e)
         if not all(reach):
             raise ValueError("map is not connected")
-        if self.n_vertices - self.n_edges + self.n_faces != 2:
+        if len(vertices) - m // 2 + self.n_faces != 2:
             raise ValueError("map is not of genus 0")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            np.array_equal(self.twin, other.twin)
+            and np.array_equal(self.nxt, other.nxt)
+            and np.array_equal(self.tail, other.tail)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.twin.tobytes(), self.nxt.tobytes(), self.tail.tobytes()))
 
     # -- basic counts -------------------------------------------------
 
     @property
     def n_darts(self) -> int:
-        return len(self.twin)
+        return self.twin.size
 
     @property
     def n_edges(self) -> int:
-        return len(self.twin) // 2
+        return self.twin.size // 2
 
     @cached_property
     def n_vertices(self) -> int:
-        return max(self.tail) + 1
+        return int(self.tail.max()) + 1
 
     @property
     def n_faces(self) -> int:
@@ -134,21 +144,12 @@ class HalfEdgeMap:
         return len(self.faces)
 
     def head(self, d: int) -> int:
-        return self.tail[self.twin[d]]
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only int64 copies of (twin, nxt, tail) for the array kernels."""
-        arrays = tuple(np.array(t, dtype=np.int64) for t in (self.twin, self.nxt, self.tail))
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        return int(self.tail[self.twin[d]])
 
     @cached_property
     def _face_orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """``_orbit_arrays`` of the face permutation."""
-        twin, nxt, _ = self._arrays
-        return _orbit_arrays(nxt[twin])
+        return _orbit_arrays(self.nxt[self.twin])
 
     # -- orbits -------------------------------------------------------
 
@@ -157,11 +158,12 @@ class HalfEdgeMap:
         """Rotation cycle (dart list) per vertex, indexed by vertex id."""
         cycles: list[tuple[int, ...]] = [()] * self.n_vertices
         if self.n_darts >= _ARRAY_MIN_DARTS:
-            found = _split(*_orbit_arrays(self._arrays[1]))
+            found = _split(*_orbit_arrays(self.nxt))
         else:
-            found = _orbits(self.nxt)
+            found = _orbits(self.nxt.tolist())
+        tail = self.tail.tolist()
         for cyc in found:
-            cycles[self.tail[cyc[0]]] = cyc
+            cycles[tail[cyc[0]]] = cyc
         return tuple(cycles)
 
     @cached_property
@@ -169,17 +171,11 @@ class HalfEdgeMap:
         """Orbits of the face permutation d -> nxt[twin[d]]."""
         if self.n_darts >= _ARRAY_MIN_DARTS:
             return tuple(_split(*self._face_orbits))
-        nxt = self.nxt
-        return tuple(_orbits([nxt[t] for t in self.twin]))
+        nxt = self.nxt.tolist()
+        return tuple(_orbits([nxt[t] for t in self.twin.tolist()]))
 
     def degree(self, v: int) -> int:
         return len(self.vertex_cycles[v])
-
-    def has_loop(self) -> bool:
-        if self.n_darts >= _ARRAY_MIN_DARTS:
-            twin, _, tail = self._arrays
-            return bool(np.any(tail[0::2] == tail[twin[0::2]]))
-        return any(self.tail[d] == self.head(d) for d in range(0, self.n_darts, 2))
 
     @classmethod
     def from_rotations(
@@ -194,14 +190,21 @@ class HalfEdgeMap:
         darts = sorted(d for cyc in rotations for d in cyc)
         if darts != list(range(len(darts))):
             raise ValueError("rotations must list every dart 0..m-1 exactly once")
-        return cls(*_rotation_arrays(rotations, twin))
+        nxt, tail = _rotation_arrays(rotations)
+        return cls(np.arange(nxt.size) ^ 1 if twin is None else twin, nxt, tail)
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    """``tuple(map(int, values))``, returning a tuple of Python ints as is."""
-    if type(values) is tuple and set(map(type, values)) <= {int}:
-        return values
-    return tuple(map(int, values))
+def _int64(values, name: str) -> np.ndarray:
+    """A read-only one-dimensional int64 copy of ``values``; an entry that
+    int64 cannot hold is a ValueError naming ``name``."""
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry outside the int64 range") from None
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    array.flags.writeable = False
+    return array
 
 
 def _orbits(perm: Sequence[int]):
@@ -276,7 +279,7 @@ def _split(darts: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
 def _check_arrays(he: HalfEdgeMap) -> None:
     """``HalfEdgeMap``'s checks after the length check, as array kernels,
     in the same order and with the same messages as its loops."""
-    twin, nxt, tail = he._arrays
+    twin, nxt, tail = he.twin, he.nxt, he.tail
     m = twin.size
     ids = np.arange(m)
     if nxt.min() < 0 or nxt.max() >= m or np.any(np.bincount(nxt, minlength=m) != 1):
@@ -304,26 +307,18 @@ def _check_arrays(he: HalfEdgeMap) -> None:
         raise ValueError("map is not of genus 0")
 
 
-def _rotation_arrays(rotations, twin=None) -> tuple[tuple[int, ...], ...]:
-    """(twin, nxt, tail) of per-vertex dart lists in rotation order."""
+def _rotation_arrays(rotations) -> tuple[np.ndarray, np.ndarray]:
+    """(nxt, tail) of per-vertex dart lists in rotation order; large maps
+    are read by segment offsets."""
     m = sum(len(cyc) for cyc in rotations)
-    if m >= _ARRAY_MIN_DARTS:
-        nxt, tail = _segment_rotations(rotations, m)
-        nxt, tail = tuple(nxt.tolist()), tuple(tail.tolist())
-    else:
+    if m < _ARRAY_MIN_DARTS:
         nxt = [0] * m
         tail = [0] * m
         for v, cyc in enumerate(rotations):
             for i, d in enumerate(cyc):
                 nxt[d] = cyc[(i + 1) % len(cyc)]
                 tail[d] = v
-        nxt, tail = tuple(nxt), tuple(tail)
-    twin = tuple(d ^ 1 for d in range(m)) if twin is None else tuple(twin)
-    return twin, nxt, tail
-
-
-def _segment_rotations(rotations, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nxt, tail) arrays of the rotation lists, by segment offsets."""
+        return np.array(nxt, dtype=np.int64), np.array(tail, dtype=np.int64)
     flat = np.fromiter(itertools.chain.from_iterable(rotations), dtype=np.int64, count=m)
     sizes = np.fromiter(map(len, rotations), dtype=np.int64, count=len(rotations))
     ends = np.cumsum(sizes)
@@ -338,23 +333,16 @@ def _segment_rotations(rotations, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rotation_map(rotations) -> HalfEdgeMap:
     """Map of rotations that a library construction made valid (no re-check)."""
-    twin, nxt, tail = _rotation_arrays(rotations)
-    return _trusted(HalfEdgeMap, twin=twin, nxt=nxt, tail=tail)
+    nxt, tail = _rotation_arrays(rotations)
+    return _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
 
 
 def _array_map(twin: np.ndarray, nxt: np.ndarray, tail: np.ndarray) -> HalfEdgeMap:
-    """Map of int64 arrays that a library construction made valid (no
-    re-check); the arrays become its cached ``_arrays``."""
-    he = _trusted(
-        HalfEdgeMap,
-        twin=tuple(twin.tolist()),
-        nxt=tuple(nxt.tolist()),
-        tail=tuple(tail.tolist()),
-    )
+    """Map of new one-dimensional int64 arrays, owned by no one else, that a
+    library construction made valid (no re-check); they become read-only."""
     for a in (twin, nxt, tail):
         a.flags.writeable = False
-    vars(he)["_arrays"] = (twin, nxt, tail)
-    return he
+    return _trusted(HalfEdgeMap, twin=twin, nxt=nxt, tail=tail)
 
 
 def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin: int) -> np.ndarray:
@@ -454,7 +442,7 @@ class RootedMap:
     @property
     def origin(self) -> int:
         """Start vertex of the root dart."""
-        return self.map.tail[self.root]
+        return int(self.map.tail[self.root])
 
 
 @dataclass(frozen=True)
@@ -470,14 +458,13 @@ class PointedMap:
 
 
 def validate_quadrangulation(m: HalfEdgeMap) -> bool:
-    """True iff every face has degree 4 and the map has no loop.
+    """True iff every face has degree 4.
 
     Connectivity and genus 0 already hold for any ``HalfEdgeMap``.
     Multiple edges are allowed.
     """
-    if m.has_loop():
-        return False
-    # the counts follow: 4F = 2E darts give E = 2F, and Euler gives V = F + 2
+    # a genus-0 map whose faces all have even degree is bipartite, so it has
+    # no loop; and 4F = 2E darts give E = 2F, so Euler gives V = F + 2
     if m.n_darts >= _ARRAY_MIN_DARTS:
         return bool(np.all(np.diff(m._face_orbits[1]) == 4))
     return all(len(f) == 4 for f in m.faces)
@@ -524,15 +511,15 @@ class PointedQuadrangulation(PointedMap):
 def bfs_distances(m: HalfEdgeMap, origin: int) -> tuple[int, ...]:
     """Graph distance from ``origin`` to every vertex."""
     if m.n_darts >= _ARRAY_MIN_DARTS:
-        twin, _, tail = m._arrays
-        return tuple(_bfs_arrays(twin, tail, m.n_vertices, origin).tolist())
+        return tuple(_bfs_arrays(m.twin, m.tail, m.n_vertices, origin).tolist())
+    twin, tail = m.twin.tolist(), m.tail.tolist()
     dist = [-1] * m.n_vertices
     dist[origin] = 0
     queue = deque([origin])
     while queue:
         v = queue.popleft()
         for d in m.vertex_cycles[v]:
-            w = m.head(d)
+            w = tail[twin[d]]
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -549,21 +536,14 @@ def profile(q: RootedMap | PointedMap) -> list[float]:
 
     Entry j is the fraction of edges whose nearer endpoint lies at distance
     at most j from the origin; the sequence is nondecreasing and its last
-    entry (j = radius - 1) equals 1.
+    entry equals 1.  That entry is j = radius - 1 on a bipartite map, such
+    as a quadrangulation, and j = radius on a map with an edge joining two
+    vertices at the largest distance.
     """
-    dist = bfs_distances(q.map, q.origin)
     m = q.map
-    rad = max(dist)
-    counts = [0] * rad
-    for d in range(0, m.n_darts, 2):
-        counts[min(dist[m.tail[d]], dist[m.head(d)])] += 1
-    total = m.n_edges
-    out = []
-    acc = 0
-    for c in counts:
-        acc += c
-        out.append(acc / total)
-    return out
+    dist = np.array(bfs_distances(m, q.origin))
+    near = np.minimum(dist[m.tail[0::2]], dist[m.tail[m.twin[0::2]]])
+    return (np.cumsum(np.bincount(near)) / m.n_edges).tolist()
 
 
 # -- canonical codes ----------------------------------------------------
@@ -576,8 +556,8 @@ def rooted_code(m: HalfEdgeMap, root: int) -> bytes:
     twin permutations, which is invariant under dart renaming.
     """
     if m.n_darts >= _ARRAY_MIN_DARTS:
-        twin, nxt, _ = m._arrays
-        return _rooted_code_arrays(nxt, twin, root)
+        return _rooted_code_arrays(m.nxt, m.twin, root)
+    nxt, twin = m.nxt.tolist(), m.twin.tolist()
     label = [-1] * m.n_darts
     label[root] = 0
     order = [root]
@@ -585,14 +565,14 @@ def rooted_code(m: HalfEdgeMap, root: int) -> bytes:
     while i < len(order):
         d = order[i]
         i += 1
-        for e in (m.nxt[d], m.twin[d]):
+        for e in (nxt[d], twin[d]):
             if label[e] < 0:
                 label[e] = len(order)
                 order.append(e)
     parts = []
     for d in order:
-        parts.append(label[m.nxt[d]])
-        parts.append(label[m.twin[d]])
+        parts.append(label[nxt[d]])
+        parts.append(label[twin[d]])
     return bytes(",".join(map(str, parts)), "ascii")
 
 
@@ -643,10 +623,11 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
         raise TypeError("map_of_quad needs a rooted or pointed quadrangulation")
     he = q.map
     dist = bfs_distances(he, q.origin)
+    tail = he.tail.tolist()
     # per face: the two darts whose tails are the even-parity corners
     attach: dict[int, int] = {}  # host dart -> new dart id
     for f, face in enumerate(he.faces):
-        evens = [d for d in face if dist[he.tail[d]] % 2 == 0]
+        evens = [d for d in face if dist[tail[d]] % 2 == 0]
         attach[evens[0]] = 2 * f
         attach[evens[1]] = 2 * f + 1
     # new rotation around each even vertex: the diagonals in host-dart order
@@ -659,7 +640,7 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
     out = _rotation_map(rotations)
     if isinstance(q, RootedMap):
         # root on the diagonal of the face on the far side of the root dart
-        return _trusted(RootedMap, map=out, root=attach[he.nxt[q.root]])
+        return _trusted(RootedMap, map=out, root=attach[int(he.nxt[q.root])])
     return _trusted(PointedMap, map=out, origin=new_id[q.origin])
 
 
@@ -668,11 +649,8 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
 
 def _canonical_origin_index(m: HalfEdgeMap, origin: int) -> int:
     """Index of the origin when vertices are numbered by smallest dart."""
-    if m.n_darts >= _ARRAY_MIN_DARTS:
-        _, first = np.unique(m._arrays[2], return_index=True)  # smallest dart per vertex
-        return int(np.count_nonzero(first < first[origin]))
-    mins = sorted(min(cyc) for cyc in m.vertex_cycles)
-    return mins.index(min(m.vertex_cycles[origin]))
+    _, first = np.unique(m.tail, return_index=True)  # smallest dart per vertex
+    return int(np.count_nonzero(first < first[origin]))
 
 
 def save_map(obj) -> str:
@@ -684,12 +662,7 @@ def save_map(obj) -> str:
     so the text round-trips bit-exactly through :func:`load_map`.
     """
     m = obj.map
-    if m.n_darts >= _ARRAY_MIN_DARTS:
-        twin, nxt, _ = m._arrays
-        darts = [_ascii_ints(twin).decode("ascii"), _ascii_ints(nxt).decode("ascii")]
-    else:
-        darts = [",".join(map(str, m.twin)), ",".join(map(str, m.nxt))]
-    lines = [f"n={m.n_edges}", *darts]
+    lines = [f"n={m.n_edges}", *(_ascii_ints(a).decode("ascii") for a in (m.twin, m.nxt))]
     if isinstance(obj, RootedMap):
         lines.append(str(obj.root))
     else:
@@ -706,10 +679,9 @@ def load_map(text: str) -> RootedMap | PointedMap:
     n_edges = _parse_line(lines[0][2:], "edge count", int)
     twin = _parse_line(lines[1], "twin", _int_line)
     nxt = _parse_line(lines[2], "rotation", _int_line)
-    if len(twin) != 2 * n_edges:
+    if twin.size != 2 * n_edges:
         raise ValueError("edge count does not match dart arrays")
-    m = len(nxt)
-    if min(nxt) < 0 or max(nxt) >= m:
+    if nxt.min() < 0 or nxt.max() >= nxt.size:
         raise ValueError("rotation array entry is not a dart index")
     he = HalfEdgeMap(twin, nxt, _cycle_numbers(nxt))
     if lines[3].startswith("origin="):
@@ -723,11 +695,11 @@ def load_map(text: str) -> RootedMap | PointedMap:
     return _trusted(quad, **vars(obj)) if validate_quadrangulation(he) else obj
 
 
-def _int_line(line: str) -> tuple[int, ...]:
-    values = _parse_ascii_ints(line) if len(line) >= _ARRAY_MIN_DARTS else None
-    if values is not None:
-        return tuple(values.tolist())
-    return tuple(map(int, line.split(",")))
+def _int_line(line: str) -> np.ndarray:
+    values = _parse_ascii_ints(line)
+    if values is None:  # signs, spaces or long tokens: left to int
+        values = _int64([int(token) for token in line.split(",")], "line")
+    return values
 
 
 def _parse_line(line: str, name: str, parse):
@@ -735,21 +707,16 @@ def _parse_line(line: str, name: str, parse):
     try:
         return parse(line)
     except ValueError:
-        raise ValueError(f"map text: the {name} line is not made of integers: {line[:40]!r}") from None
+        raise ValueError(
+            f"map text: the {name} line is not made of int64 integers: {line[:40]!r}"
+        ) from None
 
 
-def _cycle_numbers(nxt: tuple[int, ...]) -> tuple[int, ...]:
+def _cycle_numbers(nxt: np.ndarray) -> np.ndarray:
     """Per dart, the index of its cycle of ``nxt`` (the vertex numbering of
     the map text: cycles ordered by smallest dart)."""
-    m = len(nxt)
-    if m >= _ARRAY_MIN_DARTS:
-        perm = np.array(nxt, dtype=np.int64)
-        if np.any(np.bincount(perm, minlength=m) != 1):
-            return (0,) * m  # not a permutation, which the map check reports
-        low = _cycle_mins(perm)
-        return tuple((np.cumsum(low == np.arange(m)) - 1)[low].tolist())
-    tail = [0] * m
-    for v, cyc in enumerate(_orbits(nxt)):
-        for d in cyc:
-            tail[d] = v
-    return tuple(tail)
+    m = nxt.size
+    if np.any(np.bincount(nxt, minlength=m) != 1):
+        return np.zeros(m, dtype=np.int64)  # not a permutation, which the map check reports
+    low = _cycle_mins(nxt)
+    return (np.cumsum(low == np.arange(m)) - 1)[low]

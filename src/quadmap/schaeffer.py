@@ -348,14 +348,13 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     """
     he = q.map
     if he.n_darts >= _ARRAY_MIN_DARTS:
-        twin, nxt, tail = he._arrays
-        dist = _bfs_arrays(twin, tail, he.n_vertices, q.origin)
-        return _tree_of_quad_arrays(twin, nxt, tail, _face_array(he), dist, q.root)
+        dist = _bfs_arrays(he.twin, he.tail, he.n_vertices, q.origin)
+        return _tree_of_quad_arrays(he.twin, he.nxt, he.tail, _face_array(he), dist, q.root)
     dist = bfs_distances(he, q.origin)
     n_darts = he.n_darts
-    twin = list(he.twin)
-    nxt = list(he.nxt)
-    tail = list(he.tail)
+    twin = he.twin.tolist()
+    nxt = he.nxt.tolist()
+    tail = he.tail.tolist()
     blue = [False] * n_darts
     # insertion bookkeeping: diagonal darts live in the face corner just
     # before their host dart in rotation order
@@ -363,7 +362,7 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     for d_ in range(n_darts):
         prev[nxt[d_]] = d_
     for face in he.faces:
-        labels = [dist[he.tail[d_]] for d_ in face]
+        labels = [dist[tail[d_]] for d_ in face]
         lo = min(labels)
         if max(labels) - lo == 2:
             # pattern (m, m+1, m+2, m+1): keep the edge from the m+2 corner

@@ -34,7 +34,8 @@ _DIRECTIONS = ("clockwise", "reverse")
 def _trusted(cls, **fields):
     """Instance of the frozen dataclass ``cls`` with ``fields`` as given, for
     values derived from valid values: skips ``__post_init__``.  Callers pass
-    every field in the form the constructor stores (tuples of Python ints)."""
+    every field in the stored form: tuples of Python ints, and read-only
+    int64 arrays for maps."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

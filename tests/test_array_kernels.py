@@ -64,20 +64,16 @@ def paths(monkeypatch):
 
 
 def fresh(he: HalfEdgeMap) -> HalfEdgeMap:
-    """The same map without cached orbits or arrays."""
+    """The same map without cached orbits."""
     return _trusted(HalfEdgeMap, twin=he.twin, nxt=he.nxt, tail=he.tail)
-
-
-def int_arrays(he: HalfEdgeMap):
-    return tuple(np.array(t, dtype=np.int64) for t in (he.twin, he.nxt, he.tail))
 
 
 def check_map_kernels(he: HalfEdgeMap, origin: int, roots) -> None:
     """Every map kernel equals the Python path on ``he`` (the caller has
     sent every size to the Python loops)."""
-    twin, nxt, tail = int_arrays(he)
-    for perm in (he.nxt, [he.nxt[t] for t in he.twin]):
-        assert _split(*_orbit_arrays(np.array(perm))) == list(_orbits(perm))
+    twin, nxt, tail = he.twin, he.nxt, he.tail
+    for perm in (nxt, nxt[twin]):
+        assert _split(*_orbit_arrays(perm)) == list(_orbits(perm.tolist()))
     _check_arrays(fresh(he))
     ref = fresh(he)
     assert tuple(_bfs_arrays(twin, tail, he.n_vertices, origin).tolist()) == bfs_distances(
@@ -85,7 +81,15 @@ def check_map_kernels(he: HalfEdgeMap, origin: int, roots) -> None:
     )
     for root in roots:
         assert _rooted_code_arrays(nxt, twin, root) == rooted_code(ref, root)
-    assert _ascii_ints(nxt).decode() == ",".join(map(str, he.nxt))
+    assert _ascii_ints(nxt).decode() == ",".join(map(str, nxt.tolist()))
+
+
+def check_chord_arrays(enc, labels: np.ndarray, walk: np.ndarray) -> None:
+    """``_chord_arrays`` equals the Python rotation lists' arrays."""
+    twin, nxt, tail = _chord_arrays(labels[:-1], walk)
+    built = _rotation_arrays(_chord_rotations(enc.labels[:-1], enc.walk))
+    assert twin.tolist() == [d ^ 1 for d in range(twin.size)]
+    assert (nxt.tolist(), tail.tolist()) == tuple(a.tolist() for a in built)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -99,11 +103,11 @@ def test_kernels_match_python_on_all_small_quads(n, paths):
         labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
         assert tuple(_predecessor_array(labels[:-1]).tolist()) == _predecessors(enc.labels[:-1])
         assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
-        built = _rotation_arrays(_chord_rotations(enc.labels[:-1], enc.walk))
-        assert tuple(tuple(a.tolist()) for a in _chord_arrays(labels[:-1], walk)) == built
+        check_chord_arrays(enc, labels, walk)
         dist = np.array(bfs_distances(he, q.origin))
         faces = np.array(he.faces)
-        assert _tree_of_quad_arrays(*int_arrays(he), faces, dist, q.root) == tree_of_quad(q)
+        built = _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
+        assert built == tree_of_quad(q)
         up = walk[1:] > walk[:-1]
         node_labels = np.concatenate((labels[:1], labels[1:][up]))
         assert _labeled_tree_of_arrays(walk, node_labels) == decode(enc) == tree
@@ -134,11 +138,11 @@ def test_kernels_match_python_on_sampled_maps(n, paths):
     labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
     assert tuple(_predecessor_array(labels[:-1]).tolist()) == _predecessors(enc.labels[:-1])
     assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
-    built = _rotation_arrays(_chord_rotations(enc.labels[:-1], enc.walk))
-    assert tuple(tuple(a.tolist()) for a in _chord_arrays(labels[:-1], walk)) == built
+    check_chord_arrays(enc, labels, walk)
     dist = np.array(bfs_distances(he, q.origin))
     faces = np.array(he.faces)
-    assert _tree_of_quad_arrays(*int_arrays(he), faces, dist, q.root) == tree_of_quad(q) == tree
+    built = _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
+    assert built == tree_of_quad(q) == tree
     raw_labels, raw_walks = uniform_encoding_arrays(n, rng)
     raw = decode(harness._encoding_from_arrays(raw_labels[0], raw_walks[0]))
     raw_enc = encode(raw)
@@ -167,7 +171,6 @@ def test_public_functions_equal_on_both_paths(n, paths):
             he.faces,
             he.vertex_cycles,
             he.n_faces,
-            he.has_loop(),
             bfs_distances(he, q.origin),
             rooted_code(he, q.root),
             text,
@@ -209,7 +212,7 @@ def test_text_kernels_match_join_and_int():
 
 def _quad_arrays():
     _, q = harness.sample_rooted_pd(2**10, np.random.default_rng([29, 2**10]))
-    return [list(t) for t in (q.map.twin, q.map.nxt, q.map.tail)]
+    return [t.tolist() for t in (q.map.twin, q.map.nxt, q.map.tail)]
 
 
 def _nxt_not_permutation(twin, nxt, tail):
@@ -289,7 +292,9 @@ def test_rejections_match_on_both_paths(corrupt, paths):
             HalfEdgeMap(twin, nxt, tail)
         messages.append(str(exc.value))
     with pytest.raises(ValueError) as exc:  # the kernel itself
-        _check_arrays(_trusted(HalfEdgeMap, twin=tuple(twin), nxt=tuple(nxt), tail=tuple(tail)))
+        _check_arrays(
+            _trusted(HalfEdgeMap, twin=np.array(twin), nxt=np.array(nxt), tail=np.array(tail))
+        )
     messages.append(str(exc.value))
     assert messages == [CORRUPTIONS[corrupt]] * 3
 
@@ -299,7 +304,7 @@ def test_valid_arrays_pass_both_paths(paths):
     for name in ("python", "array"):
         paths(name)
         he = HalfEdgeMap(twin, nxt, tail)
-        assert he.n_faces == 2**10 and not he.has_loop()
+        assert he.n_faces == 2**10
 
 
 @pytest.mark.parametrize("token", ["x", "", "-3", "1.0"])

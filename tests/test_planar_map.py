@@ -65,6 +65,13 @@ def test_validate_quadrangulation():
             assert validate_quadrangulation(quad_of_tree(t).map)
 
 
+def test_validate_quadrangulation_rejects_loop_of_odd_darts():
+    # darts 1 and 3 form a loop at vertex 0; the faces have degrees 3 and 1
+    m = HalfEdgeMap.from_rotations([[0, 1, 3], [2]], twin=(2, 3, 0, 1))
+    assert m.head(1) == m.tail[1] == m.head(3) == m.tail[3] == 0
+    assert not validate_quadrangulation(m)
+
+
 def test_quadrangulation_counts_enforced():
     # a valid map that is not a quadrangulation must be rejected
     with pytest.raises(ValueError):
@@ -79,6 +86,12 @@ def test_bfs_radius_profile_hand_cases():
     assert radius(q_center) == 1
     assert profile(q_end) == [0.5, 1.0]
     assert profile(q_center) == [1.0]
+
+
+def test_profile_of_maps_that_are_not_bipartite():
+    # edge {1, 2} of the triangle and the loop join vertices at the radius
+    assert profile(RootedMap(triangle_map(), 0)) == [2 / 3, 1.0]
+    assert profile(loop_map()) == [1.0]
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -246,4 +259,39 @@ def test_load_map_fuzz_rotation_entry(index, value):
 )
 def test_load_map_names_the_bad_line(text, line):
     with pytest.raises(ValueError, match=f"the {line} line"):
+        load_map(text)
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**40])
+@pytest.mark.parametrize("field", ["twin", "nxt", "tail"])
+def test_half_edge_map_rejects_entries_beyond_int64(field, value):
+    fields = {"twin": [1, 0], "nxt": [0, 1], "tail": [0, 1]}
+    fields[field][1] = value
+    with pytest.raises(ValueError, match=f"{field} has an entry outside the int64 range"):
+        HalfEdgeMap(**fields)
+
+
+def test_half_edge_map_fields_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="twin must be one-dimensional"):
+        HalfEdgeMap([[1, 0], [3, 2]], [0, 1, 2, 3], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "rotations, twin",
+    [([[0], [1]], (1, 2**63)), ([[0], [1]], (-(2**63) - 1, 0)), ([[0], [2**63]], None)],
+)
+def test_from_rotations_rejects_entries_beyond_int64(rotations, twin):
+    with pytest.raises(ValueError, match="int64|every dart"):
+        HalfEdgeMap.from_rotations(rotations, twin)
+
+
+@pytest.mark.parametrize("token", ["9" * 19, "-" + "9" * 19, "9" * 40, "1" + "0" * 18])
+@pytest.mark.parametrize("line", ["twin", "rotation"])
+def test_load_map_dart_line_beyond_int64(line, token):
+    # 10**18 has 19 digits but fits int64: it fails as an out-of-range dart
+    head, twin, nxt, root = save_map(path_quad((1, 2))).splitlines()
+    darts = {"twin": twin.split(","), "rotation": nxt.split(",")}
+    darts[line][0] = token
+    text = "\n".join((head, ",".join(darts["twin"]), ",".join(darts["rotation"]), root)) + "\n"
+    with pytest.raises(ValueError, match=line):
         load_map(text)

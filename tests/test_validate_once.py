@@ -3,7 +3,8 @@ tests keep the dropped runtime checks as test-time checks.
 
 Every library-built value is rebuilt field by field through its public
 validating constructor and must come back equal and hold only tuples of
-Python ints.  A counting test pins where validation still runs.
+Python ints, or, for a map, read-only one-dimensional int64 arrays.  A
+counting test pins where validation still runs.
 """
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -49,6 +50,11 @@ def rebuilt(value):
 
 
 def holds_python_ints(value) -> bool:
+    if isinstance(value, HalfEdgeMap):
+        return all(
+            type(a) is np.ndarray and a.dtype == np.int64 and a.ndim == 1 and not a.flags.writeable
+            for a in (value.twin, value.nxt, value.tail)
+        )
     if is_dataclass(value):
         return all(holds_python_ints(getattr(value, f.name)) for f in fields(value))
     if isinstance(value, tuple):
@@ -117,6 +123,26 @@ def test_sampled_values_pass_public_validation(n):
     check(q)
     check(sample_pointed_ps(n, rng))
     check(sample_labeled_uniform(n, rng))
+
+
+@pytest.mark.parametrize("n", [3, 2**10])  # 12 and 4096 darts: both sides of the size constant
+def test_map_fields_are_private_read_only_arrays(n):
+    _, q = sample_rooted_pd(n, np.random.default_rng([43, n]))
+    he = q.map
+    for field in (he.twin, he.nxt, he.tail):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0
+    twin = he.twin.copy()
+    built = HalfEdgeMap(twin, he.nxt, he.tail)
+    twin[[0, 1]] = twin[[1, 0]]  # the caller's array, not the map's
+    assert built == he
+    from_lists = HalfEdgeMap(he.twin.tolist(), he.nxt.tolist(), he.tail.tolist())
+    assert from_lists == built and hash(from_lists) == hash(built)
+    # map text numbers the vertices by smallest dart, so a loaded map round-trips
+    loaded = load_map(save_map(q))
+    again = load_map(save_map(loaded))
+    assert again == loaded and hash(again) == hash(loaded)
+    assert len({loaded, again}) == 1 and loaded.map != q.map
 
 
 @pytest.mark.parametrize("n", range(1, 4))
