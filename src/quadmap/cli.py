@@ -17,9 +17,23 @@ import sys
 import numpy as np
 
 from . import enumeration, harness
-from .labeled import encode, minima_set
-from .planar_map import bfs_distances, pointed_code, radius, rooted_code, save_map
-from .schaeffer import assemble, canonical_gluing, doddering, gluer, quad_of_tree, tree_of_quad
+from .labeled import encode
+from .planar_map import (
+    _bfs_arrays,
+    _face_array,
+    _pointed_code_arrays,
+    _rooted_code_arrays,
+    rooted_code,
+    save_map,
+)
+from .schaeffer import (
+    _chord_arrays,
+    _tree_of_quad_arrays,
+    assemble,
+    canonical_gluing,
+    doddering,
+    gluer,
+)
 from .snake import sample_snake
 from .trees import height_process
 
@@ -99,38 +113,74 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+# verify runs the bijection kernels on slices of about this many darts,
+# which bounds their working memory at every size
+_VERIFY_DARTS = 2**14
+
+
+def _bijection_checks(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray, shapes):
+    """Verify's bijection checks on (B, 2n+1) stacks of well-labeled
+    encodings whose walks are ``shapes[shape[b]]``'s: the rooted codes of
+    their quadrangulations, whether the inverse gives every tree back,
+    whether the gluing and the BFS metrics agree, and the pointed codes
+    for the sizes that have law tables (an empty list above them)."""
+    count, n = len(labels), labels.shape[1] // 2
+    twin, nxt, tail = _chord_arrays(labels[:, :-1], walks)
+    roots, origins = np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    codes = _rooted_code_arrays(nxt, twin, roots)
+    dist = _bfs_arrays(twin, tail, n + 2, origins)
+    back_walks, back_labels = _tree_of_quad_arrays(
+        twin, nxt, tail, _face_array(twin, nxt), dist, roots
+    )
+    climbs = labels[:, 1:][walks[:, 1:] > walks[:, :-1]].reshape(count, n)
+    node_labels = np.concatenate((labels[:, :1], climbs), axis=1)
+    round_trip = np.array_equal(back_walks, walks) and np.array_equal(back_labels, node_labels)
+    body = labels[:, :-1]
+    minima = np.count_nonzero(body == body.min(axis=1, keepdims=True), axis=1)
+    ok = bool(
+        np.all(dist[:, 0] == 0)
+        and np.array_equal(dist[:, 1:], node_labels)
+        and np.array_equal(np.count_nonzero(tail == 0, axis=1), minima)
+        and np.array_equal(dist.max(axis=1), node_labels.max(axis=1))
+    )
+    # the doddering/gluer construction stays per object, checked against
+    # the batched codes
+    for row, s, code in zip(body.tolist(), shape.tolist(), codes):
+        d = doddering(row)
+        g = gluer(shapes[s])
+        built = assemble(d, g, canonical_gluing(d, g))
+        ok = ok and rooted_code(built.map, built.root) == code
+        ok = ok and height_process(d.tree, "reverse") == (0, *row)
+    pointed = _pointed_code_arrays(nxt, twin, tail, 0) if n <= enumeration.MAX_LAW_N else []
+    return codes, round_trip, ok, pointed
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
-    # bijection suite
+    # bijection suite, on stacks of well-labeled trees
+    pointed_counts = {}
     for n in range(1, args.max_n + 1):
-        trees = enumeration.well_labeled_trees(n)
-        quads = [quad_of_tree(t) for t in trees]
-        codes = [rooted_code(q.map, q.root) for q in quads]
+        labels, walks, shape = enumeration._well_labeled_arrays(n)
+        shapes = enumeration.plane_trees(n)
+        codes, pointed, round_trip, ok = [], set(), True, True
+        pieces = -(-len(labels) * 4 * n // _VERIFY_DARTS)
+        for rows in np.array_split(np.arange(len(labels)), pieces):
+            slice_codes, slice_round_trip, slice_ok, slice_pointed = _bijection_checks(
+                labels[rows], walks[rows], shape[rows], shapes
+            )
+            codes += slice_codes
+            round_trip = round_trip and slice_round_trip
+            ok = ok and slice_ok
+            pointed.update(slice_pointed)
         distinct = len(set(codes))
-        check(f"bijection injective n={n}", distinct == len(trees), f"{distinct} codes")
-        check(
-            f"inverse round trip n={n}",
-            all(tree_of_quad(q) == t for q, t in zip(quads, trees)),
-        )
-        ok = True
-        for t, q, code in zip(trees, quads, codes):
-            enc = encode(t)
-            body = enc.labels[:-1]
-            d = doddering(body)
-            g = gluer(t)
-            built = assemble(d, g, canonical_gluing(d, g))
-            ok = ok and rooted_code(built.map, built.root) == code
-            rhp = height_process(d.tree, "reverse")
-            ok = ok and rhp == (0,) + tuple(body)
-            dist = bfs_distances(q.map, 0)
-            ok = ok and all(dist[u + 1] == t.labels[u] for u in range(t.tree.n_nodes))
-            ok = ok and q.map.degree(0) == len(minima_set(enc.labels))
-            ok = ok and radius(q) == max(t.labels)
+        check(f"bijection injective n={n}", distinct == len(labels), f"{distinct} codes")
+        check(f"inverse round trip n={n}", round_trip)
         check(f"gluing and metrics n={n}", ok)
+        pointed_counts[n] = len(pointed)  # read for n <= MAX_LAW_N only
     # counting
     for n in range(1, min(args.max_n, enumeration.MAX_LAW_N) + 1):
         count = len(enumeration.labeled_trees(n))
@@ -146,8 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     for n in range(1, min(args.max_n, enumeration.MAX_LAW_N) + 1):
         dec = enumeration.orbit_decomposition(n)
-        pointed = {pointed_code(q.map, q.origin) for q in enumeration.rooted_quads(n)}
-        check(f"orbits = pointed quads n={n}", dec.n_orbits == len(pointed))
+        check(f"orbits = pointed quads n={n}", dec.n_orbits == pointed_counts[n])
     for n in range(1, min(args.max_n, 3) + 1):
         tables = enumeration.law_tables(n)
         check(

@@ -2,8 +2,10 @@
 
 Everything here is exact: listings are complete and duplicate-free, laws
 are tables of rationals summing to 1.  Resource bounds keep the whole
-module usable inside a test suite (n <= 6 for listings, n <= 5 for orbit
-decompositions, n <= 4 for law tables).
+module usable inside a test suite (n <= 6 for listings and orbit
+decompositions, n <= 4 for law tables).  The orbits, the rooted
+quadrangulations and the law tables are computed on stacked arrays, one
+kernel call per size for the whole family.
 """
 from __future__ import annotations
 
@@ -12,16 +14,24 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .labeled import (
-    Encoding,
-    LabeledTree,
-    encode,
-    is_well_labeled,
-    reroot,
-    to_positive,
+import numpy as np
+
+from .labeled import Encoding, LabeledTree, _encoding_from_arrays, is_well_labeled
+from .paths import (
+    _least_keys,
+    _reroot_arrays,
+    _reroot_keys,
+    contour_accumulate,
+    contour_edges,
 )
-from .planar_map import pointed_code, radius, rooted_code
-from .schaeffer import point, quad_of_tree
+from .planar_map import (
+    RootedQuadrangulation,
+    _array_map,
+    _bfs_arrays,
+    _pointed_code_arrays,
+    _rooted_code_arrays,
+)
+from .schaeffer import _chord_arrays
 from .trees import PlaneTree, Walk, _trusted, walk_to_tree
 
 __all__ = [
@@ -47,7 +57,7 @@ __all__ = [
 ]
 
 MAX_LISTING_N = 6
-MAX_ORBIT_N = 5
+MAX_ORBIT_N = 6
 MAX_LAW_N = 4
 
 
@@ -106,9 +116,47 @@ def well_labeled_trees(n: int) -> list[LabeledTree]:
     return [t for t in labeled_trees(n) if is_well_labeled(t)]
 
 
+def _encoding_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label processes of all C_n 3^n labeled trees with n edges, as an
+    (N, 2n+1) array in :func:`labeled_trees` order, the C_n contour walks,
+    and the walk row of each tree.
+
+    Node u's label increment is column u-1 of ``product((-1, 0, 1),
+    repeat=n)`` and sits on the edge the contour climbs at node u's first
+    visit.  A label process is linear in the increments, so each walk's
+    processes are one product with the n processes ``contour_accumulate``
+    gives for a single unit increment.
+    """
+    walks = np.array(_walks(n), dtype=np.int64)
+    units = np.repeat(walks, n, axis=0)  # row (c, u-1): walk c, unit increment at node u
+    climbs = contour_edges(units)[units[:, 1:] > units[:, :-1]].reshape(len(units), n)
+    values = np.zeros(len(units) * n, dtype=np.int64)
+    values[climbs[np.arange(len(units)), np.tile(np.arange(n), len(walks))]] = 1
+    unit_labels = contour_accumulate(units, values).reshape(len(walks), n, 2 * n + 1)
+    incs = np.array(list(product((-1, 0, 1), repeat=n)), dtype=np.int64)
+    labels = (incs @ unit_labels).reshape(-1, 2 * n + 1)
+    labels += 1
+    return labels, walks, np.repeat(np.arange(len(walks)), len(incs))
+
+
+def _well_labeled_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label processes and contour walks, both (N, 2n+1), of all
+    well-labeled trees with n edges in :func:`well_labeled_trees` order,
+    and the row of each tree's walk in the C_n walks."""
+    labels, walks, shape = _encoding_arrays(n)
+    keep = labels.min(axis=1) >= 1
+    return labels[keep], walks[shape[keep]], shape[keep]
+
+
 def rooted_quads(n: int):
     """All rooted quadrangulations with n faces (images of the bijection)."""
-    return [quad_of_tree(t) for t in well_labeled_trees(n)]
+    _check_bound(n, MAX_LISTING_N)
+    labels, walks, _ = _well_labeled_arrays(n)
+    # each map copies its rows, so that keeping one map keeps no stack alive
+    return [
+        _trusted(RootedQuadrangulation, map=_array_map(*(a.copy() for a in arrays)), root=1)
+        for arrays in zip(*_chord_arrays(labels[:, :-1], walks))
+    ]
 
 
 _FAMILIES = {
@@ -146,18 +194,13 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-def _reroot_walk(w: tuple[int, ...], theta: int) -> tuple[int, ...]:
-    enc = _trusted(Encoding, labels=(1,) * len(w), walk=_trusted(Walk, steps=w))
-    return reroot(enc, theta).walk.steps
-
-
 def unrooted_plane_tree_count(n: int) -> int:
     """Number of rerooting classes of plane trees with n edges (exhaustive)."""
     _check_bound(n, MAX_LISTING_N)
-    classes = set()
-    for w in _walks(n):
-        classes.add(min(_reroot_walk(w, theta) for theta in range(2 * n)))
-    return len(classes)
+    walks = np.array(_walks(n), dtype=np.int64)
+    keys = _reroot_keys(np.ones_like(walks), walks, np.arange(len(walks)))
+    least = keys[np.arange(len(keys)), _least_keys(keys)]
+    return len(np.unique(least, axis=0))
 
 
 def walkup_count(n: int) -> int:
@@ -182,10 +225,6 @@ def walkup_count(n: int) -> int:
 
 
 # -- rerooting orbits ------------------------------------------------------
-
-
-def _orbit_key(enc: Encoding) -> tuple:
-    return (enc.labels, enc.walk.steps)
 
 
 @dataclass(frozen=True)
@@ -215,20 +254,21 @@ class OrbitDecomposition:
 def orbit_decomposition(n: int) -> OrbitDecomposition:
     """Rerooting classes of all labeled trees with n edges."""
     _check_bound(n, MAX_ORBIT_N)
-    found: dict[tuple, Orbit] = {}
-    for tree in labeled_trees(n):
-        enc = encode(tree)
-        images = [reroot(enc, theta) for theta in range(2 * n)]
-        keys = [_orbit_key(e) for e in images]
-        rep_key = min(keys)
-        if rep_key in found:
-            continue
-        size = len(set(keys))
-        stab = sum(1 for k in keys if k == keys[0])
-        assert size * stab == 2 * n
-        rep = images[keys.index(rep_key)]
-        found[rep_key] = Orbit(rep, size, stab)
-    orbits = tuple(found[k] for k in sorted(found))
+    labels, walks, shape = _encoding_arrays(n)
+    keys = _reroot_keys(labels, walks, shape)
+    theta = _least_keys(keys)
+    # one tree per orbit, the orbits in order of their least key
+    _, first = np.unique(keys[np.arange(len(keys)), theta], axis=0, return_index=True)
+    keys, theta = keys[first], theta[first]
+    stabilizers = np.count_nonzero(np.all(keys == keys[:, :1], axis=2), axis=1)
+    sizes = 2 * n // stabilizers
+    reps = _reroot_arrays(labels[first], walks[shape[first]], theta)
+    orbits = tuple(
+        Orbit(_encoding_from_arrays(rep_labels, rep_walk), size, stabilizer)
+        for rep_labels, rep_walk, size, stabilizer in zip(
+            *reps, sizes.tolist(), stabilizers.tolist()
+        )
+    )
     return OrbitDecomposition(n, orbits)
 
 
@@ -276,14 +316,19 @@ def law_tables(n: int) -> LawTables:
     """
     _check_bound(n, MAX_LAW_N)
     total = catalan(n) * 3**n
+    labels, walks, shape = _encoding_arrays(n)
+    # positivize: reroot every tree at its first label minimum
+    body = labels[:, :-1]
+    positive, walks = _reroot_arrays(labels, walks[shape], body.argmin(axis=1))
+    twin, nxt, tail = _chord_arrays(positive[:, :-1], walks)
+    origins = np.zeros(len(labels), dtype=np.int64)  # vertex 0, the root dart's tail
+    degrees = np.count_nonzero(tail == 0, axis=1).tolist()
+    radii = _bfs_arrays(twin, tail, n + 2, origins).max(axis=1).tolist()
     image_counts: dict[bytes, int] = {}
     descriptors: dict[bytes, tuple[int, int]] = {}
-    for tree in labeled_trees(n):
-        pq = point(quad_of_tree(to_positive(tree)))
-        code = pointed_code(pq.map, pq.origin)
+    for code, deg, rad in zip(_pointed_code_arrays(nxt, twin, tail, 0), degrees, radii):
         image_counts[code] = image_counts.get(code, 0) + 1
-        if code not in descriptors:
-            descriptors[code] = (pq.map.degree(pq.origin), radius(pq))
+        descriptors.setdefault(code, (deg, rad))
     n_pointed = len(image_counts)
     pointed_rows = tuple(
         PointedLaw(
@@ -295,14 +340,14 @@ def law_tables(n: int) -> LawTables:
         )
         for code in sorted(image_counts)
     )
+    # well-labeled trees are their own positive representatives
+    well = np.flatnonzero(body.min(axis=1) >= 1)
+    codes = _rooted_code_arrays(nxt[well], twin[well], np.ones(well.size, dtype=np.int64))
     rooted_rows_map: dict[bytes, RootedLaw] = {}
-    for tree in well_labeled_trees(n):
-        q = quad_of_tree(tree)
-        code = rooted_code(q.map, q.root)
-        if code in rooted_rows_map:
-            continue
-        deg = q.map.degree(q.origin)
-        rooted_rows_map[code] = RootedLaw(code, deg, Fraction(2 * n, total * deg))
+    for code, row in zip(codes, well.tolist()):
+        if code not in rooted_rows_map:
+            deg = degrees[row]
+            rooted_rows_map[code] = RootedLaw(code, deg, Fraction(2 * n, total * deg))
     rooted_rows = tuple(rooted_rows_map[c] for c in sorted(rooted_rows_map))
     assert sum(r.p_s for r in pointed_rows) == 1
     assert sum(r.p_d for r in rooted_rows) == 1

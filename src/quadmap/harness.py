@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .labeled import Encoding, LabeledTree, decode, first_min_corner, minima_set, reroot
+from .labeled import (
+    Encoding,
+    LabeledTree,
+    _encoding_from_arrays,
+    decode,
+    first_min_corner,
+    minima_set,
+    reroot,
+)
 from .paths import (
     _reroot_arrays,
     contour_accumulate,
@@ -32,7 +40,6 @@ from .paths import (
 from .planar_map import _ARRAY_MIN_DARTS, PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point, quad_of_tree
 from .snake import _path, distance, reroot_path, sample_snake_batch
-from .trees import Walk, _trusted
 
 __all__ = [
     "ExperimentConfig",
@@ -157,11 +164,6 @@ def replica_rng(master_seed: int, size_index: int, replica: int) -> np.random.Ge
 
 
 # -- samplers ----------------------------------------------------------------
-
-
-def _encoding_from_arrays(labels: np.ndarray, walk: np.ndarray) -> Encoding:
-    steps = _trusted(Walk, steps=tuple(walk.tolist()))
-    return _trusted(Encoding, labels=tuple(labels.tolist()), walk=steps)
 
 
 def sample_labeled_uniform(n: int, rng: np.random.Generator) -> LabeledTree:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .paths import _reroot_keys
 from .trees import PlaneTree, Walk, _trusted, contour_nodes, dfw, walk_to_tree
 
 __all__ = [
@@ -125,6 +128,12 @@ class MarkedTree:
             raise ValueError("side marks must be in {-1, 0, +1}")
 
 
+def _encoding_from_arrays(labels: np.ndarray, walk: np.ndarray) -> Encoding:
+    """The encoding of one label-process row and one walk row, trusted."""
+    steps = _trusted(Walk, steps=tuple(walk.tolist()))
+    return _trusted(Encoding, labels=tuple(labels.tolist()), walk=steps)
+
+
 def encode(tree: LabeledTree) -> Encoding:
     """Encoding of a labeled tree: labels along the clockwise contour."""
     walk = dfw(tree.tree)
@@ -209,7 +218,8 @@ def to_positive(tree: LabeledTree) -> LabeledTree:
 def stabilizer_size(tree: LabeledTree) -> int:
     """Number of corners theta in [0, 2n-1] whose rerooting fixes the tree."""
     enc = encode(tree)
-    return sum(1 for theta in range(2 * tree.n) if reroot(enc, theta) == enc)
+    keys = _reroot_keys(np.array([enc.labels]), np.array([enc.walk.steps]), np.zeros(1, int))[0]
+    return int(np.count_nonzero(np.all(keys == keys[0], axis=1)))
 
 
 def to_marked(tree: LabeledTree) -> MarkedTree:

@@ -117,22 +117,96 @@ def doddering_rdfw(labels_body: np.ndarray) -> np.ndarray:
 
 
 def _reroot_arrays(
-    labels: np.ndarray, walk: np.ndarray, theta: int
+    labels: np.ndarray, walk: np.ndarray, theta
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`quadmap.labeled.reroot` for one encoding
-    (labels and walk of length 2n+1) and a corner ``theta`` in [0, 2n).
+    """Array form of :func:`quadmap.labeled.reroot`.
 
-    The labels rotate by ``theta`` and shift so the new root is labeled 1;
-    the new walk is the tree distance to the node at corner ``theta``,
-    w(j) + w(theta) - 2 min w[theta..j], read forward from ``theta`` to 2n
-    and then backward from ``theta`` to 0.
+    ``labels`` and ``walk`` are label processes and contour walks of
+    length 2n+1, each one alone or a stack along leading axes (the two
+    stacks are rerooted independently and need not match), and ``theta``
+    is a corner in [0, 2n) or one corner per stacked row.  The labels
+    rotate by ``theta`` and shift so the new root is labeled 1.  The new
+    walk at time t is the tree distance from the node at corner ``theta``
+    to the node at corner theta + t (mod 2n): w(j) + w(theta) - 2 min w
+    over the corners between them, read forward from ``theta`` until the
+    contour wraps past corner 0 and backward from ``theta`` after that.
     """
-    two_n = labels.size - 1
+    two_n = labels.shape[-1] - 1
+    time = np.arange(two_n)
+    theta = np.asarray(theta)[..., None]
+    corner = (theta + time) % two_n
+
+    def rotate(values: np.ndarray) -> np.ndarray:
+        shape = values.shape[:-1] + (two_n,)
+        return np.take_along_axis(values[..., :two_n], np.broadcast_to(corner, shape), axis=-1)
+
+    turned = rotate(labels)
     new_labels = np.ones_like(labels)
-    new_labels[:two_n] = np.roll(labels[:two_n], -theta) - labels[theta] + 1
-    new_walk = np.empty_like(walk)
-    ahead = walk[theta:]
-    new_walk[: two_n + 1 - theta] = ahead + walk[theta] - 2 * np.minimum.accumulate(ahead)
-    behind = walk[theta::-1]
-    new_walk[two_n - theta :] = (behind + walk[theta] - 2 * np.minimum.accumulate(behind))[::-1]
+    np.subtract(turned, turned[..., :1] - 1, out=new_labels[..., :two_n])
+    depth = rotate(walk)
+    top = depth[..., :1]
+    low = np.minimum.accumulate(depth, axis=-1)
+    backward = np.minimum(np.minimum.accumulate(depth[..., ::-1], axis=-1)[..., ::-1], top)
+    np.copyto(low, backward, where=time > two_n - theta)
+    new_walk = np.zeros_like(walk)
+    new_walk[..., :two_n] = depth + top - 2 * low
     return new_labels, new_walk
+
+
+def _reroot_keys(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """Packed keys of every rerooting of every encoding, as an (N, 2n, c)
+    int64 array.
+
+    Encoding i has the label process ``labels[i]`` (an (N, 2n+1) stack)
+    and the contour walk ``walks[shape[i]]``, so each rerooted walk is
+    computed once per distinct walk.  Entry (i, theta) holds encoding i
+    rerooted at corner theta as c int64 columns that compare
+    lexicographically as the encodings' (labels, walk) tuples do, so equal
+    keys mean equal encodings: the rerooted labels, which lie in
+    [1 - n, 1 + n], packed in base 2n+1 and the walk in base n+1 (n <= 6
+    gives c = 2).  The rerooted labels, body[(theta + t) % 2n] - body[theta]
+    + 1 and then 1, are packed without being formed: the body times the
+    packing weights rotated by theta, plus the shift's share.
+    """
+    two_n = labels.shape[1] - 1
+    n = two_n // 2
+    label_weights = _digit_weights(two_n + 1, 2 * n + 1)
+    walk_weights = _digit_weights(two_n + 1, n + 1)
+    spread = label_weights[:two_n].sum(axis=0)
+    body = labels[:, :two_n]
+    split = label_weights.shape[1]
+    keys = np.empty((len(labels), two_n, split + walk_weights.shape[1]), dtype=np.int64)
+    for theta in range(two_n):
+        packed = body @ np.roll(label_weights[:two_n], theta, axis=0)
+        packed += (1 - body[:, theta, None]) * spread + label_weights[two_n]
+        keys[:, theta, :split] = packed
+        _, new_walks = _reroot_arrays(walks, walks, theta)  # only the walks are read
+        keys[:, theta, split:] = (new_walks @ walk_weights)[shape]
+    return keys
+
+
+def _least_keys(keys: np.ndarray) -> np.ndarray:
+    """Per row of an (N, K, c) key array, the index of its lexicographically
+    least key."""
+    least = np.ones(keys.shape[:2], dtype=bool)
+    for column in np.moveaxis(keys, 2, 0):
+        column = np.where(least, column, np.iinfo(np.int64).max)
+        least &= column == column.min(axis=1, keepdims=True)
+    return least.argmax(axis=1)
+
+
+def _digit_weights(width: int, base: int) -> np.ndarray:
+    """The (width, c) int64 matrix that packs rows of ``width`` digits, all
+    within one run of ``base`` consecutive integers, into c columns:
+    ``digits @ weights`` holds as many digits per column, most significant
+    first, as keep a column exact in int64 with a factor ``base`` to spare
+    for digits of either sign, so comparing the columns lexicographically
+    compares the digit rows."""
+    per = 1
+    while base ** (per + 2) < 2**63:
+        per += 1
+    t = np.arange(width)
+    first = t // per * per  # the first digit of each digit's column
+    weights = np.zeros((width, -(-width // per)), dtype=np.int64)
+    weights[t, t // per] = base ** (np.minimum(first + per, width) - 1 - t)
+    return weights

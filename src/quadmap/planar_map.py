@@ -15,10 +15,13 @@ scratch and may be called concurrently.
 
 Maps with at least ``_ARRAY_MIN_DARTS`` darts run the per-dart work
 (validation, orbits, BFS, rooted codes) as numpy kernels over the arrays;
-smaller maps, which the exhaustive battery builds by the ten thousand, run
-Python loops over one ``tolist`` copy per call, whose constant cost is
-lower there.  Both forms give identical results and raise identical
-messages.  Map text is written and read by array kernels at every size.
+smaller maps run Python loops over one ``tolist`` copy per call, whose
+constant cost is lower there.  Both forms give identical results and raise
+identical messages.  The BFS and code kernels also take stacks of maps
+with a leading batch axis, run as the maps' disjoint union, which is how
+the exhaustive battery handles its tens of thousands of small maps in a
+few calls; a single large map is the batch of one.  Map text is written
+and read by array kernels at every size.
 """
 from __future__ import annotations
 
@@ -258,15 +261,18 @@ def _orbit_arrays(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _steps_to_end(succ: np.ndarray, last: np.ndarray) -> np.ndarray:
     """List ranking: the number of ``succ`` steps from each element to the
     end of its chain, where ``last`` marks the chain ends (pointer jumping,
-    O(log longest chain) passes)."""
+    O(log longest chain) passes).  A chain that never reaches an end, which
+    only a faulty caller can build, raises ``RuntimeError`` once the passes
+    that any chain of ``succ.size`` elements needs are spent."""
     left = (~last).astype(np.int64)
     jump = np.where(last, np.arange(succ.size), succ)
-    while True:
+    for _ in range(succ.size.bit_length() + 1):
         ahead = jump[jump]
         if np.array_equal(ahead, jump):
             return left
         left += left[jump]
         jump = ahead
+    raise RuntimeError("list ranking: a chain never reaches a marked end")
 
 
 def _split(darts: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
@@ -345,16 +351,39 @@ def _array_map(twin: np.ndarray, nxt: np.ndarray, tail: np.ndarray) -> HalfEdgeM
     return _trusted(HalfEdgeMap, twin=twin, nxt=nxt, tail=tail)
 
 
-def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin: int) -> np.ndarray:
+def _union(stack: np.ndarray, size: int) -> np.ndarray:
+    """A stack of per-map index arrays (map b in row b, entries in
+    [0, size)) as indices into the maps' disjoint union, where map b's
+    entries are offset by b * size; the map axis merges into the next.  A
+    stack of one map is returned as a view, so it must not be written."""
+    if len(stack) > 1:
+        stack = stack + size * np.arange(len(stack)).reshape((-1,) + (1,) * (stack.ndim - 1))
+    return stack.reshape((-1,) + stack.shape[2:])
+
+
+def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> np.ndarray:
     """Frontier BFS over the vertex -> dart CSR of ``tail``; -1 marks a
-    vertex that ``origin`` does not reach."""
+    vertex that ``origin`` does not reach.
+
+    ``twin`` and ``tail`` are one map's arrays with ``origin`` a vertex,
+    or (B, m) stacks of maps with ``n_vertices`` vertices each and one
+    origin per map, giving a (B, n_vertices) stack of distances.  A stack
+    runs as the disjoint union of its maps, whose components never meet.
+    """
+    single = np.ndim(origin) == 0
+    if single:
+        twin, tail, origin = twin[None], tail[None], np.reshape(origin, 1)
+    count = len(twin)
+    tail = _union(tail, n_vertices)
+    heads = tail[_union(twin, twin.shape[1])]
+    total = count * n_vertices
     by_vertex = np.argsort(tail, kind="stable")
-    heads = tail[twin[by_vertex]]
-    first = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n_vertices), out=first[1:])
-    dist = np.full(n_vertices, -1, dtype=np.int64)
-    dist[origin] = 0
-    frontier = np.array([origin])
+    heads = heads[by_vertex]
+    first = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=total), out=first[1:])
+    dist = np.full(total, -1, dtype=np.int64)
+    frontier = _union(np.asarray(origin), n_vertices)
+    dist[frontier] = 0
     level = 0
     while frontier.size:
         level += 1
@@ -364,23 +393,30 @@ def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin: int
         seen = heads[pos]
         frontier = np.unique(seen[dist[seen] < 0])
         dist[frontier] = level
-    return dist
+    dist = dist.reshape(count, n_vertices)
+    return dist[0] if single else dist
 
 
-def _ascii_ints(values: np.ndarray) -> bytes:
-    """``",".join(map(str, values))`` in ASCII for nonnegative int64
-    values: a row of fixed-width digits plus a comma per value, with the
-    leading zeros masked out."""
+def _ascii_ints(values: np.ndarray):
+    """``",".join(map(str, row))`` in ASCII for a row of nonnegative int64
+    values, or the list of them for each row of a stack: a row of
+    fixed-width digits plus a comma per value, with the leading zeros
+    masked out."""
     width = len(str(int(values.max())))
-    chars = np.full((values.size, width + 1), ord(","), dtype=np.uint8)
-    rest = values.astype(np.uint32 if width < 10 else np.uint64)
+    flat = values.reshape(-1, 1)
+    chars = np.full((flat.size, width + 1), ord(","), dtype=np.uint8)
+    rest = flat[:, 0].astype(np.uint32 if width < 10 else np.uint64)
     for column in range(width - 1, -1, -1):
         chars[:, column] = rest % 10 + ord("0")
         rest //= 10
     keep = np.ones(chars.shape, dtype=bool)
     powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
-    keep[:, :-2] = values[:, None] >= powers  # the units digit always stays
-    return chars[keep][:-1].tobytes()
+    keep[:, :-2] = flat >= powers  # the units digit always stays
+    text = chars[keep].tobytes()
+    if values.ndim == 1:
+        return text[:-1]
+    ends = np.cumsum(keep.sum(axis=1).reshape(values.shape).sum(axis=1)).tolist()
+    return [text[a:b - 1] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _parse_ascii_ints(line: str) -> np.ndarray | None:
@@ -401,31 +437,60 @@ def _parse_ascii_ints(line: str) -> np.ndarray | None:
     return np.fromstring(line, dtype=np.int64, sep=",")
 
 
-def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root: int) -> bytes:
-    """:func:`rooted_code` by levels of the dart BFS.  A level's candidates
-    are its darts' (nxt, twin) images interleaved in queue order; the new
-    ones, first occurrences kept in order, are exactly what the queue
-    appends while it works through that level."""
-    label = np.full(twin.size, -1, dtype=np.int64)
-    label[root] = 0
-    levels = [np.array([root])]
-    count = 1
-    while levels[-1].size:
-        level = levels[-1]
+def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root):
+    """:func:`rooted_code` by levels of the dart BFS, for one map and a
+    root dart, or for (R, m) stacks of maps and one root per row, giving
+    the list of the rows' codes.
+
+    A level's candidates are its darts' (nxt, twin) images interleaved in
+    queue order; the new ones, first occurrences kept in order, are
+    exactly what the queue appends while it works through that level.  A
+    stack runs as the disjoint union of its rows: their searches never
+    meet, so each row's darts keep their own queue order, and a stable
+    sort by row recovers each row's queue.
+    """
+    single = np.ndim(root) == 0
+    if single:
+        nxt, twin, root = nxt[None], twin[None], np.reshape(root, 1)
+    count, m = nxt.shape
+    nxt, twin = _union(nxt, m), _union(twin, m)
+    level = _union(np.asarray(root), m)
+    seen = np.zeros(nxt.size, dtype=bool)
+    seen[level] = True
+    levels = [level]
+    while level.size:
         cand = np.empty(2 * level.size, dtype=np.int64)
         cand[0::2] = nxt[level]
         cand[1::2] = twin[level]
-        cand = cand[label[cand] < 0]
+        cand = cand[~seen[cand]]
         _, first = np.unique(cand, return_index=True)
-        new = cand[np.sort(first)]
-        label[new] = np.arange(count, count + new.size)
-        count += new.size
-        levels.append(new)
+        level = cand[np.sort(first)]
+        seen[level] = True
+        levels.append(level)
     order = np.concatenate(levels)
-    parts = np.empty(2 * order.size, dtype=np.int64)
-    parts[0::2] = label[nxt[order]]
-    parts[1::2] = label[twin[order]]
-    return _ascii_ints(parts)
+    order = order[np.argsort(order // m, kind="stable")]
+    label = np.empty(nxt.size, dtype=np.int64)
+    label[order] = np.tile(np.arange(m), count)  # a connected row reaches all m darts
+    parts = np.empty((count, 2 * m), dtype=np.int64)
+    parts[:, 0::2] = label[nxt[order]].reshape(count, m)
+    parts[:, 1::2] = label[twin[order]].reshape(count, m)
+    return _ascii_ints(parts[0]) if single else _ascii_ints(parts)
+
+
+def _pointed_code_arrays(nxt: np.ndarray, twin: np.ndarray, tail: np.ndarray, origin: int):
+    """:func:`pointed_code` of each map of (B, m) stacks at the vertex
+    ``origin``: the least, as bytes, of the rooted codes from its darts at
+    the origin.  Round k roots a copy of every map at its k-th such dart,
+    so no call stacks more than B maps."""
+    rows, darts = np.nonzero(tail == origin)
+    kth = np.arange(rows.size) - np.searchsorted(rows, rows)
+    least: dict[int, bytes] = {}
+    for k in range(kth.max() + 1):
+        pick = kth == k
+        codes = _rooted_code_arrays(nxt[rows[pick]], twin[rows[pick]], darts[pick])
+        for row, code in zip(rows[pick].tolist(), codes):
+            least[row] = min(least.get(row, code), code)
+    return [least[row] for row in range(len(tail))]
 
 
 @dataclass(frozen=True)
@@ -470,9 +535,14 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
     return all(len(f) == 4 for f in m.faces)
 
 
-def _face_array(m: HalfEdgeMap) -> np.ndarray:
-    """A quadrangulation's faces as an (F, 4) dart array in ``faces`` order."""
-    return m._face_orbits[0].reshape(-1, 4)
+def _face_array(twin: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """The faces of (B, m) stacks of quadrangulations as a (B, F, 4) stack
+    of darts in each map's ``faces`` order and own dart numbers: the
+    orbits of their disjoint union come map after map, as they are listed
+    by smallest dart.  (One map's faces are its cached ``_face_orbits``.)"""
+    count, m = twin.shape
+    darts = _orbit_arrays(_union(nxt, m)[_union(twin, m)])[0].reshape(count, -1, 4)
+    return darts - m * np.arange(count)[:, None, None]
 
 
 @dataclass(frozen=True)

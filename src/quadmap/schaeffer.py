@@ -30,6 +30,7 @@ from .planar_map import (
     _face_array,
     _rotation_map,
     _steps_to_end,
+    _union,
     bfs_distances,
     rooted_code,
 )
@@ -87,16 +88,21 @@ def _predecessors(labs) -> tuple[int, ...]:
 
 
 def _predecessor_array(labs: np.ndarray) -> np.ndarray:
-    """Array form of :func:`_predecessors`: corners sorted stably by label
-    hold each label's corners in time order, and a ``searchsorted`` for
-    (label - 1, i) lands just after the latest corner with label - 1
-    before i."""
-    size = labs.size
-    by_label = np.argsort(labs, kind="stable")
-    keys = labs[by_label] * size + by_label
-    below = np.searchsorted(keys, (labs - 1) * size + np.arange(size)) - 1
-    cand = by_label[np.maximum(below, 0)]
-    return np.where((below >= 0) & (labs[cand] == labs - 1), cand, -1)
+    """Array form of :func:`_predecessors` for one positive label process
+    or a stack of them along leading axes, each row on its own.  Corners
+    sorted by (row, label, time) hold each label's corners of a row in
+    time order, and a ``searchsorted`` for (row, label - 1, i) lands just
+    after the row's latest corner with label - 1 before i; labels are at
+    least 1, so (row, label - 1) never reaches into the previous row."""
+    size = labs.shape[-1]
+    flat = labs.reshape(-1, size)
+    group = flat + (flat.max() + 1) * np.arange(len(flat))[:, None]
+    time = np.arange(size)
+    keys = np.sort((group * size + time).ravel())
+    below = np.searchsorted(keys, ((group - 1) * size + time).ravel()) - 1
+    cand = keys[np.maximum(below, 0)]
+    found = (below >= 0) & (cand // size == (group - 1).ravel())
+    return np.where(found, cand % size, -1).reshape(labs.shape)
 
 
 @dataclass(frozen=True)
@@ -221,46 +227,64 @@ def _chord_rotations(labels_body, walk: Walk):
 
 
 def _contour_node_array(walk: np.ndarray) -> np.ndarray:
-    """Array form of :func:`~quadmap.trees.contour_nodes`: the node under
+    """Array form of :func:`~quadmap.trees.contour_nodes` for one walk or a
+    stack of them along leading axes, each row on its own: the node under
     the walker is the last one first visited at the same level, at or
-    before that time.  Sorting the times stably by level puts a first visit
-    at the head of every level's run, so a running maximum of first-visit
-    positions never reaches back into the previous level."""
-    arrival = np.concatenate(([True], walk[1:] > walk[:-1]))
-    ids = np.cumsum(arrival) - 1  # node id, read at its first visit
-    by_level = np.argsort(walk, kind="stable")
-    at = np.where(arrival[by_level], np.arange(walk.size), 0)
+    before that time.  Sorting the times stably by (row, level) puts a
+    first visit at the head of every run, so a running maximum of
+    first-visit positions never reaches back into the previous run."""
+    width = walk.shape[-1]
+    flat = walk.reshape(-1, width)
+    arrival = np.ones(flat.shape, dtype=bool)
+    arrival[:, 1:] = flat[:, 1:] > flat[:, :-1]
+    ids = (np.cumsum(arrival, axis=1) - 1).ravel()  # node id, read at its first visit
+    by_level = np.argsort((flat + width * np.arange(len(flat))[:, None]).ravel(), kind="stable")
+    at = np.where(arrival.ravel()[by_level], np.arange(flat.size), 0)
     np.maximum.accumulate(at, out=at)
-    nodes = np.empty(walk.size, dtype=np.int64)
+    nodes = np.empty(flat.size, dtype=np.int64)
     nodes[by_level] = ids[by_level[at]]
-    return nodes
+    return nodes.reshape(walk.shape)
 
 
 def _chord_arrays(body: np.ndarray, walk: np.ndarray):
     """(twin, nxt, tail) of the chord map, the array form of
-    ``_rotation_arrays(_chord_rotations(body, walk))``.  One sort orders all
-    darts by (vertex, corner, outgoing first, decreasing source), with the
+    ``_rotation_arrays(_chord_rotations(body, walk))``, for one encoding or
+    for (B, 2n) bodies and (B, 2n+1) walks, giving (B, 4n) stacks in each
+    map's own darts and vertices.  One sort orders the darts of all maps
+    by (map, vertex, corner, outgoing first, decreasing source), with the
     corners of each vertex ranked in contour order."""
-    size = body.size  # 2n corners, 4n darts
-    pred = _predecessor_array(body)
-    nodes = _contour_node_array(walk)[:size]
-    rank = np.empty(size, dtype=np.int64)  # 1 + position in (node, time) order
-    rank[np.argsort(nodes, kind="stable")] = np.arange(1, size + 1)
+    size = body.shape[-1]  # 2n corners, 4n darts per map
+    bodies, walks = body.reshape(-1, size), walk.reshape(-1, size + 1)
+    count = len(bodies)
+    row = np.arange(count)[:, None]
+    pred = _predecessor_array(bodies)
+    nodes = _contour_node_array(walks)[:, :size]
+    rank = np.empty(count * size, dtype=np.int64)  # 1 + position in (node, time) order
+    by_node = np.argsort((nodes + size * row).ravel(), kind="stable")
+    rank[by_node] = np.arange(count * size) % size + 1
+    rank = rank.reshape(count, size)
     at_origin = pred < 0
+    source = np.maximum(pred, 0)
     source_key = size - 1 - np.arange(size)
-    key = np.empty(2 * size, dtype=np.int64)
-    key[0::2] = 2 * rank * size + source_key
-    key[1::2] = (2 * np.where(at_origin, 0, rank[pred]) + 1) * size + source_key
-    tail = np.empty(2 * size, dtype=np.int64)
-    tail[0::2] = nodes + 1
-    tail[1::2] = np.where(at_origin, 0, nodes[pred] + 1)
-    order = np.argsort(key)
-    vertex = tail[order]
+    key = np.empty((count, 2 * size), dtype=np.int64)
+    key[:, 0::2] = 2 * rank * size + source_key
+    pred_rank = np.where(at_origin, 0, np.take_along_axis(rank, source, 1))
+    key[:, 1::2] = (2 * pred_rank + 1) * size + source_key
+    key += (2 * size + 2) * size * row
+    tail = np.empty((count, 2 * size), dtype=np.int64)
+    tail[:, 0::2] = nodes + 1
+    tail[:, 1::2] = np.where(at_origin, 0, np.take_along_axis(nodes, source, 1) + 1)
+    order = np.argsort(key.ravel())
+    vertex = _union(tail, size // 2 + 2)[order]
     first = np.flatnonzero(np.concatenate(([True], vertex[1:] != vertex[:-1])))
-    nxt = np.empty(2 * size, dtype=np.int64)
+    nxt = np.empty(order.size, dtype=np.int64)
     nxt[order[:-1]] = order[1:]
-    nxt[order[np.append(first[1:] - 1, 2 * size - 1)]] = order[first]
-    return np.arange(2 * size) ^ 1, nxt, tail
+    nxt[order[np.append(first[1:] - 1, order.size - 1)]] = order[first]
+    nxt = nxt.reshape(count, 2 * size)
+    nxt -= 2 * size * row
+    twin = np.tile(np.arange(2 * size) ^ 1, (count, 1))
+    shape = body.shape[:-1] + (2 * size,)
+    return twin.reshape(shape), nxt.reshape(shape), tail.reshape(shape)
 
 
 def _quad_of_arrays(labels: np.ndarray, walk: np.ndarray) -> RootedQuadrangulation:
@@ -349,7 +373,8 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     he = q.map
     if he.n_darts >= _ARRAY_MIN_DARTS:
         dist = _bfs_arrays(he.twin, he.tail, he.n_vertices, q.origin)
-        return _tree_of_quad_arrays(he.twin, he.nxt, he.tail, _face_array(he), dist, q.root)
+        faces = he._face_orbits[0].reshape(-1, 4)  # the map's cached face orbits
+        return _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
     dist = bfs_distances(he, q.origin)
     n_darts = he.n_darts
     twin = he.twin.tolist()
@@ -428,11 +453,26 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     return _relabel_preorder(children, labels_out)
 
 
-def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root: int) -> LabeledTree:
+def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
     """:func:`tree_of_quad` on arrays: the face patterns are read over the
     (F, 4) face array, the diagonals are spliced in one scatter, and the
     blue tree's contour is the cycle of d -> next blue dart after twin(d),
-    ranked by pointer jumping from the root's first blue dart."""
+    ranked by pointer jumping from the root's first blue dart.
+
+    For one map and its root dart the result is the ``LabeledTree``.  For
+    (B, m) stacks of quadrangulations with F faces each, (B, F, 4) faces,
+    (B, F+2) distances and one root per map, the stacks run as their
+    disjoint union and the result is the trees' (B, 2F+1) contour walks
+    and (B, F+1) node labels in first-visit order.
+    """
+    single = np.ndim(root) == 0
+    if single:
+        twin, nxt, tail, faces, dist = (a[None] for a in (twin, nxt, tail, faces, dist))
+        root = np.reshape(root, 1)
+    count, m = twin.shape
+    n_vertices = dist.shape[1]
+    twin, nxt, faces, root = (_union(a, m) for a in (twin, nxt, faces, np.asarray(root)))
+    tail, dist = _union(tail, n_vertices), dist.ravel()
     m = twin.size
     lab = dist[tail[faces]]
     lo = lab.min(axis=1)
@@ -456,10 +496,12 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root: int) -> LabeledTree
     blue[side] = True
     blue[twin[side]] = True
     blue[m:] = True
-    # first blue dart at or after each dart in rotation order; the origin
-    # carries no blue dart and is left alone
+    # first blue dart at or after each dart in rotation order; the origins
+    # carry no blue dart and are left alone
     ids = np.arange(nxt.size)
-    jump = np.where(blue | (tail == tail[root]), ids, nxt)
+    origin = np.zeros(count * n_vertices, dtype=bool)
+    origin[tail[root]] = True
+    jump = np.where(blue | origin[tail], ids, nxt)
     for _ in range(nxt.size.bit_length()):
         ahead = jump[jump]
         if np.array_equal(ahead, jump):
@@ -469,15 +511,21 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root: int) -> LabeledTree
     index = np.empty(nxt.size, dtype=np.int64)
     index[darts] = np.arange(darts.size)
     succ = index[jump[nxt[twin[darts]]]]
-    start = index[jump[nxt[twin[root]]]]
-    position = darts.size - 1 - _steps_to_end(succ, succ == start)
+    start = np.zeros(darts.size, dtype=bool)
+    start[index[jump[nxt[twin[root]]]]] = True
+    per = darts.size // count  # 2F blue darts per map
+    position = (tail[darts] // n_vertices + 1) * per - 1 - _steps_to_end(succ, start[succ])
     contour = np.empty(darts.size, dtype=np.int64)
     contour[position] = darts
     down = np.arange(darts.size) < position[index[twin[contour]]]
-    walk = np.zeros(darts.size + 1, dtype=np.int64)
-    np.cumsum(np.where(down, 1, -1), out=walk[1:])
-    node_labels = np.concatenate(([dist[tail[twin[root]]]], dist[tail[twin[contour[down]]]]))
-    return _labeled_tree_of_arrays(walk, node_labels)
+    walk = np.zeros((count, per + 1), dtype=np.int64)
+    np.cumsum(np.where(down, 1, -1).reshape(count, per), axis=1, out=walk[:, 1:])
+    node_labels = np.empty((count, per // 2 + 1), dtype=np.int64)
+    node_labels[:, 0] = dist[tail[twin[root]]]
+    node_labels[:, 1:] = dist[tail[twin[contour[down]]]].reshape(count, -1)
+    if single:
+        return _labeled_tree_of_arrays(walk[0], node_labels[0])
+    return walk, node_labels
 
 
 def _labeled_tree_of_arrays(walk: np.ndarray, node_labels: np.ndarray) -> LabeledTree:

@@ -8,27 +8,50 @@ on every enumerated small object and on random draws on both sides of the
 constant; the public functions are compared across the two paths; and
 corrupted map arrays must be rejected with the same message on both.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from quadmap import harness, planar_map, schaeffer
-from quadmap.enumeration import well_labeled_trees
-from quadmap.labeled import decode, encode, reroot
+from quadmap.enumeration import (
+    LawTables,
+    Orbit,
+    OrbitDecomposition,
+    PointedLaw,
+    RootedLaw,
+    _encoding_arrays,
+    _well_labeled_arrays,
+    catalan,
+    labeled_trees,
+    law_tables,
+    orbit_decomposition,
+    plane_trees,
+    rooted_quads,
+    unrooted_plane_tree_count,
+    well_labeled_trees,
+)
+from quadmap.labeled import LabeledTree, decode, encode, reroot, stabilizer_size, to_positive
 from quadmap.paths import _reroot_arrays, uniform_encoding_arrays
 from quadmap.planar_map import (
     HalfEdgeMap,
     _ascii_ints,
     _bfs_arrays,
     _check_arrays,
+    _face_array,
     _orbit_arrays,
     _orbits,
     _parse_ascii_ints,
+    _pointed_code_arrays,
     _rooted_code_arrays,
     _rotation_arrays,
     _split,
+    _steps_to_end,
     bfs_distances,
     load_map,
+    pointed_code,
     quad_of_map,
+    radius,
     rooted_code,
     save_map,
 )
@@ -44,7 +67,7 @@ from quadmap.schaeffer import (
     quad_of_tree,
     tree_of_quad,
 )
-from quadmap.trees import _trusted, contour_nodes
+from quadmap.trees import PlaneTree, _trusted, contour_nodes
 
 SIZE_MODULES = (planar_map, schaeffer, harness)
 SAMPLED_N = (2**6, 2**8, 2**9, 2**10, 2**12)  # 256 .. 16384 darts
@@ -323,3 +346,158 @@ def test_large_map_text_names_the_bad_line(token, paths):
     assert messages[0] == messages[1]
     expected = "rotation array entry" if token == "-3" else "the rotation line"
     assert expected in messages[0]
+
+
+# -- stacked kernels ----------------------------------------------------------
+#
+# Every kernel above also takes a leading batch axis and runs the stack as the
+# disjoint union of its maps.  Each slice of a stack must equal the scalar
+# functions on that object, on every object up to n = 5 and on stacks of
+# sampled large maps; the enumeration results built on the stacks must equal
+# the per-object loops they replaced, kept here as oracles.
+
+
+def test_steps_to_end_raises_on_a_chain_without_end():
+    succ = np.array([1, 2, 0])
+    with pytest.raises(RuntimeError, match="never reaches a marked end"):
+        _steps_to_end(succ, np.zeros(3, dtype=bool))
+    assert _steps_to_end(succ, np.array([False, False, True])).tolist() == [2, 1, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_encoding_arrays_list_the_labeled_trees(n):
+    labels, walks, shape = _encoding_arrays(n)
+    encodings = [encode(t) for t in labeled_trees(n)]
+    assert [tuple(row) for row in labels.tolist()] == [e.labels for e in encodings]
+    assert [tuple(walks[s].tolist()) for s in shape] == [e.walk.steps for e in encodings]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_kernels_match_scalar_on_all_small_quads(n):
+    trees = well_labeled_trees(n)
+    labels, walks, _ = _well_labeled_arrays(n)
+    count = len(trees)
+    twin, nxt, tail = _chord_arrays(labels[:, :-1], walks)
+    roots, origins = np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    codes = _rooted_code_arrays(nxt, twin, roots)
+    pointed = _pointed_code_arrays(nxt, twin, tail, 0)
+    dist = _bfs_arrays(twin, tail, n + 2, origins)
+    faces = _face_array(twin, nxt)
+    back = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, roots)
+    assert rooted_quads(n) == [quad_of_tree(t) for t in trees]
+    for b, tree in enumerate(trees):
+        q = quad_of_tree(tree)
+        he = q.map
+        assert (twin[b].tolist(), nxt[b].tolist(), tail[b].tolist()) == (
+            he.twin.tolist(),
+            he.nxt.tolist(),
+            he.tail.tolist(),
+        )
+        assert codes[b] == rooted_code(he, q.root)
+        assert pointed[b] == pointed_code(he, q.origin)
+        assert tuple(dist[b].tolist()) == bfs_distances(he, q.origin)
+        assert faces[b].tolist() == [list(f) for f in he.faces]
+        assert _labeled_tree_of_arrays(back[0][b], back[1][b]) == tree_of_quad(q) == tree
+
+
+@pytest.mark.parametrize("n", [2**10, 2**12])
+def test_batch_of_one_matches_stacked_large_maps(n):
+    rng = np.random.default_rng([37, n])
+    labels, walks = uniform_encoding_arrays(n, rng, count=3)
+    theta = labels[:, :-1].argmin(axis=1)
+    single = [_reroot_arrays(labels[b], walks[b], int(theta[b])) for b in range(3)]
+    labels, walks = _reroot_arrays(labels, walks, theta)
+    for b, (one_labels, one_walk) in enumerate(single):
+        assert np.array_equal(labels[b], one_labels) and np.array_equal(walks[b], one_walk)
+    twin, nxt, tail = _chord_arrays(labels[:, :-1], walks)
+    roots, origins = np.array([1, 5, 9]), np.zeros(3, dtype=np.int64)
+    codes = _rooted_code_arrays(nxt, twin, roots)
+    dist = _bfs_arrays(twin, tail, n + 2, origins)
+    faces = _face_array(twin, nxt)
+    back_walks, back_labels = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, np.ones(3, int))
+    for b in range(3):
+        one = _chord_arrays(labels[b, :-1], walks[b])
+        assert all(np.array_equal(a[b], c) for a, c in zip((twin, nxt, tail), one))
+        assert codes[b] == _rooted_code_arrays(nxt[b], twin[b], int(roots[b]))
+        assert np.array_equal(dist[b], _bfs_arrays(twin[b], tail[b], n + 2, 0))
+        assert np.array_equal(faces[b], _face_array(twin[b : b + 1], nxt[b : b + 1])[0])
+        tree = _tree_of_quad_arrays(twin[b], nxt[b], tail[b], faces[b], dist[b], 1)
+        assert tree == _labeled_tree_of_arrays(back_walks[b], back_labels[b])
+        assert np.array_equal(back_walks[b], walks[b])
+
+
+def _orbit_oracle(n):
+    """The per-object rerooting loop that orbit_decomposition replaced."""
+    found = {}
+    for tree in labeled_trees(n):
+        enc = encode(tree)
+        images = [reroot(enc, theta) for theta in range(2 * n)]
+        keys = [(e.labels, e.walk.steps) for e in images]
+        rep_key = min(keys)
+        if rep_key in found:
+            continue
+        size = len(set(keys))
+        stab = sum(1 for k in keys if k == keys[0])
+        found[rep_key] = Orbit(images[keys.index(rep_key)], size, stab)
+    return OrbitDecomposition(n, tuple(found[k] for k in sorted(found)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_decomposition_matches_per_object_loop(n):
+    assert orbit_decomposition(n) == _orbit_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unrooted_count_matches_per_object_loop(n):
+    classes = set()
+    for tree in plane_trees(n):
+        enc = encode(LabeledTree(tree, (1,) * tree.n_nodes))
+        classes.add(min(reroot(enc, theta).walk.steps for theta in range(2 * n)))
+    assert unrooted_plane_tree_count(n) == len(classes)
+
+
+def _stabilizer_oracle(tree):
+    enc = encode(tree)
+    return sum(1 for theta in range(2 * tree.n) if reroot(enc, theta) == enc)
+
+
+def test_stabilizer_size_matches_per_corner_loop():
+    # keys of n >= 8 span several int64 columns
+    star = PlaneTree(((tuple(range(1, 13)),) + ((),) * 12))
+    symmetric = [LabeledTree(star, (1,) * 13), LabeledTree(star, (1,) + (2, 1, 0) * 4)]
+    assert [stabilizer_size(t) for t in symmetric] == [12, 4]
+    trees = list(labeled_trees(3)) + symmetric
+    rng = np.random.default_rng(41)
+    for n in (8, 20, 50):
+        labels, walks = uniform_encoding_arrays(n, rng, count=3)
+        trees += [decode(harness._encoding_from_arrays(a, w)) for a, w in zip(labels, walks)]
+    for tree in trees:
+        assert stabilizer_size(tree) == _stabilizer_oracle(tree)
+
+
+def _law_oracle(n):
+    """The per-object law tables that law_tables replaced."""
+    total = catalan(n) * 3**n
+    image_counts, descriptors = {}, {}
+    for tree in labeled_trees(n):
+        pq = point(quad_of_tree(to_positive(tree)))
+        code = pointed_code(pq.map, pq.origin)
+        image_counts[code] = image_counts.get(code, 0) + 1
+        descriptors.setdefault(code, (pq.map.degree(pq.origin), radius(pq)))
+    n_pointed = len(image_counts)
+    pointed = tuple(
+        PointedLaw(c, *descriptors[c], Fraction(1, n_pointed), Fraction(image_counts[c], total))
+        for c in sorted(image_counts)
+    )
+    rooted = {}
+    for tree in well_labeled_trees(n):
+        q = quad_of_tree(tree)
+        code = rooted_code(q.map, q.root)
+        deg = q.map.degree(q.origin)
+        rooted.setdefault(code, RootedLaw(code, deg, Fraction(2 * n, total * deg)))
+    return LawTables(n, pointed, tuple(rooted[c] for c in sorted(rooted)))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_law_tables_match_per_object_reference(n):
+    assert law_tables(n) == _law_oracle(n)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadmap.enumeration import (
@@ -15,7 +16,7 @@ from quadmap.enumeration import (
     walkup_count,
     well_labeled_trees,
 )
-from quadmap.planar_map import pointed_code
+from quadmap.planar_map import _pointed_code_arrays, pointed_code
 from quadmap.schaeffer import point
 
 
@@ -116,3 +117,14 @@ def test_tv_distance_values():
     assert tv_distance(3) == Fraction(14, 117)
     assert tv_distance(3) < tv_distance(1)
     assert tv_distance(1) > 0  # equal laws would need all fibers equal
+
+
+def test_orbit_decomposition_n6():
+    dec = orbit_decomposition(6)
+    assert dec.total == catalan(6) * 3**6
+    assert all(o.size * o.stabilizer == 12 for o in dec.orbits)
+    quads = rooted_quads(6)
+    assert len(quads) == 24057
+    stack = [np.stack([getattr(q.map, name) for q in quads]) for name in ("nxt", "twin", "tail")]
+    pointed = set(_pointed_code_arrays(*stack, 0))
+    assert dec.n_orbits == len(pointed) == 8074
