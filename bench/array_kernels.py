@@ -4,14 +4,10 @@ Run from the repository root against the ``quadmap`` on ``PYTHONPATH``:
 
     PYTHONPATH=src python3 bench/array_kernels.py --sizes 1000 10000 --repeats 3 --out after.json
     PYTHONPATH=/path/to/older/src python3 bench/array_kernels.py ... --out before.json
-    PYTHONPATH=src python3 bench/array_kernels.py --crossover --out crossover.json
 
 Each layer is timed with ``perf_counter`` on the same seeded draw per size
 (``harness.sample_rooted_pd(n, default_rng([seed, n]))``); the median and
-the spread of ``--repeats`` runs are reported.  ``--crossover`` times the
-Python loops against the array kernels of the same tree at small dart
-counts by moving the package's size constant (``_ARRAY_MIN_DARTS``) out of
-the way and back; it needs a tree that has the constant.
+the spread of ``--repeats`` runs are reported.
 """
 from __future__ import annotations
 
@@ -26,8 +22,6 @@ import time
 import numpy as np
 
 from quadmap import harness, planar_map, schaeffer
-
-MODULES_WITH_CONSTANT = (planar_map, schaeffer, harness)
 
 
 def _timed(fn, repeats: int, setup=lambda: None) -> dict:
@@ -63,25 +57,6 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     }
 
 
-def crossover(darts: list[int], seed: int, repeats: int) -> list[dict]:
-    """Python loops against array kernels at each dart count (n = darts / 4)."""
-    constant = planar_map._ARRAY_MIN_DARTS
-    rows = []
-    try:
-        for m in darts:
-            row = {"darts": m}
-            for path, value in (("python", m + 1), ("array", m)):
-                for module in MODULES_WITH_CONSTANT:
-                    module._ARRAY_MIN_DARTS = value
-                timings = layers(m // 4, seed, repeats)
-                row[path] = {k: v["median_s"] for k, v in timings.items()}
-            rows.append(row)
-    finally:
-        for module in MODULES_WITH_CONSTANT:
-            module._ARRAY_MIN_DARTS = constant
-    return rows
-
-
 def machine() -> dict:
     cpu = ""
     try:
@@ -101,17 +76,12 @@ def machine() -> dict:
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--sizes", type=int, nargs="*", default=[1000, 10000, 100000, 1000000])
-    p.add_argument("--darts", type=int, nargs="*", default=[64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384])
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--crossover", action="store_true")
     p.add_argument("--out", required=True)
     args = p.parse_args()
     record = {"machine": machine(), "seed": args.seed, "repeats": args.repeats}
-    if args.crossover:
-        record["crossover"] = crossover(args.darts, args.seed, args.repeats)
-    else:
-        record["layers"] = {n: layers(n, args.seed, args.repeats) for n in args.sizes}
+    record["layers"] = {n: layers(n, args.seed, args.repeats) for n in args.sizes}
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)

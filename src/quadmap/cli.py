@@ -11,6 +11,7 @@ A bad argument value or an unreadable file (a ``ValueError`` or
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -23,13 +24,13 @@ from .planar_map import (
     _face_array,
     _pointed_code_arrays,
     _rooted_code_arrays,
-    rooted_code,
+    _rotation_arrays,
     save_map,
 )
 from .schaeffer import (
     _chord_arrays,
+    _glued_rotations,
     _tree_of_quad_arrays,
-    assemble,
     canonical_gluing,
     doddering,
     gluer,
@@ -143,16 +144,47 @@ def _bijection_checks(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray, 
         and np.array_equal(np.count_nonzero(tail == 0, axis=1), minima)
         and np.array_equal(dist.max(axis=1), node_labels.max(axis=1))
     )
-    # the doddering/gluer construction stays per object, checked against
-    # the batched codes
-    for row, s, code in zip(body.tolist(), shape.tolist(), codes):
-        d = doddering(row)
-        g = gluer(shapes[s])
-        built = assemble(d, g, canonical_gluing(d, g))
-        ok = ok and rooted_code(built.map, built.root) == code
-        ok = ok and height_process(d.tree, "reverse") == (0, *row)
+    ok = _gluing_check(body, shape, shapes, codes) and ok
     pointed = _pointed_code_arrays(nxt, twin, tail, 0) if n <= enumeration.MAX_LAW_N else []
     return codes, round_trip, ok, pointed
+
+
+def _gluing_check(body: np.ndarray, shape: np.ndarray, shapes, codes: list[bytes]) -> bool:
+    """Whether the doddering/gluer construction of each label body, on its
+    gluer tree ``shapes[shape[b]]``, has reverse height process
+    (0, *body[b]) and glues the quadrangulation of rooted code ``codes[b]``.
+    Objects are glued one at a time; their rotation systems, object b's
+    darts offset by b·4n, form one union whose codes come from one call.
+    A glued row that lists exactly its darts 0..4n-1 on n + 2 vertices, all
+    reached from the root, and has the chord map's rooted code is the chord
+    map up to dart renaming, so the map constructors' checks are not
+    repeated."""
+    count, n = len(body), body.shape[1] // 2
+    m, n_vertices = 4 * n, n + 2
+    union = []
+    for b, (row, s) in enumerate(zip(body.tolist(), shape.tolist())):
+        d = doddering(row)
+        g = gluer(shapes[s])
+        rotations = _glued_rotations(d, g, canonical_gluing(d, g))
+        if len(rotations) != n_vertices or height_process(d.tree, "reverse") != (0, *row):
+            return False
+        union += ([dart + b * m for dart in cyc] for cyc in rotations)
+    flat = np.fromiter(itertools.chain.from_iterable(union), dtype=np.int64)
+    sizes = np.fromiter(map(len, union), dtype=np.int64, count=len(union))
+    owner = np.repeat(np.arange(len(union)) // n_vertices, sizes)
+    if not (
+        np.array_equal(np.sort(flat), np.arange(count * m)) and np.array_equal(flat // m, owner)
+    ):
+        return False
+    nxt, tail = _rotation_arrays(union)
+    row = np.arange(count)[:, None]
+    nxt = nxt.reshape(count, m) - m * row
+    tail = tail.reshape(count, m) - n_vertices * row
+    twin = np.tile(np.arange(m) ^ 1, (count, 1))
+    # every vertex is one rotation cycle, so reaching them all reaches every dart
+    if np.any(_bfs_arrays(twin, tail, n_vertices, tail[:, 1]) < 0):
+        return False
+    return _rooted_code_arrays(nxt, twin, np.ones(count, dtype=np.int64)) == codes
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

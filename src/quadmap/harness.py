@@ -21,15 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labeled import (
-    Encoding,
-    LabeledTree,
-    _encoding_from_arrays,
-    decode,
-    first_min_corner,
-    minima_set,
-    reroot,
-)
+from .labeled import Encoding, LabeledTree, _encoding_from_arrays, decode
 from .paths import (
     _reroot_arrays,
     contour_accumulate,
@@ -37,8 +29,8 @@ from .paths import (
     dyck_walk_batch,
     uniform_encoding_arrays,
 )
-from .planar_map import _ARRAY_MIN_DARTS, PointedQuadrangulation, RootedQuadrangulation
-from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point, quad_of_tree
+from .planar_map import PointedQuadrangulation, RootedQuadrangulation
+from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point
 from .snake import _path, distance, reroot_path, sample_snake_batch
 
 __all__ = [
@@ -182,30 +174,19 @@ def sample_rooted_pd(
     the pair (well-labeled tree, its quadrangulation) is returned.
     """
     labels, walks = uniform_encoding_arrays(n, rng)
-    if 4 * n >= _ARRAY_MIN_DARTS:
-        # the same draws, rerooted and built on the arrays
-        body = labels[0, : 2 * n]
-        minima = np.flatnonzero(body == body.min())
-        theta = int(minima[int(rng.integers(len(minima)))])
-        labs, walk = _reroot_arrays(labels[0], walks[0], theta)
-        node_labels = np.concatenate((labs[:1], labs[1:][walk[1:] > walk[:-1]]))
-        return _labeled_tree_of_arrays(walk, node_labels), _quad_of_arrays(labs, walk)
-    enc = _encoding_from_arrays(labels[0], walks[0])
-    minima = minima_set(enc.labels)
-    theta = minima[int(rng.integers(len(minima)))]
-    tree = decode(reroot(enc, theta))
-    return tree, quad_of_tree(tree)
+    body = labels[0, : 2 * n]
+    minima = np.flatnonzero(body == body.min())
+    theta = int(minima[int(rng.integers(len(minima)))])
+    labs, walk = _reroot_arrays(labels[0], walks[0], theta)
+    node_labels = np.concatenate((labs[:1], labs[1:][walk[1:] > walk[:-1]]))
+    return _labeled_tree_of_arrays(walk, node_labels), _quad_of_arrays(labs, walk)
 
 
 def sample_pointed_ps(n: int, rng: np.random.Generator) -> PointedQuadrangulation:
     """Draw a pointed quadrangulation as the image of a uniform labeled tree."""
     labels, walks = uniform_encoding_arrays(n, rng)
-    if 4 * n >= _ARRAY_MIN_DARTS:
-        theta = int(np.argmin(labels[0, : 2 * n]))  # the first minimum
-        return point(_quad_of_arrays(*_reroot_arrays(labels[0], walks[0], theta)))
-    enc = _encoding_from_arrays(labels[0], walks[0])
-    tree = decode(reroot(enc, first_min_corner(enc.labels)))
-    return point(quad_of_tree(tree))
+    theta = int(np.argmin(labels[0, : 2 * n]))  # the first minimum
+    return point(_quad_of_arrays(*_reroot_arrays(labels[0], walks[0], theta)))
 
 
 def perturbed_walk(

@@ -13,20 +13,15 @@ them by construction, so they skip the check.  Instances are immutable
 and compare and hash by their arrays; BFS helpers allocate their own
 scratch and may be called concurrently.
 
-Maps with at least ``_ARRAY_MIN_DARTS`` darts run the per-dart work
-(validation, orbits, BFS, rooted codes) as numpy kernels over the arrays;
-smaller maps run Python loops over one ``tolist`` copy per call, whose
-constant cost is lower there.  Both forms give identical results and raise
-identical messages.  The BFS and code kernels also take stacks of maps
-with a leading batch axis, run as the maps' disjoint union, which is how
-the exhaustive battery handles its tens of thousands of small maps in a
-few calls; a single large map is the batch of one.  Map text is written
-and read by array kernels at every size.
+The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
+as numpy kernels over the arrays at every size.  The BFS and code kernels
+take stacks of maps with a leading batch axis, run as the maps' disjoint
+union, which is how the exhaustive battery handles its tens of thousands
+of small maps in a few calls; a single map is the batch of one.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -54,10 +49,6 @@ __all__ = [
     "load_map",
 ]
 
-# Dart count from which maps use the array kernels; chosen from the
-# measured crossover table in BENCH_array_kernels.json.
-_ARRAY_MIN_DARTS = 2048
-
 
 @dataclass(frozen=True, eq=False)
 class HalfEdgeMap:
@@ -78,41 +69,7 @@ class HalfEdgeMap:
         m = self.twin.size
         if m == 0 or m % 2 or self.nxt.size != m or self.tail.size != m:
             raise ValueError("twin, nxt and tail must have equal positive even length")
-        if m >= _ARRAY_MIN_DARTS:
-            _check_arrays(self)
-            return
-        twin, nxt, tail = self.twin.tolist(), self.nxt.tolist(), self.tail.tolist()
-        if sorted(nxt) != list(range(m)):
-            raise ValueError("nxt is not a permutation of the darts")
-        for d in range(m):
-            t = twin[d]
-            if not 0 <= t < m or t == d or twin[t] != d:
-                raise ValueError("twin is not a fixed-point-free involution")
-        for d in range(m):
-            if tail[nxt[d]] != tail[d]:
-                raise ValueError("nxt mixes darts of different vertices")
-        # rotation cycles must cover each vertex exactly once
-        vertices = set()
-        for cyc in _orbits(nxt):
-            if tail[cyc[0]] in vertices:
-                raise ValueError("vertex split across several rotation cycles")
-            vertices.add(tail[cyc[0]])
-        if vertices != set(range(len(vertices))):
-            raise ValueError("vertex ids must be 0..V-1")
-        # connectivity under <nxt, twin>
-        reach = [False] * m
-        stack = [0]
-        reach[0] = True
-        while stack:
-            d = stack.pop()
-            for e in (nxt[d], twin[d]):
-                if not reach[e]:
-                    reach[e] = True
-                    stack.append(e)
-        if not all(reach):
-            raise ValueError("map is not connected")
-        if len(vertices) - m // 2 + self.n_faces != 2:
-            raise ValueError("map is not of genus 0")
+        _check_arrays(self)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -142,9 +99,7 @@ class HalfEdgeMap:
 
     @property
     def n_faces(self) -> int:
-        if self.n_darts >= _ARRAY_MIN_DARTS:
-            return len(self._face_orbits[1]) - 1
-        return len(self.faces)
+        return len(self._face_orbits[1]) - 1
 
     def head(self, d: int) -> int:
         return int(self.tail[self.twin[d]])
@@ -160,22 +115,15 @@ class HalfEdgeMap:
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Rotation cycle (dart list) per vertex, indexed by vertex id."""
         cycles: list[tuple[int, ...]] = [()] * self.n_vertices
-        if self.n_darts >= _ARRAY_MIN_DARTS:
-            found = _split(*_orbit_arrays(self.nxt))
-        else:
-            found = _orbits(self.nxt.tolist())
         tail = self.tail.tolist()
-        for cyc in found:
+        for cyc in _split(*_orbit_arrays(self.nxt)):
             cycles[tail[cyc[0]]] = cyc
         return tuple(cycles)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the face permutation d -> nxt[twin[d]]."""
-        if self.n_darts >= _ARRAY_MIN_DARTS:
-            return tuple(_split(*self._face_orbits))
-        nxt = self.nxt.tolist()
-        return tuple(_orbits([nxt[t] for t in self.twin.tolist()]))
+        return tuple(_split(*self._face_orbits))
 
     def degree(self, v: int) -> int:
         return len(self.vertex_cycles[v])
@@ -210,21 +158,6 @@ def _int64(values, name: str) -> np.ndarray:
     return array
 
 
-def _orbits(perm: Sequence[int]):
-    """Cycles of ``perm`` in order of their smallest dart, each starting there."""
-    seen = [False] * len(perm)
-    for d in range(len(perm)):
-        if seen[d]:
-            continue
-        cyc = []
-        e = d
-        while not seen[e]:
-            seen[e] = True
-            cyc.append(e)
-            e = perm[e]
-        yield tuple(cyc)
-
-
 def _cycle_mins(perm: np.ndarray) -> np.ndarray:
     """Smallest dart of each dart's cycle of the permutation ``perm``.
 
@@ -241,11 +174,11 @@ def _cycle_mins(perm: np.ndarray) -> np.ndarray:
 
 
 def _orbit_arrays(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`_orbits`: ``(darts, starts)``, the cycles' darts
-    listed cycle after cycle in ``_orbits``' order and ``starts[k]`` the
-    position of cycle k (with ``starts[-1] == len(perm)``).  A dart's place
-    in its cycle comes from list ranking the cycle opened at its smallest
-    dart."""
+    """Cycles of the permutation ``perm`` as ``(darts, starts)``: the
+    cycles' darts listed cycle after cycle, in order of their smallest dart
+    and each starting there, and ``starts[k]`` the position of cycle k (with
+    ``starts[-1] == len(perm)``).  A dart's place in its cycle comes from
+    list ranking the cycle opened at its smallest dart."""
     low = _cycle_mins(perm)
     left = _steps_to_end(perm, perm == low)
     is_first = low == np.arange(perm.size)
@@ -283,8 +216,10 @@ def _split(darts: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def _check_arrays(he: HalfEdgeMap) -> None:
-    """``HalfEdgeMap``'s checks after the length check, as array kernels,
-    in the same order and with the same messages as its loops."""
+    """``HalfEdgeMap``'s checks after the length check, in this order:
+    nxt a permutation, twin a fixed-point-free involution, nxt keeping each
+    dart's vertex, one rotation cycle per vertex, vertex ids 0..V-1,
+    connectivity, genus 0."""
     twin, nxt, tail = he.twin, he.nxt, he.tail
     m = twin.size
     ids = np.arange(m)
@@ -314,17 +249,9 @@ def _check_arrays(he: HalfEdgeMap) -> None:
 
 
 def _rotation_arrays(rotations) -> tuple[np.ndarray, np.ndarray]:
-    """(nxt, tail) of per-vertex dart lists in rotation order; large maps
-    are read by segment offsets."""
+    """(nxt, tail) of per-vertex dart lists in rotation order, which must
+    list every dart 0..m-1 once, read by segment offsets."""
     m = sum(len(cyc) for cyc in rotations)
-    if m < _ARRAY_MIN_DARTS:
-        nxt = [0] * m
-        tail = [0] * m
-        for v, cyc in enumerate(rotations):
-            for i, d in enumerate(cyc):
-                nxt[d] = cyc[(i + 1) % len(cyc)]
-                tail[d] = v
-        return np.array(nxt, dtype=np.int64), np.array(tail, dtype=np.int64)
     flat = np.fromiter(itertools.chain.from_iterable(rotations), dtype=np.int64, count=m)
     sizes = np.fromiter(map(len, rotations), dtype=np.int64, count=len(rotations))
     ends = np.cumsum(sizes)
@@ -530,9 +457,7 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
     """
     # a genus-0 map whose faces all have even degree is bipartite, so it has
     # no loop; and 4F = 2E darts give E = 2F, so Euler gives V = F + 2
-    if m.n_darts >= _ARRAY_MIN_DARTS:
-        return bool(np.all(np.diff(m._face_orbits[1]) == 4))
-    return all(len(f) == 4 for f in m.faces)
+    return bool(np.all(np.diff(m._face_orbits[1]) == 4))
 
 
 def _face_array(twin: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -580,20 +505,7 @@ class PointedQuadrangulation(PointedMap):
 
 def bfs_distances(m: HalfEdgeMap, origin: int) -> tuple[int, ...]:
     """Graph distance from ``origin`` to every vertex."""
-    if m.n_darts >= _ARRAY_MIN_DARTS:
-        return tuple(_bfs_arrays(m.twin, m.tail, m.n_vertices, origin).tolist())
-    twin, tail = m.twin.tolist(), m.tail.tolist()
-    dist = [-1] * m.n_vertices
-    dist[origin] = 0
-    queue = deque([origin])
-    while queue:
-        v = queue.popleft()
-        for d in m.vertex_cycles[v]:
-            w = tail[twin[d]]
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return tuple(dist)
+    return tuple(_bfs_arrays(m.twin, m.tail, m.n_vertices, origin).tolist())
 
 
 def radius(q: RootedMap | PointedMap) -> int:
@@ -625,30 +537,12 @@ def rooted_code(m: HalfEdgeMap, root: int) -> bytes:
     Darts are relabeled breadth-first from the root along the rotation and
     twin permutations, which is invariant under dart renaming.
     """
-    if m.n_darts >= _ARRAY_MIN_DARTS:
-        return _rooted_code_arrays(m.nxt, m.twin, root)
-    nxt, twin = m.nxt.tolist(), m.twin.tolist()
-    label = [-1] * m.n_darts
-    label[root] = 0
-    order = [root]
-    i = 0
-    while i < len(order):
-        d = order[i]
-        i += 1
-        for e in (nxt[d], twin[d]):
-            if label[e] < 0:
-                label[e] = len(order)
-                order.append(e)
-    parts = []
-    for d in order:
-        parts.append(label[nxt[d]])
-        parts.append(label[twin[d]])
-    return bytes(",".join(map(str, parts)), "ascii")
+    return _rooted_code_arrays(m.nxt, m.twin, root)
 
 
 def pointed_code(m: HalfEdgeMap, origin: int) -> bytes:
     """Lexicographic minimum of the rooted codes over darts at the origin."""
-    return min(rooted_code(m, d) for d in m.vertex_cycles[origin])
+    return _pointed_code_arrays(m.nxt[None], m.twin[None], m.tail[None], origin)[0]
 
 
 def canonical_code(obj: RootedMap | PointedMap) -> bytes:

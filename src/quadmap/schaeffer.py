@@ -21,18 +21,14 @@ import numpy as np
 
 from .labeled import LabeledTree, encode, is_well_labeled
 from .planar_map import (
-    _ARRAY_MIN_DARTS,
     HalfEdgeMap,
     PointedQuadrangulation,
     RootedQuadrangulation,
     _array_map,
     _bfs_arrays,
-    _face_array,
-    _rotation_map,
+    _rooted_code_arrays,
     _steps_to_end,
     _union,
-    bfs_distances,
-    rooted_code,
 )
 from .trees import PlaneTree, Walk, _trusted, contour_nodes, dfw
 
@@ -75,25 +71,18 @@ def _check_label_process(labels) -> tuple[int, ...]:
 
 def predecessor_table(labels) -> PredecessorTable:
     """Predecessor table of a positive label process on [0, N]."""
-    return PredecessorTable(_predecessors(_check_label_process(labels)))
-
-
-def _predecessors(labs) -> tuple[int, ...]:
-    last_seen: dict[int, int] = {0: -1}
-    out = []
-    for i, v in enumerate(labs):
-        out.append(last_seen[v - 1])
-        last_seen[v] = i
-    return tuple(out)
+    labs = np.array(_check_label_process(labels), dtype=np.int64)
+    return PredecessorTable(tuple(_predecessor_array(labs).tolist()))
 
 
 def _predecessor_array(labs: np.ndarray) -> np.ndarray:
-    """Array form of :func:`_predecessors` for one positive label process
-    or a stack of them along leading axes, each row on its own.  Corners
-    sorted by (row, label, time) hold each label's corners of a row in
-    time order, and a ``searchsorted`` for (row, label - 1, i) lands just
-    after the row's latest corner with label - 1 before i; labels are at
-    least 1, so (row, label - 1) never reaches into the previous row."""
+    """Predecessor table of one positive label process, or of a stack of
+    them along leading axes, each row on its own, with -1 for the origin
+    corner.  Corners sorted by (row, label, time) hold each label's corners
+    of a row in time order, and a ``searchsorted`` for (row, label - 1, i)
+    lands just after the row's latest corner with label - 1 before i;
+    labels are at least 1, so (row, label - 1) never reaches into the
+    previous row."""
     size = labs.shape[-1]
     flat = labs.reshape(-1, size)
     group = flat + (flat.max() + 1) * np.arange(len(flat))[:, None]
@@ -195,37 +184,6 @@ def canonical_gluing(d: DodderingTree, g: GluerTree) -> GluingAssignment:
 # -- forward construction -------------------------------------------------
 
 
-def _chord_rotations(labels_body, walk: Walk):
-    """Vertex rotation lists for the chord map of a well-labeled encoding.
-
-    Chord i runs from corner i to its predecessor corner; its darts are
-    2i (at corner i) and 2i+1 (at the predecessor).  Vertex 0 is the added
-    origin; vertex u+1 is tree node u.  In the stored (clockwise) rotation
-    a vertex enumerates its corners in contour order, each corner holding
-    its outgoing chord then its incoming chords by decreasing source; the
-    origin sees its incoming chords by decreasing source.  The labels come
-    from a valid well-labeled tree, so they are not checked again.
-    """
-    pred = _predecessors(labels_body)
-    two_n = len(labels_body)
-    incoming: list[list[int]] = [[] for _ in range(two_n)]
-    origin_in: list[int] = []
-    for i, p in enumerate(pred):
-        if p < 0:
-            origin_in.append(i)
-        else:
-            incoming[p].append(i)
-    nodes = contour_nodes(walk)
-    n_nodes = walk.n + 1
-    rotations: list[list[int]] = [[] for _ in range(n_nodes + 1)]
-    rotations[0] = [2 * i + 1 for i in reversed(origin_in)]
-    for c in range(two_n):
-        rot = rotations[nodes[c] + 1]
-        rot.append(2 * c)
-        rot.extend(2 * i + 1 for i in reversed(incoming[c]))
-    return rotations
-
-
 def _contour_node_array(walk: np.ndarray) -> np.ndarray:
     """Array form of :func:`~quadmap.trees.contour_nodes` for one walk or a
     stack of them along leading axes, each row on its own: the node under
@@ -247,12 +205,20 @@ def _contour_node_array(walk: np.ndarray) -> np.ndarray:
 
 
 def _chord_arrays(body: np.ndarray, walk: np.ndarray):
-    """(twin, nxt, tail) of the chord map, the array form of
-    ``_rotation_arrays(_chord_rotations(body, walk))``, for one encoding or
-    for (B, 2n) bodies and (B, 2n+1) walks, giving (B, 4n) stacks in each
-    map's own darts and vertices.  One sort orders the darts of all maps
-    by (map, vertex, corner, outgoing first, decreasing source), with the
-    corners of each vertex ranked in contour order."""
+    """(twin, nxt, tail) of the chord map of a well-labeled encoding's
+    label body and walk, or of (B, 2n) bodies and (B, 2n+1) walks, giving
+    (B, 4n) stacks in each map's own darts and vertices.
+
+    Chord i runs from corner i to its predecessor corner; its darts are 2i
+    (at corner i) and 2i+1 (at the predecessor).  Vertex 0 is the added
+    origin; vertex u+1 is tree node u.  In the stored (clockwise) rotation
+    a vertex enumerates its corners in contour order, each corner holding
+    its outgoing chord then its incoming chords by decreasing source; the
+    origin sees its incoming chords by decreasing source.  One sort orders
+    the darts of all maps by (map, vertex, corner, outgoing first,
+    decreasing source), with the corners of each vertex ranked in contour
+    order.  The labels come from valid well-labeled trees, so they are not
+    checked again."""
     size = body.shape[-1]  # 2n corners, 4n darts per map
     bodies, walks = body.reshape(-1, size), walk.reshape(-1, size + 1)
     count = len(bodies)
@@ -303,11 +269,7 @@ def quad_of_tree(tree: LabeledTree) -> RootedQuadrangulation:
     if not is_well_labeled(tree):
         raise ValueError("tree must be well-labeled")
     enc = encode(tree)
-    if 4 * tree.n >= _ARRAY_MIN_DARTS:
-        return _quad_of_arrays(np.array(enc.labels), np.array(enc.walk.steps))
-    body = enc.labels[:-1]  # the closing corner 2n is excluded
-    quad = _rotation_map(_chord_rotations(body, enc.walk))
-    return _trusted(RootedQuadrangulation, map=quad, root=1)
+    return _quad_of_arrays(np.array(enc.labels), np.array(enc.walk.steps))
 
 
 def assemble(
@@ -322,6 +284,13 @@ def assemble(
     doddering clockwise order).  The root dart is the doddering root edge
     (tag -1 to tag 0).
     """
+    return RootedQuadrangulation(HalfEdgeMap.from_rotations(_glued_rotations(d, g, b)), 1)
+
+
+def _glued_rotations(d: DodderingTree, g: GluerTree, b: GluingAssignment) -> list[list[int]]:
+    """:func:`assemble`'s vertex rotation lists, after its checks that the
+    sizes match and that no glued vertex mixes depths: the origin (the
+    doddering root) first, then one list per gluer node."""
     n_nonroot = d.tree.n_nodes - 1
     walk = g.walk
     if len(b.targets) != n_nonroot:
@@ -353,8 +322,7 @@ def assemble(
             rot.append(2 * k)
             rot.extend(2 * t + 1 for t in children_tags[k])
         rotations.append(rot)
-    quad = HalfEdgeMap.from_rotations(rotations)
-    return RootedQuadrangulation(quad, 1)
+    return rotations
 
 
 # -- inverse construction -------------------------------------------------
@@ -371,86 +339,9 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     first selection after the root edge around its endpoint.
     """
     he = q.map
-    if he.n_darts >= _ARRAY_MIN_DARTS:
-        dist = _bfs_arrays(he.twin, he.tail, he.n_vertices, q.origin)
-        faces = he._face_orbits[0].reshape(-1, 4)  # the map's cached face orbits
-        return _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
-    dist = bfs_distances(he, q.origin)
-    n_darts = he.n_darts
-    twin = he.twin.tolist()
-    nxt = he.nxt.tolist()
-    tail = he.tail.tolist()
-    blue = [False] * n_darts
-    # insertion bookkeeping: diagonal darts live in the face corner just
-    # before their host dart in rotation order
-    prev = [0] * n_darts
-    for d_ in range(n_darts):
-        prev[nxt[d_]] = d_
-    for face in he.faces:
-        labels = [dist[tail[d_]] for d_ in face]
-        lo = min(labels)
-        if max(labels) - lo == 2:
-            # pattern (m, m+1, m+2, m+1): keep the edge from the m+2 corner
-            # to the second m+1 corner (the face side opposite the minimum)
-            p = labels.index(lo)
-            sel = face[(p + 2) % 4]
-            blue[sel] = True
-            blue[twin[sel]] = True
-        else:
-            # pattern (m, m+1, m, m+1): diagonal between the two m+1 corners
-            p = labels.index(lo + 1)
-            hosts = (face[p], face[(p + 2) % 4])
-            d1, d2 = len(twin), len(twin) + 1
-            for new, host in ((d1, hosts[0]), (d2, hosts[1])):
-                twin.append(0)
-                nxt.append(0)
-                prev.append(0)
-                tail.append(tail[host])
-                blue.append(True)
-                # splice: prev(host) -> new -> host
-                p_ = prev[host]
-                nxt[p_] = new
-                nxt[new] = host
-                prev[new] = p_
-                prev[host] = new
-            twin[d1], twin[d2] = d2, d1
-    # root of the selection tree: first blue dart after the reversed root
-    w = tail[twin[q.root]]
-    d_ = nxt[twin[q.root]]
-    while not blue[d_]:
-        d_ = nxt[d_]
-    root_dart = d_
-    # read the plane tree out of the blue rotation system
-    children: list[list[int]] = []
-    labels_out: list[int] = []
-
-    def blue_children(arrival: int) -> list[int]:
-        out = []
-        e = nxt[arrival]
-        while e != arrival:
-            if blue[e]:
-                out.append(e)
-            e = nxt[e]
-        return out
-
-    # the root vertex enumerates all its blue darts starting at root_dart
-    first_darts = [root_dart] + blue_children(root_dart)
-    stack: list[tuple[int, list[int]]] = []
-    children.append([])
-    labels_out.append(dist[w])
-    stack.append((0, first_darts))
-    counter = 1
-    while stack:
-        uid, darts = stack.pop()
-        for out_dart in darts:
-            cid = counter
-            counter += 1
-            children[uid].append(cid)
-            children.append([])
-            labels_out.append(dist[tail[twin[out_dart]]])
-            stack.append((cid, blue_children(twin[out_dart])))
-    # ids above follow the work stack, not the traversal; renumber in preorder
-    return _relabel_preorder(children, labels_out)
+    dist = _bfs_arrays(he.twin, he.tail, he.n_vertices, q.origin)
+    faces = he._face_orbits[0].reshape(-1, 4)  # the map's cached face orbits
+    return _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
 
 
 def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
@@ -541,22 +432,6 @@ def _labeled_tree_of_arrays(walk: np.ndarray, node_labels: np.ndarray) -> Labele
     return _trusted(LabeledTree, tree=tree, labels=tuple(node_labels.tolist()))
 
 
-def _relabel_preorder(children: list[list[int]], labels: list[int]) -> LabeledTree:
-    order = []
-    stack = [0]
-    new_id = {}
-    while stack:
-        u = stack.pop()
-        new_id[u] = len(order)
-        order.append(u)
-        for c in reversed(children[u]):
-            stack.append(c)
-    new_children = tuple(tuple(new_id[c] for c in children[u]) for u in order)
-    new_labels = tuple(labels[u] for u in order)
-    tree = _trusted(PlaneTree, children=new_children)
-    return _trusted(LabeledTree, tree=tree, labels=new_labels)
-
-
 # -- pointing and fibers ---------------------------------------------------
 
 
@@ -572,9 +447,14 @@ def fiber(pq: PointedQuadrangulation) -> list[RootedQuadrangulation]:
     code; this matches restarting the chord construction at each minimal
     corner of the label process.
     """
+    he = pq.map
+    darts = he.vertex_cycles[pq.origin]
+    shape = (len(darts), he.n_darts)
+    codes = _rooted_code_arrays(
+        np.broadcast_to(he.nxt, shape), np.broadcast_to(he.twin, shape), np.array(darts)
+    )
     seen = {}
-    for d in pq.map.vertex_cycles[pq.origin]:
-        code = rooted_code(pq.map, d)
+    for d, code in zip(darts, codes):
         if code not in seen:
-            seen[code] = _trusted(RootedQuadrangulation, map=pq.map, root=d)
+            seen[code] = _trusted(RootedQuadrangulation, map=he, root=d)
     return [seen[c] for c in sorted(seen)]

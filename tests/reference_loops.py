@@ -1,0 +1,323 @@
+"""Per-dart Python loops for the map layers, kept as references.
+
+The library runs every map layer as numpy kernels; these loops compute the
+same values one dart at a time over lists, and ``test_array_kernels.py``
+compares each kernel and public function with them.  They read maps
+through their arrays only, so no reference calls a kernel, and they raise
+the constructor's messages in its order.
+"""
+from collections import deque
+
+import numpy as np
+
+from quadmap.labeled import (
+    LabeledTree,
+    _encoding_from_arrays,
+    decode,
+    encode,
+    first_min_corner,
+    minima_set,
+    reroot,
+)
+from quadmap.paths import uniform_encoding_arrays
+from quadmap.planar_map import RootedQuadrangulation, _array_map
+from quadmap.schaeffer import point
+from quadmap.trees import PlaneTree, _trusted, contour_nodes
+
+
+def orbits(perm) -> list[tuple[int, ...]]:
+    """Cycles of ``perm`` in order of their smallest dart, each starting there."""
+    seen = [False] * len(perm)
+    found = []
+    for d in range(len(perm)):
+        if seen[d]:
+            continue
+        cyc = []
+        e = d
+        while not seen[e]:
+            seen[e] = True
+            cyc.append(e)
+            e = perm[e]
+        found.append(tuple(cyc))
+    return found
+
+
+def check_map(twin, nxt, tail) -> None:
+    """``HalfEdgeMap``'s checks on lists, raising its messages in its order."""
+    m = len(twin)
+    if m == 0 or m % 2 or len(nxt) != m or len(tail) != m:
+        raise ValueError("twin, nxt and tail must have equal positive even length")
+    if sorted(nxt) != list(range(m)):
+        raise ValueError("nxt is not a permutation of the darts")
+    for d in range(m):
+        t = twin[d]
+        if not 0 <= t < m or t == d or twin[t] != d:
+            raise ValueError("twin is not a fixed-point-free involution")
+    for d in range(m):
+        if tail[nxt[d]] != tail[d]:
+            raise ValueError("nxt mixes darts of different vertices")
+    # rotation cycles must cover each vertex exactly once
+    vertices = set()
+    for cyc in orbits(nxt):
+        if tail[cyc[0]] in vertices:
+            raise ValueError("vertex split across several rotation cycles")
+        vertices.add(tail[cyc[0]])
+    if vertices != set(range(len(vertices))):
+        raise ValueError("vertex ids must be 0..V-1")
+    # connectivity under <nxt, twin>
+    reach = [False] * m
+    stack = [0]
+    reach[0] = True
+    while stack:
+        d = stack.pop()
+        for e in (nxt[d], twin[d]):
+            if not reach[e]:
+                reach[e] = True
+                stack.append(e)
+    if not all(reach):
+        raise ValueError("map is not connected")
+    if len(vertices) - m // 2 + len(orbits([nxt[t] for t in twin])) != 2:
+        raise ValueError("map is not of genus 0")
+
+
+def faces(he) -> tuple[tuple[int, ...], ...]:
+    nxt = he.nxt.tolist()
+    return tuple(orbits([nxt[t] for t in he.twin.tolist()]))
+
+
+def vertex_cycles(he) -> tuple[tuple[int, ...], ...]:
+    tail = he.tail.tolist()
+    by_vertex = {tail[cyc[0]]: cyc for cyc in orbits(he.nxt.tolist())}
+    return tuple(by_vertex[v] for v in range(len(by_vertex)))
+
+
+def rotation_arrays(rotations) -> tuple[np.ndarray, np.ndarray]:
+    """(nxt, tail) of per-vertex dart lists in rotation order."""
+    m = sum(len(cyc) for cyc in rotations)
+    nxt = [0] * m
+    tail = [0] * m
+    for v, cyc in enumerate(rotations):
+        for i, d in enumerate(cyc):
+            nxt[d] = cyc[(i + 1) % len(cyc)]
+            tail[d] = v
+    return np.array(nxt, dtype=np.int64), np.array(tail, dtype=np.int64)
+
+
+def bfs_distances(he, origin: int) -> tuple[int, ...]:
+    twin, tail = he.twin.tolist(), he.tail.tolist()
+    cycles = vertex_cycles(he)
+    dist = [-1] * len(cycles)
+    dist[origin] = 0
+    queue = deque([origin])
+    while queue:
+        v = queue.popleft()
+        for d in cycles[v]:
+            w = tail[twin[d]]
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return tuple(dist)
+
+
+def rooted_code(he, root: int) -> bytes:
+    """Darts relabeled breadth-first from the root along nxt and twin."""
+    nxt, twin = he.nxt.tolist(), he.twin.tolist()
+    label = [-1] * len(nxt)
+    label[root] = 0
+    order = [root]
+    i = 0
+    while i < len(order):
+        d = order[i]
+        i += 1
+        for e in (nxt[d], twin[d]):
+            if label[e] < 0:
+                label[e] = len(order)
+                order.append(e)
+    parts = []
+    for d in order:
+        parts.append(label[nxt[d]])
+        parts.append(label[twin[d]])
+    return bytes(",".join(map(str, parts)), "ascii")
+
+
+def pointed_code(he, origin: int) -> bytes:
+    return min(rooted_code(he, d) for d in vertex_cycles(he)[origin])
+
+
+def fiber(pq) -> list:
+    seen = {}
+    for d in vertex_cycles(pq.map)[pq.origin]:
+        code = rooted_code(pq.map, d)
+        if code not in seen:
+            seen[code] = _trusted(RootedQuadrangulation, map=pq.map, root=d)
+    return [seen[c] for c in sorted(seen)]
+
+
+def renumbered(obj):
+    """``obj`` with its vertices renumbered by the smallest darts of their
+    rotation cycles, as the map text stores them."""
+    he = obj.map
+    tail = [0] * he.n_darts
+    cycles = orbits(he.nxt.tolist())
+    for v, cyc in enumerate(cycles):
+        for d in cyc:
+            tail[d] = v
+    fields = dict(vars(obj), map=_array_map(he.twin.copy(), he.nxt.copy(), np.array(tail)))
+    if "origin" in fields:
+        fields["origin"] = tail[vertex_cycles(he)[obj.origin][0]]
+    return _trusted(type(obj), **fields)
+
+
+def save_map(obj) -> str:
+    """The map text: edge count, twin and rotation lines, root or origin."""
+    he = obj.map
+    if "root" in vars(obj):
+        mark = str(obj.root)
+    else:
+        mark = f"origin={renumbered(obj).origin}"
+    lines = [f"n={he.n_darts // 2}", *(",".join(map(str, a.tolist())) for a in (he.twin, he.nxt))]
+    return "\n".join(lines + [mark]) + "\n"
+
+
+# -- the chord construction and its inverse ---------------------------------
+
+
+def predecessors(labs) -> tuple[int, ...]:
+    last_seen = {0: -1}
+    out = []
+    for i, v in enumerate(labs):
+        out.append(last_seen[v - 1])
+        last_seen[v] = i
+    return tuple(out)
+
+
+def chord_rotations(labels_body, walk):
+    """Vertex rotation lists of the chord map of a well-labeled encoding:
+    vertex 0 the origin, vertex u+1 tree node u; a vertex lists its corners
+    in contour order, each with its outgoing chord then its incoming chords
+    by decreasing source."""
+    pred = predecessors(labels_body)
+    two_n = len(labels_body)
+    incoming = [[] for _ in range(two_n)]
+    origin_in = []
+    for i, p in enumerate(pred):
+        if p < 0:
+            origin_in.append(i)
+        else:
+            incoming[p].append(i)
+    nodes = contour_nodes(walk)
+    rotations = [[] for _ in range(walk.n + 2)]
+    rotations[0] = [2 * i + 1 for i in reversed(origin_in)]
+    for c in range(two_n):
+        rot = rotations[nodes[c] + 1]
+        rot.append(2 * c)
+        rot.extend(2 * i + 1 for i in reversed(incoming[c]))
+    return rotations
+
+
+def quad_of_tree(tree) -> RootedQuadrangulation:
+    enc = encode(tree)
+    nxt, tail = rotation_arrays(chord_rotations(enc.labels[:-1], enc.walk))
+    quad = _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
+    return _trusted(RootedQuadrangulation, map=quad, root=1)
+
+
+def tree_of_quad(q) -> LabeledTree:
+    """Face selections spliced into the rotation lists one at a time, and
+    the blue tree read off by a depth-first walk."""
+    he = q.map
+    dist = bfs_distances(he, q.origin)
+    n_darts = he.n_darts
+    twin = he.twin.tolist()
+    nxt = he.nxt.tolist()
+    tail = he.tail.tolist()
+    blue = [False] * n_darts
+    # diagonal darts live in the face corner just before their host dart
+    prev = [0] * n_darts
+    for d_ in range(n_darts):
+        prev[nxt[d_]] = d_
+    for face in faces(he):
+        labels = [dist[tail[d_]] for d_ in face]
+        lo = min(labels)
+        if max(labels) - lo == 2:
+            # pattern (m, m+1, m+2, m+1): the side opposite the minimum
+            p = labels.index(lo)
+            sel = face[(p + 2) % 4]
+            blue[sel] = True
+            blue[twin[sel]] = True
+        else:
+            # pattern (m, m+1, m, m+1): diagonal between the two m+1 corners
+            p = labels.index(lo + 1)
+            hosts = (face[p], face[(p + 2) % 4])
+            d1, d2 = len(twin), len(twin) + 1
+            for new, host in ((d1, hosts[0]), (d2, hosts[1])):
+                twin.append(0)
+                nxt.append(0)
+                prev.append(0)
+                tail.append(tail[host])
+                blue.append(True)
+                p_ = prev[host]  # splice: prev(host) -> new -> host
+                nxt[p_] = new
+                nxt[new] = host
+                prev[new] = p_
+                prev[host] = new
+            twin[d1], twin[d2] = d2, d1
+    # root of the selection tree: first blue dart after the reversed root
+    w = tail[twin[q.root]]
+    d_ = nxt[twin[q.root]]
+    while not blue[d_]:
+        d_ = nxt[d_]
+    root_dart = d_
+    children = []
+    labels_out = []
+
+    def blue_children(arrival):
+        out = []
+        e = nxt[arrival]
+        while e != arrival:
+            if blue[e]:
+                out.append(e)
+            e = nxt[e]
+        return out
+
+    stack = [(0, [root_dart] + blue_children(root_dart))]
+    children.append([])
+    labels_out.append(dist[w])
+    counter = 1
+    while stack:
+        uid, darts = stack.pop()
+        for out_dart in darts:
+            cid = counter
+            counter += 1
+            children[uid].append(cid)
+            children.append([])
+            labels_out.append(dist[tail[twin[out_dart]]])
+            stack.append((cid, blue_children(twin[out_dart])))
+    # ids above follow the work stack, not the traversal; renumber in preorder
+    order = []
+    stack = [0]
+    new_id = {}
+    while stack:
+        u = stack.pop()
+        new_id[u] = len(order)
+        order.append(u)
+        stack.extend(reversed(children[u]))
+    tree = _trusted(PlaneTree, children=tuple(tuple(new_id[c] for c in children[u]) for u in order))
+    return _trusted(LabeledTree, tree=tree, labels=tuple(labels_out[u] for u in order))
+
+
+# -- samplers -----------------------------------------------------------------
+
+
+def sample_rooted_pd(n: int, rng):
+    labels, walks = uniform_encoding_arrays(n, rng)
+    enc = _encoding_from_arrays(labels[0], walks[0])
+    minima = minima_set(enc.labels)
+    tree = decode(reroot(enc, minima[int(rng.integers(len(minima)))]))
+    return tree, quad_of_tree(tree)
+
+
+def sample_pointed_ps(n: int, rng):
+    labels, walks = uniform_encoding_arrays(n, rng)
+    enc = _encoding_from_arrays(labels[0], walks[0])
+    return point(quad_of_tree(decode(reroot(enc, first_min_corner(enc.labels)))))

@@ -1,19 +1,19 @@
-"""The array kernels against the Python loops they stand in for.
+"""The array kernels against the per-dart Python loops they replaced.
 
-Maps with at least ``planar_map._ARRAY_MIN_DARTS`` darts (and trees whose
-quadrangulation has that many) run numpy kernels; smaller ones run the
-Python loops.  Each kernel is called directly here and compared with the
-Python path (the public functions with the constant moved out of reach)
-on every enumerated small object and on random draws on both sides of the
-constant; the public functions are compared across the two paths; and
-corrupted map arrays must be rejected with the same message on both.
+Every map layer runs as numpy kernels at every size.  The loops it ran
+before, on maps below 2048 darts, are kept in ``reference_loops`` as
+references: each kernel and public function is compared with them on every
+enumerated small object and on seeded draws from 256 to 16384 darts, and
+corrupted map arrays must be rejected by the constructor, the reference
+validator and the validation kernel with the same message.
 """
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadmap import harness, planar_map, schaeffer
+import reference_loops as reference
+from quadmap import harness
 from quadmap.enumeration import (
     LawTables,
     Orbit,
@@ -40,7 +40,6 @@ from quadmap.planar_map import (
     _check_arrays,
     _face_array,
     _orbit_arrays,
-    _orbits,
     _parse_ascii_ints,
     _pointed_code_arrays,
     _rooted_code_arrays,
@@ -57,33 +56,19 @@ from quadmap.planar_map import (
 )
 from quadmap.schaeffer import (
     _chord_arrays,
-    _chord_rotations,
     _contour_node_array,
     _labeled_tree_of_arrays,
     _predecessor_array,
-    _predecessors,
     _tree_of_quad_arrays,
+    fiber,
     point,
+    predecessor_table,
     quad_of_tree,
     tree_of_quad,
 )
 from quadmap.trees import PlaneTree, _trusted, contour_nodes
 
-SIZE_MODULES = (planar_map, schaeffer, harness)
 SAMPLED_N = (2**6, 2**8, 2**9, 2**10, 2**12)  # 256 .. 16384 darts
-
-
-@pytest.fixture
-def paths(monkeypatch):
-    """``paths(name)`` sends every size to the "python" loops or the "array"
-    kernels until the test ends."""
-
-    def use(name: str) -> None:
-        value = 10**18 if name == "python" else 2
-        for module in SIZE_MODULES:
-            monkeypatch.setattr(module, "_ARRAY_MIN_DARTS", value)
-
-    return use
 
 
 def fresh(he: HalfEdgeMap) -> HalfEdgeMap:
@@ -92,45 +77,65 @@ def fresh(he: HalfEdgeMap) -> HalfEdgeMap:
 
 
 def check_map_kernels(he: HalfEdgeMap, origin: int, roots) -> None:
-    """Every map kernel equals the Python path on ``he`` (the caller has
-    sent every size to the Python loops)."""
+    """Every map kernel and the public function over it equal the
+    reference loops on ``he``."""
     twin, nxt, tail = he.twin, he.nxt, he.tail
     for perm in (nxt, nxt[twin]):
-        assert _split(*_orbit_arrays(perm)) == list(_orbits(perm.tolist()))
+        assert _split(*_orbit_arrays(perm)) == reference.orbits(perm.tolist())
+    reference.check_map(twin.tolist(), nxt.tolist(), tail.tolist())
     _check_arrays(fresh(he))
     ref = fresh(he)
-    assert tuple(_bfs_arrays(twin, tail, he.n_vertices, origin).tolist()) == bfs_distances(
-        ref, origin
-    )
+    assert ref.faces == reference.faces(he)
+    assert ref.vertex_cycles == reference.vertex_cycles(he)
+    distances = reference.bfs_distances(he, origin)
+    assert tuple(_bfs_arrays(twin, tail, he.n_vertices, origin).tolist()) == distances
+    assert bfs_distances(ref, origin) == distances
     for root in roots:
-        assert _rooted_code_arrays(nxt, twin, root) == rooted_code(ref, root)
+        code = reference.rooted_code(he, root)
+        assert _rooted_code_arrays(nxt, twin, root) == rooted_code(ref, root) == code
     assert _ascii_ints(nxt).decode() == ",".join(map(str, nxt.tolist()))
 
 
 def check_chord_arrays(enc, labels: np.ndarray, walk: np.ndarray) -> None:
-    """``_chord_arrays`` equals the Python rotation lists' arrays."""
+    """``_chord_arrays`` and ``_rotation_arrays`` equal the reference
+    rotation lists' arrays."""
     twin, nxt, tail = _chord_arrays(labels[:-1], walk)
-    built = _rotation_arrays(_chord_rotations(enc.labels[:-1], enc.walk))
+    rotations = reference.chord_rotations(enc.labels[:-1], enc.walk)
+    built = reference.rotation_arrays(rotations)
+    assert tuple(a.tolist() for a in _rotation_arrays(rotations)) == tuple(
+        a.tolist() for a in built
+    )
     assert twin.tolist() == [d ^ 1 for d in range(twin.size)]
     assert (nxt.tolist(), tail.tolist()) == tuple(a.tolist() for a in built)
 
 
+def check_inverse(q, tree) -> None:
+    """``_tree_of_quad_arrays`` on the reference faces and distances, and
+    public ``tree_of_quad``, equal the reference inverse and ``tree``."""
+    he = q.map
+    dist = np.array(reference.bfs_distances(he, q.origin))
+    faces = np.array(reference.faces(he))
+    built = _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
+    assert built == tree_of_quad(q) == reference.tree_of_quad(q) == tree
+
+
 @pytest.mark.parametrize("n", range(1, 6))
-def test_kernels_match_python_on_all_small_quads(n, paths):
-    paths("python")
+def test_kernels_match_python_on_all_small_quads(n):
     for tree in well_labeled_trees(n):
         q = quad_of_tree(tree)
+        assert q == reference.quad_of_tree(tree)
         he = q.map
         check_map_kernels(he, q.origin, range(he.n_darts) if n <= 3 else (q.root, 0))
+        assert pointed_code(he, q.origin) == reference.pointed_code(he, q.origin)
+        assert fiber(point(q)) == reference.fiber(point(q))
         enc = encode(tree)
         labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
-        assert tuple(_predecessor_array(labels[:-1]).tolist()) == _predecessors(enc.labels[:-1])
+        predecessors = reference.predecessors(enc.labels[:-1])
+        assert tuple(_predecessor_array(labels[:-1]).tolist()) == predecessors
+        assert predecessor_table(enc.labels[:-1]).values == predecessors
         assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
         check_chord_arrays(enc, labels, walk)
-        dist = np.array(bfs_distances(he, q.origin))
-        faces = np.array(he.faces)
-        built = _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
-        assert built == tree_of_quad(q)
+        check_inverse(q, tree)
         up = walk[1:] > walk[:-1]
         node_labels = np.concatenate((labels[:1], labels[1:][up]))
         assert _labeled_tree_of_arrays(walk, node_labels) == decode(enc) == tree
@@ -142,8 +147,7 @@ def test_kernels_match_python_on_all_small_quads(n, paths):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_kernels_match_python_on_all_small_maps(n, rooted_maps_by_size, paths):
-    paths("python")
+def test_kernels_match_python_on_all_small_maps(n, rooted_maps_by_size):
     for rm in rooted_maps_by_size[n].values():
         for he in (rm.map, quad_of_map(rm).map):
             for origin in range(he.n_vertices):
@@ -151,21 +155,19 @@ def test_kernels_match_python_on_all_small_maps(n, rooted_maps_by_size, paths):
 
 
 @pytest.mark.parametrize("n", SAMPLED_N)
-def test_kernels_match_python_on_sampled_maps(n, paths):
-    paths("python")
+def test_kernels_match_python_on_sampled_maps(n):
     rng = np.random.default_rng([17, n])
     tree, q = harness.sample_rooted_pd(n, rng)
+    assert (tree, q) == reference.sample_rooted_pd(n, np.random.default_rng([17, n]))
     he = q.map
     check_map_kernels(he, q.origin, (q.root, 0, he.n_darts - 1))
     enc = encode(tree)
     labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
-    assert tuple(_predecessor_array(labels[:-1]).tolist()) == _predecessors(enc.labels[:-1])
+    predecessors = reference.predecessors(enc.labels[:-1])
+    assert tuple(_predecessor_array(labels[:-1]).tolist()) == predecessors
     assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
     check_chord_arrays(enc, labels, walk)
-    dist = np.array(bfs_distances(he, q.origin))
-    faces = np.array(he.faces)
-    built = _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
-    assert built == tree_of_quad(q) == tree
+    check_inverse(q, tree)
     raw_labels, raw_walks = uniform_encoding_arrays(n, rng)
     raw = decode(harness._encoding_from_arrays(raw_labels[0], raw_walks[0]))
     raw_enc = encode(raw)
@@ -177,37 +179,59 @@ def test_kernels_match_python_on_sampled_maps(n, paths):
 
 
 @pytest.mark.parametrize("n", SAMPLED_N)
-def test_public_functions_equal_on_both_paths(n, paths):
-    results = {}
-    for name in ("python", "array"):
-        paths(name)
-        rng = np.random.default_rng([23, n])
-        tree, q = harness.sample_rooted_pd(n, rng)
-        pq = harness.sample_pointed_ps(n, rng)
-        he = fresh(q.map)
-        text, pointed_text = save_map(q), save_map(pq)
-        loaded, loaded_pointed = load_map(text), load_map(pointed_text)
-        results[name] = (
-            tree,
-            q,
-            pq,
-            he.faces,
-            he.vertex_cycles,
-            he.n_faces,
-            bfs_distances(he, q.origin),
-            rooted_code(he, q.root),
-            text,
-            pointed_text,
-            loaded,
-            type(loaded),
-            loaded_pointed,
-            type(loaded_pointed),
-            quad_of_tree(tree),
-            tree_of_quad(q),
-            point(q),
-            HalfEdgeMap.from_rotations(q.map.vertex_cycles),
-        )
-    assert results["python"] == results["array"]
+def test_public_functions_equal_on_both_paths(n):
+    rng = np.random.default_rng([23, n])
+    tree, q = harness.sample_rooted_pd(n, rng)
+    pq = harness.sample_pointed_ps(n, rng)
+    he = fresh(q.map)
+    text, pointed_text = save_map(q), save_map(pq)
+    loaded, loaded_pointed = load_map(text), load_map(pointed_text)
+    public = (
+        tree,
+        q,
+        pq,
+        he.faces,
+        he.vertex_cycles,
+        he.n_faces,
+        bfs_distances(he, q.origin),
+        rooted_code(he, q.root),
+        text,
+        pointed_text,
+        loaded,
+        type(loaded),
+        loaded_pointed,
+        type(loaded_pointed),
+        quad_of_tree(tree),
+        tree_of_quad(q),
+        point(q),
+        HalfEdgeMap.from_rotations(q.map.vertex_cycles),
+    )
+    rng = np.random.default_rng([23, n])
+    ref_tree, ref_q = reference.sample_rooted_pd(n, rng)
+    ref_pq = reference.sample_pointed_ps(n, rng)
+    ref = ref_q.map
+    ref_faces = reference.faces(ref)
+    expected = (
+        ref_tree,
+        ref_q,
+        ref_pq,
+        ref_faces,
+        reference.vertex_cycles(ref),
+        len(ref_faces),
+        reference.bfs_distances(ref, ref_q.origin),
+        reference.rooted_code(ref, ref_q.root),
+        reference.save_map(ref_q),
+        reference.save_map(ref_pq),
+        reference.renumbered(ref_q),
+        type(ref_q),
+        reference.renumbered(ref_pq),
+        type(ref_pq),
+        reference.quad_of_tree(ref_tree),
+        reference.tree_of_quad(ref_q),
+        point(ref_q),
+        ref,
+    )
+    assert public == expected
 
 
 def test_text_kernels_match_join_and_int():
@@ -277,7 +301,7 @@ def _genus_one(twin, nxt, tail):
     # re-pair two edges crosswise; keep the first re-pairing that lowers the
     # face count by two (a connected map with V - E + F = 0: a torus)
     m = len(twin)
-    faces = lambda tw: len(list(_orbits([nxt[t] for t in tw])))  # noqa: E731
+    faces = lambda tw: len(reference.orbits([nxt[t] for t in tw]))  # noqa: E731
     before = faces(twin)
     for b in range(2, m, 2):
         tw = list(twin)
@@ -304,15 +328,14 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
-def test_rejections_match_on_both_paths(corrupt, paths):
+def test_rejections_match_on_both_paths(corrupt):
     twin, nxt, tail = _quad_arrays()
     corrupt(twin, nxt, tail)
     assert len(twin) >= 4096
     messages = []
-    for name in ("python", "array"):
-        paths(name)
+    for validate in (HalfEdgeMap, reference.check_map):
         with pytest.raises(ValueError) as exc:
-            HalfEdgeMap(twin, nxt, tail)
+            validate(twin, nxt, tail)
         messages.append(str(exc.value))
     with pytest.raises(ValueError) as exc:  # the kernel itself
         _check_arrays(
@@ -322,30 +345,31 @@ def test_rejections_match_on_both_paths(corrupt, paths):
     assert messages == [CORRUPTIONS[corrupt]] * 3
 
 
-def test_valid_arrays_pass_both_paths(paths):
+def test_valid_arrays_pass_both_paths():
     twin, nxt, tail = _quad_arrays()
-    for name in ("python", "array"):
-        paths(name)
-        he = HalfEdgeMap(twin, nxt, tail)
-        assert he.n_faces == 2**10
+    reference.check_map(twin, nxt, tail)
+    assert len(reference.orbits([nxt[t] for t in twin])) == 2**10
+    he = HalfEdgeMap(twin, nxt, tail)
+    assert he.n_faces == 2**10
 
 
 @pytest.mark.parametrize("token", ["x", "", "-3", "1.0"])
-def test_large_map_text_names_the_bad_line(token, paths):
+def test_large_map_text_names_the_bad_line(token):
     _, q = harness.sample_rooted_pd(2**10, np.random.default_rng([31, 2**10]))
     head, twin, nxt, root = save_map(q).splitlines()
     entries = nxt.split(",")
     entries[100] = token
-    text = "\n".join((head, twin, ",".join(entries), root)) + "\n"
-    messages = []
-    for name in ("python", "array"):
-        paths(name)
-        with pytest.raises(ValueError) as exc:
-            load_map(text)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    line = ",".join(entries)
+    text = "\n".join((head, twin, line, root)) + "\n"
+    with pytest.raises(ValueError) as exc:
+        load_map(text)
+    if token == "-3":
+        assert str(exc.value) == "rotation array entry is not a dart index"
+    else:
+        named = f"map text: the rotation line is not made of int64 integers: {line[:40]!r}"
+        assert str(exc.value) == named
     expected = "rotation array entry" if token == "-3" else "the rotation line"
-    assert expected in messages[0]
+    assert expected in str(exc.value)
 
 
 # -- stacked kernels ----------------------------------------------------------

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from quadmap import cli
 from quadmap.cli import main
 from quadmap.labeled import Encoding
 from quadmap.planar_map import load_map
+from quadmap.schaeffer import _glued_rotations
 
 
 def test_enumerate_counts(capsys):
@@ -83,6 +85,41 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+def _swap_two_darts(rotations):
+    rot = max(rotations, key=len)  # at least three darts, so the order changes
+    rot[0], rot[1] = rot[1], rot[0]
+    return rotations
+
+
+def _repeat_a_dart(rotations):
+    rotations[0][0] = rotations[1][0]
+    return rotations
+
+
+def _cut_off_the_root_edge(rotations):
+    # darts 0..11 on n + 2 = 5 vertices, the root edge a loop of its own
+    return [[0, 1], [2, 3, 4, 5], [6, 7], [8, 9], [10, 11]]
+
+
+@pytest.mark.parametrize("corrupt", [_swap_two_darts, _repeat_a_dart, _cut_off_the_root_edge])
+def test_verify_reports_a_bad_gluing_as_a_fail_line(corrupt, monkeypatch, capsys):
+    corrupted = []
+
+    def glue(d, g, b):
+        rotations = _glued_rotations(d, g, b)
+        if g.tree.n == 3 and not corrupted:  # one object of size 3
+            corrupted.append(True)
+            return corrupt(rotations)
+        return rotations
+
+    monkeypatch.setattr(cli, "_glued_rotations", glue)
+    assert main(["verify", "--max-n", "3"]) == 1
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    gluing = [words[-1] for words in lines if words[:3] == ["gluing", "and", "metrics"]]
+    assert gluing == ["PASS", "PASS", "FAIL"]
+    assert corrupted
 
 
 def test_verify_rejects_max_n_above_listing_bound(capsys):

@@ -163,6 +163,16 @@ def test_assemble_rejects_bad_assignments():
         assemble(d2, g2, canonical_gluing(d2, g2))
 
 
+def test_assemble_rejects_a_gluing_across_depths():
+    # the doddering tree of a path's labels (1, 2, 3, 2) glued along a
+    # cherry: corners 0 and 2 share the root node, but the nodes tagged 0
+    # and 2 sit at depths 1 and 3
+    d = doddering((1, 2, 3, 2))
+    g = gluer(walk_to_tree(Walk((0, 1, 0, 1, 0))))
+    with pytest.raises(ValueError, match="different depths"):
+        assemble(d, g, canonical_gluing(d, g))
+
+
 def test_point_hand_cases():
     quads = [quad_of_tree(LabeledTree(EDGE, labels)) for labels in ((1, 1), (1, 2))]
     codes = {pointed_code(point(q).map, point(q).origin) for q in quads}
