@@ -144,21 +144,19 @@ def _bijection_checks(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray, 
         and np.array_equal(np.count_nonzero(tail == 0, axis=1), minima)
         and np.array_equal(dist.max(axis=1), node_labels.max(axis=1))
     )
-    ok = _gluing_check(body, shape, shapes, codes) and ok
+    ok = _gluing_check(body, shape, shapes, nxt, tail) and ok
     pointed = _pointed_code_arrays(nxt, twin, tail, 0) if n <= enumeration.MAX_LAW_N else []
     return codes, round_trip, ok, pointed
 
 
-def _gluing_check(body: np.ndarray, shape: np.ndarray, shapes, codes: list[bytes]) -> bool:
+def _gluing_check(body: np.ndarray, shape: np.ndarray, shapes, nxt, tail) -> bool:
     """Whether the doddering/gluer construction of each label body, on its
     gluer tree ``shapes[shape[b]]``, has reverse height process
-    (0, *body[b]) and glues the quadrangulation of rooted code ``codes[b]``.
-    Objects are glued one at a time; their rotation systems, object b's
-    darts offset by b·4n, form one union whose codes come from one call.
-    A glued row that lists exactly its darts 0..4n-1 on n + 2 vertices, all
-    reached from the root, and has the chord map's rooted code is the chord
-    map up to dart renaming, so the map constructors' checks are not
-    repeated."""
+    (0, *body[b]) and reproduces the chord map (nxt[b], tail[b]) dart for
+    dart and vertex for vertex.  Objects are glued one at a time into one
+    union of rotation lists (object b's darts offset by b·4n, its vertices
+    by b·(n + 2)) that must list every dart once and whose (nxt, tail),
+    offsets removed, must equal the chord stack's."""
     count, n = len(body), body.shape[1] // 2
     m, n_vertices = 4 * n, n + 2
     union = []
@@ -170,21 +168,13 @@ def _gluing_check(body: np.ndarray, shape: np.ndarray, shapes, codes: list[bytes
             return False
         union += ([dart + b * m for dart in cyc] for cyc in rotations)
     flat = np.fromiter(itertools.chain.from_iterable(union), dtype=np.int64)
-    sizes = np.fromiter(map(len, union), dtype=np.int64, count=len(union))
-    owner = np.repeat(np.arange(len(union)) // n_vertices, sizes)
-    if not (
-        np.array_equal(np.sort(flat), np.arange(count * m)) and np.array_equal(flat // m, owner)
-    ):
+    if not np.array_equal(np.sort(flat), np.arange(count * m)):
         return False
-    nxt, tail = _rotation_arrays(union)
+    glued_nxt, glued_tail = _rotation_arrays(union)
     row = np.arange(count)[:, None]
-    nxt = nxt.reshape(count, m) - m * row
-    tail = tail.reshape(count, m) - n_vertices * row
-    twin = np.tile(np.arange(m) ^ 1, (count, 1))
-    # every vertex is one rotation cycle, so reaching them all reaches every dart
-    if np.any(_bfs_arrays(twin, tail, n_vertices, tail[:, 1]) < 0):
-        return False
-    return _rooted_code_arrays(nxt, twin, np.ones(count, dtype=np.int64)) == codes
+    return np.array_equal(glued_nxt.reshape(count, m) - m * row, nxt) and np.array_equal(
+        glued_tail.reshape(count, m) - n_vertices * row, tail
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

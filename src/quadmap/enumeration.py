@@ -303,9 +303,6 @@ class LawTables:
     pointed: tuple[PointedLaw, ...]
     rooted: tuple[RootedLaw, ...]
 
-    def pointed_by_code(self) -> dict[bytes, PointedLaw]:
-        return {row.code: row for row in self.pointed}
-
 
 def law_tables(n: int) -> LawTables:
     """Exact distributions at size n.

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +33,7 @@ from .paths import (
 )
 from .planar_map import PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point
-from .snake import _path, distance, reroot_path, sample_snake_batch
+from .snake import _path, _representatives, distance, sample_snake_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -69,9 +71,15 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        if isinstance(self.sizes, (str, bytes)) or not np.iterable(self.sizes):
+            raise ValueError(f"sizes must be a sequence of integers, got {self.sizes!r}")
+        object.__setattr__(self, "sizes", tuple(_integer(s, "sizes") for s in self.sizes))
+        for name in ("replicas", "seed", "grid_m"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}; pick from {EXPERIMENTS}")
+        if self.output is not None and not isinstance(self.output, (str, os.PathLike)):
+            raise ValueError(f"output must be a path, got {self.output!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])) or not self.sizes:
@@ -91,14 +99,20 @@ class ExperimentConfig:
         missing = [k for k in ("name", "sizes", "replicas", "seed") if k not in data]
         if missing:
             raise ValueError(f"experiment config is missing {', '.join(map(repr, missing))}")
-        return cls(
-            name=data["name"],
-            sizes=tuple(data["sizes"]),
-            replicas=int(data["replicas"]),
-            seed=int(data["seed"]),
-            grid_m=int(data.get("grid_m", 2**12)),
-            output=data.get("output"),
-        )
+        fields = ("name", "sizes", "replicas", "seed", "grid_m", "output")
+        return cls(**{k: data[k] for k in fields if k in data})
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer (numpy integers included),
+    else a ``ValueError`` naming the field: bools, floats and strings are
+    not silently converted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +131,8 @@ class EdgeLengthModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"edge length params must be finite, got {self.params}")
         if self.family == "deterministic":
             if self.params:
                 raise ValueError("deterministic lengths take no parameters")
@@ -321,12 +337,9 @@ def class_diameter_samples(
     def stat(n, rng):
         labels, walks = uniform_encoding_arrays(n, rng)
         path = _path((labels[0] - 1.0) / n**0.25, walks[0] / n**0.5)
-        body = labels[0, : 2 * n]
-        minima = np.nonzero(body == body.min())[0]
-        target = reroot_path(path, int(minima[0]) / (2 * n))
-        return max(
-            distance(reroot_path(path, int(k) / (2 * n)), target) for k in minima
-        )
+        reps = _representatives(path)
+        first = next(reps)
+        return max((distance(r, first) for r in reps), default=0.0)
 
     return _replicas(stat, n, replicas, seed, size_index)
 

@@ -404,18 +404,25 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root):
     return _ascii_ints(parts[0]) if single else _ascii_ints(parts)
 
 
+def _origin_rounds(nxt: np.ndarray, twin: np.ndarray, tail: np.ndarray, origin: int):
+    """Rooted codes of each map of (B, m) stacks at every dart leaving the
+    vertex ``origin``, in rounds: round k roots a copy of every map at its
+    k-th such dart, by increasing dart, so no call stacks more than B
+    maps.  Yields each round's rows, darts and codes."""
+    rows, darts = np.nonzero(tail == origin)
+    kth = np.arange(rows.size) - np.searchsorted(rows, rows)
+    for k in range(kth.max() + 1):
+        r, d = rows[kth == k], darts[kth == k]
+        yield r, d, _rooted_code_arrays(nxt[r], twin[r], d)
+
+
 def _pointed_code_arrays(nxt: np.ndarray, twin: np.ndarray, tail: np.ndarray, origin: int):
     """:func:`pointed_code` of each map of (B, m) stacks at the vertex
     ``origin``: the least, as bytes, of the rooted codes from its darts at
-    the origin.  Round k roots a copy of every map at its k-th such dart,
-    so no call stacks more than B maps."""
-    rows, darts = np.nonzero(tail == origin)
-    kth = np.arange(rows.size) - np.searchsorted(rows, rows)
+    the origin."""
     least: dict[int, bytes] = {}
-    for k in range(kth.max() + 1):
-        pick = kth == k
-        codes = _rooted_code_arrays(nxt[rows[pick]], twin[rows[pick]], darts[pick])
-        for row, code in zip(rows[pick].tolist(), codes):
+    for rows, _, codes in _origin_rounds(nxt, twin, tail, origin):
+        for row, code in zip(rows.tolist(), codes):
             least[row] = min(least.get(row, code), code)
     return [least[row] for row in range(len(tail))]
 

@@ -26,7 +26,7 @@ from .planar_map import (
     RootedQuadrangulation,
     _array_map,
     _bfs_arrays,
-    _rooted_code_arrays,
+    _origin_rounds,
     _steps_to_end,
     _union,
 )
@@ -113,27 +113,26 @@ class DodderingTree:
 def doddering(labels) -> DodderingTree:
     """Build the doddering tree of a positive label process."""
     pred = predecessor_table(labels).values
-    children: dict[int, list[int]] = {}
-    for i, p in enumerate(pred):
-        children.setdefault(p, []).append(i)
-    for kids in children.values():
-        kids.sort(reverse=True)
-    # clockwise preorder assigns node ids; record the abscissa per id
+    # scanning the corners backwards lists each node's children by
+    # decreasing abscissa, which is their clockwise order
+    children: list[list[int]] = [[] for _ in range(len(pred) + 1)]  # by tag + 1
+    for i in range(len(pred) - 1, -1, -1):
+        children[pred[i] + 1].append(i)
+    # clockwise preorder assigns node ids; a node joins its parent's list
+    # when it is numbered
     kids_by_id: list[list[int]] = []
     tags: list[int] = []
-    stack = [-1]
-    id_of_tag: dict[int, int] = {}
+    stack = [(-1, -1)]  # (tag, parent id)
     while stack:
-        tag = stack.pop()
-        id_of_tag[tag] = len(tags)
+        tag, parent = stack.pop()
+        uid = len(tags)
+        if parent >= 0:
+            kids_by_id[parent].append(uid)
+        for c in reversed(children[tag + 1]):
+            stack.append((c, uid))
         tags.append(tag)
         kids_by_id.append([])
-        for c in reversed(children.get(tag, [])):
-            stack.append(c)
-    # second pass: children ids in clockwise order
-    for uid, tag in enumerate(tags):
-        kids_by_id[uid] = [id_of_tag[c] for c in children.get(tag, [])]
-    tree = _trusted(PlaneTree, children=tuple(tuple(cs) for cs in kids_by_id))
+    tree = _trusted(PlaneTree, children=tuple(map(tuple, kids_by_id)))
     return DodderingTree(tree, tuple(tags))
 
 
@@ -282,7 +281,8 @@ def assemble(
     appear by increasing assigned corner and each contributes its parent
     dart followed by its child darts by decreasing abscissa (the
     doddering clockwise order).  The root dart is the doddering root edge
-    (tag -1 to tag 0).
+    (tag -1 to tag 0).  With :func:`canonical_gluing` the result is
+    :func:`quad_of_tree`'s map dart for dart and vertex for vertex.
     """
     return RootedQuadrangulation(HalfEdgeMap.from_rotations(_glued_rotations(d, g, b)), 1)
 
@@ -299,28 +299,27 @@ def _glued_rotations(d: DodderingTree, g: GluerTree, b: GluingAssignment) -> lis
         raise ValueError("gluer corner count does not match the doddering tree")
     if b.targets and b.targets[-1] >= 2 * walk.n:
         raise ValueError("gluing target out of corner range")
+    tags = d.tags
     # label of the node tagged k is its depth in the doddering tree
-    depth_of_tag = {d.tags[u]: d.tree.depth[u] for u in range(d.tree.n_nodes)}
+    depth_of_tag = dict(zip(tags, d.tree.depth))
     corner_class = contour_nodes(walk)
     members: list[list[int]] = [[] for _ in range(walk.n + 1)]
     for k, corner in enumerate(b.targets):
         members[corner_class[corner]].append(k)
+    # chord k has darts 2k (at node tagged k) and 2k+1 (at its parent), so
+    # decreasing child darts list the children by decreasing abscissa
+    child_darts = {
+        tag: sorted([2 * tags[c] + 1 for c in kids], reverse=True)
+        for tag, kids in zip(tags, d.tree.children)
+    }
+    rotations: list[list[int]] = [child_darts[-1]]
     for group in members:
-        depths = {depth_of_tag[k] for k in group}
-        if len(depths) > 1:
+        if len({depth_of_tag[k] for k in group}) > 1:
             raise ValueError("gluing identifies nodes at different depths")
-    children_tags: dict[int, list[int]] = {t: [] for t in d.tags}
-    for u in range(1, d.tree.n_nodes):
-        children_tags[d.tags[d.tree.parent[u]]].append(d.tags[u])
-    for kids in children_tags.values():
-        kids.sort(reverse=True)
-    # chord k has darts 2k (at node tagged k) and 2k+1 (at its parent)
-    rotations: list[list[int]] = [[2 * t + 1 for t in children_tags[-1]]]
-    for group in members:
         rot: list[int] = []
         for k in group:
             rot.append(2 * k)
-            rot.extend(2 * t + 1 for t in children_tags[k])
+            rot += child_darts[k]
         rotations.append(rot)
     return rotations
 
@@ -448,13 +447,9 @@ def fiber(pq: PointedQuadrangulation) -> list[RootedQuadrangulation]:
     corner of the label process.
     """
     he = pq.map
-    darts = he.vertex_cycles[pq.origin]
-    shape = (len(darts), he.n_darts)
-    codes = _rooted_code_arrays(
-        np.broadcast_to(he.nxt, shape), np.broadcast_to(he.twin, shape), np.array(darts)
-    )
+    rounds = _origin_rounds(he.nxt[None], he.twin[None], he.tail[None], pq.origin)
+    code_of = {int(darts[0]): codes[0] for _, darts, codes in rounds}
     seen = {}
-    for d, code in zip(darts, codes):
-        if code not in seen:
-            seen[code] = _trusted(RootedQuadrangulation, map=he, root=d)
-    return [seen[c] for c in sorted(seen)]
+    for d in he.vertex_cycles[pq.origin]:
+        seen.setdefault(code_of[d], d)
+    return [_trusted(RootedQuadrangulation, map=he, root=seen[c]) for c in sorted(seen)]

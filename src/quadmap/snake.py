@@ -10,8 +10,8 @@ and rebases both components, forming a group action.
 The sampler draws the contour as sqrt(2) times a discretized normalized
 excursion (an exactly uniform lattice excursion scaled by 1/sqrt(m)) and,
 given the contour, the head as a centered Gaussian field with covariance
-``head_cov * min contour`` between two times.  The default coefficient is
-the discrete model's 2/3 (``DISCRETE_HEAD_COV``).  The grid object is
+``DISCRETE_HEAD_COV * min contour`` between two times, the discrete
+model's coefficient 2/3.  The grid object is
 meant to approximate the discrete encodings, which ``normalize_encoding``
 maps onto the same grid (contour / sqrt(n), labels / n^(1/4)).  In a
 labeled tree two corners share the label increments on their common
@@ -36,7 +36,6 @@ from .trees import _trusted
 
 __all__ = [
     "SnakePath",
-    "DEFAULT_HEAD_COV",
     "DISCRETE_HEAD_COV",
     "distance",
     "reroot_path",
@@ -50,7 +49,6 @@ __all__ = [
 ]
 
 DISCRETE_HEAD_COV = 2.0 / 3.0
-DEFAULT_HEAD_COV = DISCRETE_HEAD_COV
 
 _SNAKE_TOL_EXACT = 1e-9
 _SNAKE_TOL_SAMPLED = 1e-6
@@ -177,29 +175,31 @@ def first_argmin(values) -> float:
     return int(np.argmin(v[:m])) / m
 
 
-def positive_representatives(x: SnakePath, tau_min: float = 0.0) -> list[SnakePath]:
-    """Reroot images at every grid point within tau_min of the head minimum.
+def positive_representatives(x: SnakePath) -> list[SnakePath]:
+    """Reroot images at every grid point where the head is minimal.
 
     Each output attains its head minimum 0 at time 0.
     """
+    return list(_representatives(x))
+
+
+def _representatives(x: SnakePath):
+    """:func:`positive_representatives` one at a time, in time order, so a
+    caller that reads each once holds one rerooted copy, not all of them."""
     m = x.grid
     body = x.head[:m]
-    lo = body.min()
-    thetas = np.nonzero(body <= lo + tau_min)[0]
-    return [reroot_path(x, k / m) for k in thetas]
+    return (reroot_path(x, k / m) for k in np.flatnonzero(body == body.min()))
 
 
-def class_distances(
-    x: SnakePath, y: SnakePath, tau_min: float = 0.0
-) -> tuple[float, float]:
+def class_distances(x: SnakePath, y: SnakePath) -> tuple[float, float]:
     """(closest, farthest) distances between rerooting classes.
 
     The first entry minimizes the metric over all pairs of nonnegative
     representatives of x and y.  The second treats y as a single target
     point and maximizes over the representatives of x.
     """
-    reps_x = positive_representatives(x, tau_min)
-    reps_y = positive_representatives(y, tau_min)
+    reps_x = positive_representatives(x)
+    reps_y = positive_representatives(y)
     closest = min(distance(a, b) for a in reps_x for b in reps_y)
     farthest = max(distance(a, y) for a in reps_x)
     return closest, farthest
@@ -219,37 +219,33 @@ def normalize_encoding(e: Encoding, n: int | None = None) -> SnakePath:
 
 
 def sample_snake_batch(
-    m: int,
-    count: int,
-    rng: np.random.Generator,
-    head_cov: float = DEFAULT_HEAD_COV,
+    m: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampler; returns (heads, contours) of shape (count, m+1).
 
     The contour is sqrt(2)/sqrt(m) times a uniform lattice excursion of m
     steps; the head attaches independent centered Gaussian increments to
     the excursion's edges so that, given the contour, the covariance of the
-    head between two times is ``head_cov`` times the contour minimum
-    between them.  Each edge is one contour step of height sqrt(2/m), so
-    its increment has variance ``head_cov * sqrt(2/m)``.  On the grid
-    m = 2n this is ``head_cov / sqrt(n)``; a normalized labeled tree's
-    increments have variance (2/3) / sqrt(n), hence the default 2/3.
+    head between two times is ``DISCRETE_HEAD_COV`` = 2/3 times the
+    contour minimum between them.  Each edge is one contour step of height
+    sqrt(2/m), so its increment has variance (2/3) sqrt(2/m).  On the grid
+    m = 2n this is (2/3) / sqrt(n), the variance of a normalized labeled
+    tree's increments, hence the coefficient 2/3.
     """
     if m < 2 or m % 2:
         raise ValueError("grid size m must be even and >= 2")
     half = m // 2
     walks = dyck_walk_batch(half, count, rng)
     z = walks * (math.sqrt(2.0) / math.sqrt(m))
-    sigma = math.sqrt(head_cov * math.sqrt(2.0) / math.sqrt(m))
+    sigma = math.sqrt(DISCRETE_HEAD_COV * math.sqrt(2.0) / math.sqrt(m))
     incs = rng.normal(0.0, sigma, size=count * half)
     f = contour_accumulate(walks, incs, start=0.0)
     f[:, -1] = 0.0  # exact zero; the cumsum only leaves float residue
     return f, z
 
 
-def sample_snake(
-    m: int, rng: np.random.Generator, head_cov: float = DEFAULT_HEAD_COV
-) -> SnakePath:
+def sample_snake(m: int, rng: np.random.Generator) -> SnakePath:
     """One draw of the limit path pair on an m-interval grid."""
-    f, z = sample_snake_batch(m, 1, rng, head_cov)
-    return SnakePath(f[0], z[0], snake_tol=_SNAKE_TOL_SAMPLED)
+    f, z = sample_snake_batch(m, 1, rng)
+    # the sampler builds the head on the contour's edges, so the pair is valid
+    return _path(f[0], z[0], _SNAKE_TOL_SAMPLED)

@@ -155,10 +155,6 @@ class PlaneTree:
             dep[u] = dep[self.parent[u]] + 1
         return tuple(dep)
 
-    @classmethod
-    def from_walk(cls, walk: Walk) -> "PlaneTree":
-        return walk_to_tree(walk)
-
     def to_line(self) -> str:
         return dfw(self).to_line()
 

@@ -26,7 +26,7 @@ against a limit that the exact laws themselves do not reach:
   4^(1/4).  Each size's Monte Carlo curve must lie within 0.05 of its
   exact curve, and the exact gaps must shrink.
 
-Criterion 7 checks that the snake sampler realizes ``DEFAULT_HEAD_COV``
+Criterion 7 checks that the snake sampler realizes ``DISCRETE_HEAD_COV``
 times the contour minimum; ``tests/test_snake.py`` ties that constant to
 normalized uniform labeled trees.
 """
@@ -77,7 +77,7 @@ from quadmap.schaeffer import (
     quad_of_tree,
     tree_of_quad,
 )
-from quadmap.snake import DEFAULT_HEAD_COV, DISCRETE_HEAD_COV, sample_snake_batch
+from quadmap.snake import DISCRETE_HEAD_COV, sample_snake_batch
 from quadmap.trees import dfw, first_visit_times, height_process
 
 SEED = 303
@@ -292,11 +292,10 @@ def test_criterion_5b_rooted_vs_pointed(radius_pools):
 
 
 def test_criterion_5c_discrete_vs_snake(radius_pools, snake_pool):
-    # the pool is drawn at the default coefficient, the discrete model's 2/3
-    assert DEFAULT_HEAD_COV == DISCRETE_HEAD_COV
+    # the snake pool is drawn at the discrete model's coefficient 2/3
     ks = ks_statistic(radius_pools["pd14"], snake_pool)
     assert _verdict(
-        f"criterion 5c (discrete vs snake, head_cov={DEFAULT_HEAD_COV:.4f})",
+        f"criterion 5c (discrete vs snake, head_cov={DISCRETE_HEAD_COV:.4f})",
         ks <= 0.08,
         f"KS = {ks:.4f}",
     )
@@ -367,7 +366,7 @@ def test_criterion_7_snake_covariance():
         emp += float((f[:, s] * f[:, t]).sum())
         target += float(z[:, s : t + 1].min(axis=1).sum())
     emp /= draws
-    target = DEFAULT_HEAD_COV * target / draws
+    target = DISCRETE_HEAD_COV * target / draws
     rel = abs(emp - target) / target
     assert _verdict(
         "criterion 7 (snake covariance)",

@@ -103,7 +103,16 @@ def _cut_off_the_root_edge(rotations):
     return [[0, 1], [2, 3, 4, 5], [6, 7], [8, 9], [10, 11]]
 
 
-@pytest.mark.parametrize("corrupt", [_swap_two_darts, _repeat_a_dart, _cut_off_the_root_edge])
+def _swap_two_vertices(rotations):
+    # the same map with vertices 1 and 2 numbered the other way round:
+    # isomorphic to the chord map, but not equal to it
+    rotations[1], rotations[2] = rotations[2], rotations[1]
+    return rotations
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_swap_two_darts, _repeat_a_dart, _cut_off_the_root_edge, _swap_two_vertices]
+)
 def test_verify_reports_a_bad_gluing_as_a_fail_line(corrupt, monkeypatch, capsys):
     corrupted = []
 
@@ -151,6 +160,27 @@ def test_bad_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert message in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ('"sizes": "48"', "sizes"),
+        ('"sizes": [4.5]', "sizes"),
+        ('"replicas": 2.5', "replicas"),
+        ('"replicas": Infinity', "replicas"),
+        ('"seed": true', "seed"),
+    ],
+)
+def test_malformed_config_files_are_usage_errors(config, field, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    good = '"name": "hp_gap", "sizes": [4, 8], "replicas": 2, "seed": 1'
+    path.write_text("{" + good + ", " + config + "}")  # the later key wins
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert field in err and "Traceback" not in err and out == ""
 
 
 def test_experiment_requires_name():

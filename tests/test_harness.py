@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -108,6 +110,9 @@ def test_edge_length_model_validation():
         EdgeLengthModel("pareto", (0.5,))
     with pytest.raises(ValueError):
         EdgeLengthModel("gamma", ())
+    for beta in (math.nan, math.inf):  # both would draw NaN lengths
+        with pytest.raises(ValueError, match="params"):
+            EdgeLengthModel("pareto", (beta,))
     assert EdgeLengthModel("pareto", (3.5,)).has_finite_moment(4) is False
     assert EdgeLengthModel("uniform", (0.5, 1.5)).has_finite_moment(40)
 
@@ -173,11 +178,24 @@ def test_experiment_config_validation():
         ExperimentConfig.from_json('{"name": "radius", "sizes": [8]}')
     with pytest.raises(ValueError, match="JSON object"):
         ExperimentConfig.from_json("[1, 2]")
-    # what run_experiment would reject mid-run is rejected up front
-    for bad in ({"sizes": (0, 4)}, {"seed": -1}, {"grid_m": 3}, {"grid_m": 0}):
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{"name": "radius", "sizes": (4, 8), "replicas": 2, "seed": 0, **bad})
+    # what run_experiment would reject mid-run, or would misread, is
+    # rejected up front with the field's name, from code and from JSON
+    good = {"name": "radius", "sizes": (4, 8), "replicas": 2, "seed": 0}
+    for bad in (
+        {"sizes": (0, 4)}, {"seed": -1}, {"grid_m": 3}, {"grid_m": 0},
+        {"sizes": (4.5,)}, {"sizes": "48"}, {"sizes": 48},
+        {"replicas": 2.5}, {"replicas": math.inf}, {"replicas": True},
+        {"seed": 1.5}, {"seed": True}, {"seed": "1"}, {"grid_m": 64.0}, {"output": 1},
+    ):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{**good, **bad})
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json(json.dumps({**good, **bad}))
     assert ExperimentConfig("hp_gap", (4, 8), 2, 0, grid_m=3).grid_m == 3  # unused there
+    cfg = ExperimentConfig("radius", np.array([4, 8]), np.int64(2), np.uint32(5), np.int16(6))
+    assert (cfg.sizes, cfg.replicas, cfg.seed, cfg.grid_m) == ((4, 8), 2, 5, 6)
+    assert all(type(v) is int for v in (*cfg.sizes, cfg.replicas, cfg.seed, cfg.grid_m))
 
 
 @pytest.mark.parametrize("name", ["radius", "profile", "hp_gap", "class_diameter", "edge_gap"])

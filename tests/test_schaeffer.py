@@ -132,6 +132,7 @@ def test_assemble_matches_direct_construction(n):
         g = gluer(t)
         built = assemble(d, g, canonical_gluing(d, g))
         q = quad_of_tree(t)
+        assert built == q  # dart for dart, vertex for vertex
         assert rooted_code(built.map, built.root) == rooted_code(q.map, q.root)
         assert built.map.n_vertices == n + 2
 

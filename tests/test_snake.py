@@ -9,7 +9,7 @@ from quadmap.enumeration import labeled_trees
 from quadmap.labeled import Encoding, encode, reroot
 from quadmap.paths import uniform_encoding_arrays
 from quadmap.snake import (
-    DEFAULT_HEAD_COV,
+    DISCRETE_HEAD_COV,
     SnakePath,
     class_distances,
     distance,
@@ -154,14 +154,14 @@ def test_sample_snake_covariance_smoke():
     f, z = sample_snake_batch(m, 30000, rng)
     s, t = int(0.3 * m), int(0.7 * m)
     emp = float((f[:, s] * f[:, t]).mean())
-    target = DEFAULT_HEAD_COV * float(z[:, s : t + 1].min(axis=1).mean())
+    target = DISCRETE_HEAD_COV * float(z[:, s : t + 1].min(axis=1).mean())
     assert abs(emp - target) / target < 0.08
 
 
 def test_default_head_cov_matches_normalized_labeled_trees():
     # the same check on the discrete object the sampler approximates:
     # normalize_encoding puts uniform labeled trees with n = m/2 edges on
-    # the grid m, and their heads carry the covariance DEFAULT_HEAD_COV
+    # the grid m, and their heads carry the covariance DISCRETE_HEAD_COV
     # times the contour minimum (2/3 = 0.667, not sqrt(2/3) = 0.816)
     rng = np.random.default_rng(7)
     m = 128
@@ -176,13 +176,13 @@ def test_default_head_cov_matches_normalized_labeled_trees():
     z = np.array([p.contour for p in paths])
     s, t = int(0.3 * m), int(0.7 * m)
     emp = float((f[:, s] * f[:, t]).mean())
-    target = DEFAULT_HEAD_COV * float(z[:, s : t + 1].min(axis=1).mean())
+    target = DISCRETE_HEAD_COV * float(z[:, s : t + 1].min(axis=1).mean())
     assert abs(emp - target) / target < 0.08
 
 
 def test_head_cov_identity_exact_over_all_labeled_trees():
     # exhaustively, for every pair of grid times: E[f_s f_t] equals
-    # DEFAULT_HEAD_COV * E[min z over [s, t]] under the uniform law
+    # DISCRETE_HEAD_COV * E[min z over [s, t]] under the uniform law
     n = 4
     paths = [normalize_encoding(encode(tree)) for tree in labeled_trees(n)]
     f = np.array([p.head for p in paths])
@@ -190,7 +190,7 @@ def test_head_cov_identity_exact_over_all_labeled_trees():
     for s in range(2 * n + 1):
         for t in range(s, 2 * n + 1):
             emp = float((f[:, s] * f[:, t]).mean())
-            target = DEFAULT_HEAD_COV * float(z[:, s : t + 1].min(axis=1).mean())
+            target = DISCRETE_HEAD_COV * float(z[:, s : t + 1].min(axis=1).mean())
             assert emp == pytest.approx(target, rel=1e-12, abs=1e-12)
 
 
