@@ -11,7 +11,6 @@ A bad argument value or an unreadable file (a ``ValueError`` or
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -21,22 +20,15 @@ from . import enumeration, harness
 from .labeled import encode
 from .planar_map import (
     _bfs_arrays,
+    _csr_rotation_arrays,
     _face_array,
     _pointed_code_arrays,
     _rooted_code_arrays,
-    _rotation_arrays,
     save_map,
 )
-from .schaeffer import (
-    _chord_arrays,
-    _glued_rotations,
-    _tree_of_quad_arrays,
-    canonical_gluing,
-    doddering,
-    gluer,
-)
+from .schaeffer import _chord_arrays, _glued_arrays, _predecessor_array, _tree_of_quad_arrays
 from .snake import sample_snake
-from .trees import height_process
+from .trees import dfw
 
 __all__ = ["main"]
 
@@ -144,36 +136,33 @@ def _bijection_checks(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray, 
         and np.array_equal(np.count_nonzero(tail == 0, axis=1), minima)
         and np.array_equal(dist.max(axis=1), node_labels.max(axis=1))
     )
-    ok = _gluing_check(body, shape, shapes, nxt, tail) and ok
+    ok = _gluing_check(body, walks, shape, shapes, nxt, tail) and ok
     pointed = _pointed_code_arrays(nxt, twin, tail, 0) if n <= enumeration.MAX_LAW_N else []
     return codes, round_trip, ok, pointed
 
 
-def _gluing_check(body: np.ndarray, shape: np.ndarray, shapes, nxt, tail) -> bool:
-    """Whether the doddering/gluer construction of each label body, on its
-    gluer tree ``shapes[shape[b]]``, has reverse height process
-    (0, *body[b]) and reproduces the chord map (nxt[b], tail[b]) dart for
-    dart and vertex for vertex.  Objects are glued one at a time into one
-    union of rotation lists (object b's darts offset by b·4n, its vertices
-    by b·(n + 2)) that must list every dart once and whose (nxt, tail),
-    offsets removed, must equal the chord stack's."""
-    count, n = len(body), body.shape[1] // 2
-    m, n_vertices = 4 * n, n + 2
-    union = []
-    for b, (row, s) in enumerate(zip(body.tolist(), shape.tolist())):
-        d = doddering(row)
-        g = gluer(shapes[s])
-        rotations = _glued_rotations(d, g, canonical_gluing(d, g))
-        if len(rotations) != n_vertices or height_process(d.tree, "reverse") != (0, *row):
-            return False
-        union += ([dart + b * m for dart in cyc] for cyc in rotations)
-    flat = np.fromiter(itertools.chain.from_iterable(union), dtype=np.int64)
-    if not np.array_equal(np.sort(flat), np.arange(count * m)):
+def _gluing_check(body, walks, shape, shapes, nxt, tail) -> bool:
+    """Whether the doddering trees of the (B, 2n) label bodies, glued along
+    their (B, 2n+1) gluer walks by one ``_glued_arrays`` call, have reverse
+    height process (0, *body[b]), list every dart once and give the chord
+    stack's (nxt, tail), offsets removed; and whether each distinct gluer
+    tree ``shapes[s]`` has the walk of its rows.  Mixed depths fail it."""
+    count, m = len(body), 2 * body.shape[1]
+    try:
+        flat, sizes, depth, nested = _glued_arrays(_predecessor_array(body), walks)
+    except ValueError:  # a glued vertex mixes depths
         return False
-    glued_nxt, glued_tail = _rotation_arrays(union)
+    listed = np.array_equal(np.sort(flat), np.arange(count * m))
+    if not (listed and nested.all() and np.array_equal(depth, body)):
+        return False
+    kinds = np.unique(shape)
+    gluer_walks = np.array([dfw(shapes[s]).steps for s in kinds.tolist()])
+    glued_nxt, glued_tail = _csr_rotation_arrays(flat, sizes)
     row = np.arange(count)[:, None]
-    return np.array_equal(glued_nxt.reshape(count, m) - m * row, nxt) and np.array_equal(
-        glued_tail.reshape(count, m) - n_vertices * row, tail
+    return (
+        np.array_equal(gluer_walks[np.searchsorted(kinds, shape)], walks)
+        and np.array_equal(glued_nxt.reshape(count, m) - m * row, nxt)
+        and np.array_equal(glued_tail.reshape(count, m) - (m // 4 + 2) * row, tail)
     )
 
 

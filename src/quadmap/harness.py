@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +33,7 @@ from .paths import (
 from .planar_map import PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point
 from .snake import _path, _representatives, distance, sample_snake_batch
+from .trees import _integer
 
 __all__ = [
     "ExperimentConfig",
@@ -101,18 +101,6 @@ class ExperimentConfig:
             raise ValueError(f"experiment config is missing {', '.join(map(repr, missing))}")
         fields = ("name", "sizes", "replicas", "seed", "grid_m", "output")
         return cls(**{k: data[k] for k in fields if k in data})
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int if it is an integer (numpy integers included),
-    else a ``ValueError`` naming the field: bools, floats and strings are
-    not silently converted."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import _reroot_keys
-from .trees import PlaneTree, Walk, _trusted, contour_nodes, dfw, walk_to_tree
+from .paths import _reroot_arrays, _reroot_keys
+from .trees import PlaneTree, Walk, _integer, _trusted, contour_nodes, dfw, walk_to_tree
 
 __all__ = [
     "LabeledTree",
@@ -168,29 +168,13 @@ def reroot(enc: Encoding, theta: int) -> Encoding:
     cyclic of order 2n, so theta = 2n acts as the identity, and
     ``reroot(reroot(e, a), b) == reroot(e, (a + b) % 2n)``.
     """
-    two_n = len(enc.labels) - 1
+    two_n, theta = len(enc.labels) - 1, _integer(theta, "theta")
     if not 0 <= theta <= two_n:
         raise ValueError(f"theta must lie in [0, {two_n}]")
-    th = theta % two_n
-    if th == 0:
+    if theta % two_n == 0:
         return enc
-    labs, w = enc.labels, enc.walk.steps
-    base = labs[th]
-    new_labels = [labs[(th + i) % two_n] - base + 1 for i in range(two_n)]
-    new_labels.append(1)
-    new_walk = [0] * (two_n + 1)
-    run_min = w[th]
-    for j in range(th, two_n + 1):
-        if w[j] < run_min:
-            run_min = w[j]
-        new_walk[j - th] = w[j] + w[th] - 2 * run_min
-    run_min = w[th]
-    for j in range(th, -1, -1):
-        if w[j] < run_min:
-            run_min = w[j]
-        new_walk[j + two_n - th] = w[j] + w[th] - 2 * run_min
-    walk = _trusted(Walk, steps=tuple(new_walk))
-    return _trusted(Encoding, labels=tuple(new_labels), walk=walk)
+    labels, walk = _reroot_arrays(np.array(enc.labels), np.array(enc.walk.steps), theta)
+    return _encoding_from_arrays(labels, walk)
 
 
 def first_min_corner(labels) -> int:

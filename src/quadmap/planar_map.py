@@ -249,18 +249,23 @@ def _check_arrays(he: HalfEdgeMap) -> None:
 
 
 def _rotation_arrays(rotations) -> tuple[np.ndarray, np.ndarray]:
-    """(nxt, tail) of per-vertex dart lists in rotation order, which must
-    list every dart 0..m-1 once, read by segment offsets."""
-    m = sum(len(cyc) for cyc in rotations)
-    flat = np.fromiter(itertools.chain.from_iterable(rotations), dtype=np.int64, count=m)
+    """(nxt, tail) of per-vertex dart lists in rotation order."""
     sizes = np.fromiter(map(len, rotations), dtype=np.int64, count=len(rotations))
+    flat = np.fromiter(itertools.chain.from_iterable(rotations), dtype=np.int64, count=sizes.sum())
+    return _csr_rotation_arrays(flat, sizes)
+
+
+def _csr_rotation_arrays(flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nxt, tail) of rotation lists given as one flat array listing every
+    dart 0..m-1 once, vertex v's ``sizes[v]`` darts after vertex v - 1's."""
+    m = flat.size
     ends = np.cumsum(sizes)
     succ = np.arange(1, m + 1)
     succ[ends[sizes > 0] - 1] = (ends - sizes)[sizes > 0]  # last of a list -> its first
     nxt = np.empty(m, dtype=np.int64)
     tail = np.empty(m, dtype=np.int64)
     nxt[flat] = flat[succ]
-    tail[flat] = np.repeat(np.arange(len(rotations)), sizes)
+    tail[flat] = np.repeat(np.arange(len(sizes)), sizes)
     return nxt, tail
 
 
@@ -342,7 +347,7 @@ def _ascii_ints(values: np.ndarray):
     text = chars[keep].tobytes()
     if values.ndim == 1:
         return text[:-1]
-    ends = np.cumsum(keep.sum(axis=1).reshape(values.shape).sum(axis=1)).tolist()
+    ends = np.cumsum(np.count_nonzero(keep.reshape(len(values), -1), axis=1)).tolist()
     return [text[a:b - 1] for a, b in zip([0] + ends[:-1], ends)]
 
 

@@ -8,6 +8,9 @@ earlier corner labeled one less, the extra origin corner acting as label
 auxiliary trees: a "doddering" tree carrying each chord once, and a
 "gluer" tree (the underlying plane tree) telling which doddering nodes
 get identified; :func:`assemble` performs that identification directly.
+Both run as numpy kernels on stacks of objects (``_chord_arrays`` and
+``_glued_arrays``), so ``quadmap verify`` checks one against the other
+on every small tree at once.
 
 Inverse direction: label the quadrangulation's vertices by distance to
 the root vertex, select one edge or diagonal per face by the local label
@@ -20,17 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labeled import LabeledTree, encode, is_well_labeled
+from .paths import doddering_rdfw
 from .planar_map import (
     HalfEdgeMap,
     PointedQuadrangulation,
     RootedQuadrangulation,
     _array_map,
     _bfs_arrays,
+    _csr_rotation_arrays,
     _origin_rounds,
     _steps_to_end,
     _union,
 )
-from .trees import PlaneTree, Walk, _trusted, contour_nodes, dfw
+from .trees import PlaneTree, Walk, _integer, _trusted, dfw, visit_order, walk_to_tree
 
 __all__ = [
     "PredecessorTable",
@@ -109,31 +114,27 @@ class DodderingTree:
     tree: PlaneTree
     tags: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        tags = tuple(_integer(t, "doddering tag") for t in self.tags)
+        object.__setattr__(self, "tags", tags)
+        if len(tags) != self.tree.n_nodes:
+            raise ValueError(f"{len(tags)} doddering tags for {self.tree.n_nodes} nodes")
+        if tags[0] != -1:
+            raise ValueError("the doddering root must carry the tag -1")
+        if sorted(tags) != list(range(-1, len(tags) - 1)):
+            raise ValueError(f"doddering tags must be a permutation of -1..{len(tags) - 2}")
+
 
 def doddering(labels) -> DodderingTree:
-    """Build the doddering tree of a positive label process."""
-    pred = predecessor_table(labels).values
-    # scanning the corners backwards lists each node's children by
-    # decreasing abscissa, which is their clockwise order
-    children: list[list[int]] = [[] for _ in range(len(pred) + 1)]  # by tag + 1
-    for i in range(len(pred) - 1, -1, -1):
-        children[pred[i] + 1].append(i)
-    # clockwise preorder assigns node ids; a node joins its parent's list
-    # when it is numbered
-    kids_by_id: list[list[int]] = []
-    tags: list[int] = []
-    stack = [(-1, -1)]  # (tag, parent id)
-    while stack:
-        tag, parent = stack.pop()
-        uid = len(tags)
-        if parent >= 0:
-            kids_by_id[parent].append(uid)
-        for c in reversed(children[tag + 1]):
-            stack.append((c, uid))
-        tags.append(tag)
-        kids_by_id.append([])
-    tree = _trusted(PlaneTree, children=tuple(map(tuple, kids_by_id)))
-    return DodderingTree(tree, tuple(tags))
+    """Build the doddering tree of a positive label process.  Its reverse
+    traversal visits the tags -1, 0, 1, ... at depths (0, *labels), so its
+    contour is :func:`~quadmap.paths.doddering_rdfw` read backwards."""
+    walk = doddering_rdfw(np.array(_check_label_process(labels)))
+    tree = walk_to_tree(_trusted(Walk, steps=tuple(walk[::-1].tolist())))
+    tags = [0] * tree.n_nodes
+    for tag, u in enumerate(visit_order(tree, "reverse"), start=-1):
+        tags[u] = tag
+    return _trusted(DodderingTree, tree=tree, tags=tuple(tags))
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class GluingAssignment:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        t = tuple(int(x) for x in self.targets)
+        t = tuple(_integer(x, "gluing target") for x in self.targets)
         object.__setattr__(self, "targets", t)
         if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError("gluing assignment must be strictly increasing")
@@ -284,13 +285,6 @@ def assemble(
     (tag -1 to tag 0).  With :func:`canonical_gluing` the result is
     :func:`quad_of_tree`'s map dart for dart and vertex for vertex.
     """
-    return RootedQuadrangulation(HalfEdgeMap.from_rotations(_glued_rotations(d, g, b)), 1)
-
-
-def _glued_rotations(d: DodderingTree, g: GluerTree, b: GluingAssignment) -> list[list[int]]:
-    """:func:`assemble`'s vertex rotation lists, after its checks that the
-    sizes match and that no glued vertex mixes depths: the origin (the
-    doddering root) first, then one list per gluer node."""
     n_nonroot = d.tree.n_nodes - 1
     walk = g.walk
     if len(b.targets) != n_nonroot:
@@ -299,29 +293,54 @@ def _glued_rotations(d: DodderingTree, g: GluerTree, b: GluingAssignment) -> lis
         raise ValueError("gluer corner count does not match the doddering tree")
     if b.targets and b.targets[-1] >= 2 * walk.n:
         raise ValueError("gluing target out of corner range")
-    tags = d.tags
-    # label of the node tagged k is its depth in the doddering tree
-    depth_of_tag = dict(zip(tags, d.tree.depth))
-    corner_class = contour_nodes(walk)
-    members: list[list[int]] = [[] for _ in range(walk.n + 1)]
-    for k, corner in enumerate(b.targets):
-        members[corner_class[corner]].append(k)
-    # chord k has darts 2k (at node tagged k) and 2k+1 (at its parent), so
-    # decreasing child darts list the children by decreasing abscissa
-    child_darts = {
-        tag: sorted([2 * tags[c] + 1 for c in kids], reverse=True)
-        for tag, kids in zip(tags, d.tree.children)
-    }
-    rotations: list[list[int]] = [child_darts[-1]]
-    for group in members:
-        if len({depth_of_tag[k] for k in group}) > 1:
-            raise ValueError("gluing identifies nodes at different depths")
-        rot: list[int] = []
-        for k in group:
-            rot.append(2 * k)
-            rot += child_darts[k]
-        rotations.append(rot)
-    return rotations
+    # the checks leave only the canonical assignment: 2n increasing corners in [0, 2n)
+    tags = np.array(d.tags)
+    parent = tags[np.array(d.tree.parent)][np.argsort(tags)[1:]]  # each tag's parent tag
+    flat, sizes, _, _ = _glued_arrays(parent[None], np.array(walk.steps)[None])
+    twin = np.arange(flat.size) ^ 1
+    return RootedQuadrangulation(HalfEdgeMap(twin, *_csr_rotation_arrays(flat, sizes)), 1)
+
+
+def _glued_arrays(parent: np.ndarray, walk: np.ndarray):
+    """:func:`assemble` with the canonical assignment for (B, 2n) stacks of
+    each doddering tag's parent tag (-1: the root) and (B, 2n+1) gluer
+    walks, run as their disjoint union.  Returns its rotation lists as a
+    flat dart array and one size per vertex (object b's darts offset by
+    b·4n, its vertices by b·(n + 2)), the (B, 2n) tag depths, and whether
+    in each object every tag's parent is an ancestor-or-self of the
+    previous tag: whether the reverse traversal lists the tags in order.
+    Each node's block, its parent dart then its child darts, is placed by
+    a cumulative sum of the block sizes taken vertex after vertex."""
+    count, size = parent.shape
+    root_first = ((0, 0), (1, 0))  # object b's tag k is node b(size + 1) + k + 1
+    up = _union(np.pad(parent + 1, root_first), size + 1)
+    nonroot = np.arange(up.size) % (size + 1) > 0
+    depth = _steps_to_end(up, ~nonroot)
+    child = np.flatnonzero(nonroot)
+    # lift each tag's previous tag (node child - 1) to its parent's depth
+    steps = depth[child - 1] - depth[up[child]]
+    at, jump = child - 1, up
+    for bit in range(int(steps.max()).bit_length()):
+        at = np.where(steps >> bit & 1, jump[at], at)
+        jump = jump[jump]
+    nested = ((steps >= 0) & (at == up[child])).reshape(count, size).all(axis=1)
+    vertex = _union(np.pad(_contour_node_array(walk)[:, :size] + 1, root_first), size // 2 + 2)
+    order = np.argsort(vertex, kind="stable")
+    glued = vertex[order][1:] == vertex[order][:-1]
+    if np.any(glued & (depth[order][1:] != depth[order][:-1])):
+        raise ValueError("gluing identifies nodes at different depths")
+    kids = np.bincount(up[child], minlength=up.size)
+    block = kids + nonroot
+    start = np.empty(up.size, dtype=np.int64)
+    start[order] = np.cumsum(block[order]) - block[order]
+    # children grouped by parent, each group by decreasing tag
+    by_parent = child[::-1][np.argsort(up[child][::-1], kind="stable")]
+    rank = np.arange(child.size) - (np.cumsum(kids) - kids)[up[by_parent]]
+    flat = np.empty(2 * child.size, dtype=np.int64)
+    flat[start[child]] = 2 * np.arange(child.size)  # object b's tag k is b·size + k
+    flat[(start + nonroot)[up[by_parent]] + rank] = 2 * (by_parent - by_parent // (size + 1)) - 1
+    sizes = np.bincount(vertex, weights=block).astype(np.int64)
+    return flat, sizes, depth.reshape(count, size + 1)[:, 1:], nested
 
 
 # -- inverse construction -------------------------------------------------

@@ -12,6 +12,7 @@ mirrored tree.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,18 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer (numpy integers included),
+    else a ``ValueError`` naming ``name``: bools, floats and strings are
+    not silently converted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 def _check_direction(direction: str) -> None:

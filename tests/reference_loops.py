@@ -11,18 +11,18 @@ from collections import deque
 import numpy as np
 
 from quadmap.labeled import (
+    Encoding,
     LabeledTree,
     _encoding_from_arrays,
     decode,
     encode,
     first_min_corner,
     minima_set,
-    reroot,
 )
 from quadmap.paths import uniform_encoding_arrays
 from quadmap.planar_map import RootedQuadrangulation, _array_map
 from quadmap.schaeffer import point
-from quadmap.trees import PlaneTree, _trusted, contour_nodes
+from quadmap.trees import PlaneTree, Walk, _trusted, contour_nodes
 
 
 def orbits(perm) -> list[tuple[int, ...]]:
@@ -304,6 +304,78 @@ def tree_of_quad(q) -> LabeledTree:
         stack.extend(reversed(children[u]))
     tree = _trusted(PlaneTree, children=tuple(tuple(new_id[c] for c in children[u]) for u in order))
     return _trusted(LabeledTree, tree=tree, labels=tuple(labels_out[u] for u in order))
+
+
+# -- the doddering/gluer gluing ----------------------------------------------
+
+
+def glued_rotations(d, g, b) -> list[list[int]]:
+    """``assemble``'s vertex rotation lists, after its checks that the sizes
+    match and that no glued vertex mixes depths: the origin (the doddering
+    root) first, then one list per gluer node."""
+    n_nonroot = d.tree.n_nodes - 1
+    walk = g.walk
+    if len(b.targets) != n_nonroot:
+        raise ValueError("assignment size does not match the doddering tree")
+    if n_nonroot != walk.n * 2:
+        raise ValueError("gluer corner count does not match the doddering tree")
+    if b.targets and b.targets[-1] >= 2 * walk.n:
+        raise ValueError("gluing target out of corner range")
+    tags = d.tags
+    # label of the node tagged k is its depth in the doddering tree
+    depth_of_tag = dict(zip(tags, d.tree.depth))
+    corner_class = contour_nodes(walk)
+    members = [[] for _ in range(walk.n + 1)]
+    for k, corner in enumerate(b.targets):
+        members[corner_class[corner]].append(k)
+    # chord k has darts 2k (at node tagged k) and 2k+1 (at its parent), so
+    # decreasing child darts list the children by decreasing abscissa
+    child_darts = {
+        tag: sorted([2 * tags[c] + 1 for c in kids], reverse=True)
+        for tag, kids in zip(tags, d.tree.children)
+    }
+    rotations = [child_darts[-1]]
+    for group in members:
+        if len({depth_of_tag[k] for k in group}) > 1:
+            raise ValueError("gluing identifies nodes at different depths")
+        rot = []
+        for k in group:
+            rot.append(2 * k)
+            rot += child_darts[k]
+        rotations.append(rot)
+    return rotations
+
+
+# -- rerooting ----------------------------------------------------------------
+
+
+def reroot(enc, theta: int):
+    """``labeled.reroot``: labels rotated to corner theta and shifted to 1,
+    and the walk as tree distances from the node at corner theta, read with
+    running minima forward to the end and backward to corner 0."""
+    two_n = len(enc.labels) - 1
+    if not 0 <= theta <= two_n:
+        raise ValueError(f"theta must lie in [0, {two_n}]")
+    th = theta % two_n
+    if th == 0:
+        return enc
+    labs, w = enc.labels, enc.walk.steps
+    base = labs[th]
+    new_labels = [labs[(th + i) % two_n] - base + 1 for i in range(two_n)]
+    new_labels.append(1)
+    new_walk = [0] * (two_n + 1)
+    run_min = w[th]
+    for j in range(th, two_n + 1):
+        if w[j] < run_min:
+            run_min = w[j]
+        new_walk[j - th] = w[j] + w[th] - 2 * run_min
+    run_min = w[th]
+    for j in range(th, -1, -1):
+        if w[j] < run_min:
+            run_min = w[j]
+        new_walk[j + two_n - th] = w[j] + w[th] - 2 * run_min
+    walk = _trusted(Walk, steps=tuple(new_walk))
+    return _trusted(Encoding, labels=tuple(new_labels), walk=walk)
 
 
 # -- samplers -----------------------------------------------------------------

@@ -57,10 +57,14 @@ from quadmap.planar_map import (
 from quadmap.schaeffer import (
     _chord_arrays,
     _contour_node_array,
+    _glued_arrays,
     _labeled_tree_of_arrays,
     _predecessor_array,
     _tree_of_quad_arrays,
+    canonical_gluing,
+    doddering,
     fiber,
+    gluer,
     point,
     predecessor_table,
     quad_of_tree,
@@ -141,9 +145,10 @@ def test_kernels_match_python_on_all_small_quads(n):
         assert _labeled_tree_of_arrays(walk, node_labels) == decode(enc) == tree
         for theta in range(2 * n):
             new_labels, new_walk = _reroot_arrays(labels, walk, theta)
-            again = reroot(enc, theta)
+            again = reference.reroot(enc, theta)
             assert tuple(new_labels.tolist()) == again.labels
             assert tuple(new_walk.tolist()) == again.walk.steps
+            assert reroot(enc, theta) == again
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -173,7 +178,7 @@ def test_kernels_match_python_on_sampled_maps(n):
     raw_enc = encode(raw)
     for theta in rng.integers(0, 2 * n, size=5):
         new_labels, new_walk = _reroot_arrays(raw_labels[0], raw_walks[0], int(theta))
-        again = reroot(raw_enc, int(theta))
+        again = reference.reroot(raw_enc, int(theta))
         assert tuple(new_labels.tolist()) == again.labels
         assert tuple(new_walk.tolist()) == again.walk.steps
 
@@ -234,6 +239,24 @@ def test_public_functions_equal_on_both_paths(n):
     assert public == expected
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_glued_arrays_match_the_reference_loop(n):
+    # every well-labeled tree of size n in one stack, against the loop
+    # glued one tree at a time, its darts and vertices offset as in the union
+    trees = well_labeled_trees(n)
+    body = np.array([encode(t).labels[:-1] for t in trees])
+    walks = np.array([encode(t).walk.steps for t in trees])
+    flat, sizes, depth, nested = _glued_arrays(_predecessor_array(body), walks)
+    expected_flat, expected_sizes = [], []
+    for b, t in enumerate(trees):
+        d, g = doddering(body[b]), gluer(t)
+        for rot in reference.glued_rotations(d, g, canonical_gluing(d, g)):
+            expected_flat += [dart + 4 * n * b for dart in rot]
+            expected_sizes.append(len(rot))
+    assert flat.tolist() == expected_flat and sizes.tolist() == expected_sizes
+    assert np.array_equal(depth, body) and nested.all()
+
+
 def test_text_kernels_match_join_and_int():
     rng = np.random.default_rng(3)
     samples = [
@@ -252,6 +275,16 @@ def test_text_kernels_match_join_and_int():
             assert parsed is None  # 19 digits: left to int
     for line in ("", ",", "1,", ",1", "1,,2", "-1,2", " 1", "1_0", "+1", "１", "1 "):
         assert _parse_ascii_ints(line) is None
+
+
+def test_stacked_text_rows_match_single_rows():
+    # a stack is written at its widest value's width, with the leading
+    # zeros of each narrower value masked out row by row
+    rng = np.random.default_rng(4)
+    rows = np.array([[0, 1, 2], [1000, 5, 99999], [7, 7, 7], [10**9, 0, 10**12]])
+    drawn = rng.integers(0, 10**6, (50, 2, 9)) // 10 ** rng.integers(0, 6, (50, 1, 1))
+    for stack in (rows, rows[:, None, :], drawn):
+        assert _ascii_ints(stack) == [_ascii_ints(row.ravel()) for row in stack]
 
 
 # -- rejection parity ---------------------------------------------------------
@@ -455,7 +488,7 @@ def _orbit_oracle(n):
     found = {}
     for tree in labeled_trees(n):
         enc = encode(tree)
-        images = [reroot(enc, theta) for theta in range(2 * n)]
+        images = [reference.reroot(enc, theta) for theta in range(2 * n)]
         keys = [(e.labels, e.walk.steps) for e in images]
         rep_key = min(keys)
         if rep_key in found:
@@ -476,13 +509,13 @@ def test_unrooted_count_matches_per_object_loop(n):
     classes = set()
     for tree in plane_trees(n):
         enc = encode(LabeledTree(tree, (1,) * tree.n_nodes))
-        classes.add(min(reroot(enc, theta).walk.steps for theta in range(2 * n)))
+        classes.add(min(reference.reroot(enc, theta).walk.steps for theta in range(2 * n)))
     assert unrooted_plane_tree_count(n) == len(classes)
 
 
 def _stabilizer_oracle(tree):
     enc = encode(tree)
-    return sum(1 for theta in range(2 * tree.n) if reroot(enc, theta) == enc)
+    return sum(1 for theta in range(2 * tree.n) if reference.reroot(enc, theta) == enc)
 
 
 def test_stabilizer_size_matches_per_corner_loop():

@@ -1,12 +1,14 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from quadmap import cli
 from quadmap.cli import main
 from quadmap.labeled import Encoding
 from quadmap.planar_map import load_map
-from quadmap.schaeffer import _glued_rotations
+from quadmap.schaeffer import _glued_arrays
 
 
 def test_enumerate_counts(capsys):
@@ -110,20 +112,48 @@ def _swap_two_vertices(rotations):
     return rotations
 
 
+def _reparent_a_tag(parent):
+    """Hang, in the first row that allows it, the first tag k that can be
+    hung from a tag j < k at its parent's depth that is no ancestor-or-self
+    of tag k - 1, from the least such j; depths stay as they were."""
+
+    def line(row, t):  # t and its ancestors, the root (-1) last
+        return [t] + line(row, row[t]) if t >= 0 else [-1]
+
+    for row in parent:
+        for k in range(1, row.size):
+            depth = len(line(row, row[k]))
+            j = next(
+                (j for j in range(k) if len(line(row, j)) == depth and j not in line(row, k - 1)),
+                None,
+            )
+            if j is not None:
+                row[k] = j
+                return parent
+    raise AssertionError("no tag of the slice can be hung elsewhere at the same depth")
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_swap_two_darts, _repeat_a_dart, _cut_off_the_root_edge, _swap_two_vertices]
+    "corrupt",
+    [_swap_two_darts, _repeat_a_dart, _cut_off_the_root_edge, _swap_two_vertices, _reparent_a_tag],
 )
 def test_verify_reports_a_bad_gluing_as_a_fail_line(corrupt, monkeypatch, capsys):
     corrupted = []
 
-    def glue(d, g, b):
-        rotations = _glued_rotations(d, g, b)
-        if g.tree.n == 3 and not corrupted:  # one object of size 3
-            corrupted.append(True)
-            return corrupt(rotations)
-        return rotations
+    def glue(parent, walk):
+        if walk.shape[1] != 7 or corrupted:  # corrupt one object of size 3
+            return _glued_arrays(parent, walk)
+        corrupted.append(True)
+        if corrupt is _reparent_a_tag:
+            return _glued_arrays(_reparent_a_tag(parent.copy()), walk)
+        flat, sizes, depth, nested = _glued_arrays(parent, walk)
+        ends = np.cumsum(sizes[:5])  # the first object's n + 2 = 5 vertices
+        rotations = corrupt([flat[a:b].tolist() for a, b in zip(ends - sizes[:5], ends)])
+        flat = np.concatenate((list(itertools.chain(*rotations)), flat[ends[-1]:]))
+        sizes = np.concatenate(([len(rot) for rot in rotations], sizes[5:]))
+        return flat, sizes, depth, nested
 
-    monkeypatch.setattr(cli, "_glued_rotations", glue)
+    monkeypatch.setattr(cli, "_glued_arrays", glue)
     assert main(["verify", "--max-n", "3"]) == 1
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     gluing = [words[-1] for words in lines if words[:3] == ["gluing", "and", "metrics"]]

@@ -72,6 +72,9 @@ def test_reroot_identity_and_closure():
     assert reroot(e, 4) == e  # 2n acts as the identity
     with pytest.raises(ValueError):
         reroot(e, 5)
+    for theta in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="theta: expected an integer"):
+            reroot(e, theta)
 
 
 def test_reroot_hand_cases():

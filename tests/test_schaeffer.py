@@ -6,7 +6,10 @@ from quadmap.harness import sample_rooted_pd
 from quadmap.labeled import LabeledTree, decode, encode, minima_set, reroot, stabilizer_size
 from quadmap.planar_map import bfs_distances, pointed_code, radius, rooted_code
 from quadmap.schaeffer import (
+    DodderingTree,
     GluingAssignment,
+    _glued_arrays,
+    _predecessor_array,
     assemble,
     canonical_gluing,
     doddering,
@@ -64,6 +67,9 @@ def test_doddering_reverse_height_identity(n):
         assert height_process(d.tree, "reverse") == (0,) + tuple(body)
         order = visit_order(d.tree, "reverse")
         assert tuple(d.tags[u] for u in order) == tuple(range(-1, len(body)))
+        # the parent of the node tagged i is the node tagged P(i)
+        pred = predecessor_table(body).values
+        assert all(d.tags[d.tree.parent[u]] == pred[d.tags[u]] for u in range(1, len(d.tags)))
 
 
 def test_quad_of_tree_hand_cases():
@@ -172,6 +178,43 @@ def test_assemble_rejects_a_gluing_across_depths():
     g = gluer(walk_to_tree(Walk((0, 1, 0, 1, 0))))
     with pytest.raises(ValueError, match="different depths"):
         assemble(d, g, canonical_gluing(d, g))
+
+
+def test_glued_arrays_flag_a_tag_hung_from_a_non_ancestor():
+    # path walk, labels (1, 1, 2, 1): tag 2 hangs from tag 1; moved to tag 0,
+    # at the same depth but no ancestor-or-self of tag 1, the reverse
+    # traversal no longer lists the tags in order
+    walk = np.array([[0, 1, 2, 1, 0]])
+    parent = _predecessor_array(np.array([[1, 1, 2, 1]]))
+    assert parent.tolist() == [[-1, -1, 1, -1]]
+    assert _glued_arrays(parent, walk)[3].tolist() == [True]
+    parent[0, 2] = 0
+    _, _, depth, nested = _glued_arrays(parent, walk)
+    assert depth.tolist() == [[1, 1, 2, 1]] and nested.tolist() == [False]
+
+
+@pytest.mark.parametrize(
+    "tags, message",
+    [
+        ((-1, 0, 3, 2, 9), "permutation of -1..3"),
+        ((-1, 0, 3, 2, 0), "permutation of -1..3"),
+        ((-1, 0, 3, 2), "4 doddering tags for 5 nodes"),
+        ((0, -1, 3, 2, 1), "root must carry the tag -1"),
+        ((-1, 0, 3, 2, 1.0), "expected an integer"),
+    ],
+)
+def test_doddering_tree_rejects_bad_tags(tags, message):
+    d = doddering((1, 2, 2, 2))
+    assert d.tags == (-1, 0, 3, 2, 1)
+    assert DodderingTree(d.tree, d.tags) == d
+    with pytest.raises(ValueError, match=message):
+        DodderingTree(d.tree, tags)
+
+
+@pytest.mark.parametrize("targets", [(0, True, 2), (0, 1, 2.5), (0.0, 1), (False, 1)])
+def test_gluing_assignment_rejects_bools_and_floats(targets):
+    with pytest.raises(ValueError, match="gluing target: expected an integer"):
+        GluingAssignment(targets)
 
 
 def test_point_hand_cases():

@@ -37,7 +37,15 @@ from quadmap.planar_map import (
     quad_of_map,
     save_map,
 )
-from quadmap.schaeffer import GluingAssignment, doddering, fiber, point, quad_of_tree, tree_of_quad
+from quadmap.schaeffer import (
+    DodderingTree,
+    GluingAssignment,
+    doddering,
+    fiber,
+    point,
+    quad_of_tree,
+    tree_of_quad,
+)
 from quadmap.snake import SnakePath, normalize_encoding, reroot_path
 from quadmap.trees import PlaneTree, Walk, dfw, mirror, walk_to_tree
 
@@ -169,6 +177,7 @@ VALUE_CLASSES = (
     PointedMap,
     RootedQuadrangulation,
     PointedQuadrangulation,
+    DodderingTree,
     GluingAssignment,
     SnakePath,
 )
@@ -193,6 +202,13 @@ def test_sampling_and_inverse_validate_nothing(validations):
     tree, q = sample_rooted_pd(64, np.random.default_rng(5))
     assert tree_of_quad(q) == tree
     assert validations == Counter()
+
+
+def test_doddering_validates_nothing(validations):
+    d = doddering((1, 2, 3, 2, 1, 2))
+    assert validations == Counter()
+    assert DodderingTree(d.tree, d.tags) == d
+    assert validations == Counter(DodderingTree=1)
 
 
 def test_load_map_validates_once(validations, monkeypatch):
