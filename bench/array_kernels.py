@@ -1,13 +1,16 @@
-"""Per-layer timings of the map kernels, written as JSON.
+"""Per-layer timings of the contour and map kernels, written as JSON.
 
 Run from the repository root against the ``quadmap`` on ``PYTHONPATH``:
 
     PYTHONPATH=src python3 bench/array_kernels.py --sizes 1000 10000 --repeats 3 --out after.json
     PYTHONPATH=/path/to/older/src python3 bench/array_kernels.py ... --out before.json
 
-Each layer is timed with ``perf_counter`` on the same seeded draw per size
-(``harness.sample_rooted_pd(n, default_rng([seed, n]))``); the median and
-the spread of ``--repeats`` runs are reported.
+Each map layer is timed with ``perf_counter`` on the same seeded draw per
+size (``harness.sample_rooted_pd(n, default_rng([seed, n]))``), and the
+contour layers on one walk of n edges, as one replica of the scaling
+experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
+``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The
+median and the spread of ``--repeats`` runs are reported.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import time
 
 import numpy as np
 
-from quadmap import harness, planar_map, schaeffer
+from quadmap import harness, paths, planar_map, schaeffer
 
 
 def _timed(fn, repeats: int, setup=lambda: None) -> dict:
@@ -35,13 +38,19 @@ def _timed(fn, repeats: int, setup=lambda: None) -> dict:
 
 
 def layers(n: int, seed: int, repeats: int) -> dict:
-    """Time every map layer on one draw of size n.  Each repeat gets a map
+    """Time every contour and map layer at size n.  Each repeat gets a map
     freshly built by ``quad_of_tree``, so no repeat reuses the orbits an
     earlier one cached on the map."""
     tree, quad = harness.sample_rooted_pd(n, np.random.default_rng([seed, n]))
     text = planar_map.save_map(quad)
     fresh = lambda: schaeffer.quad_of_tree(tree)  # noqa: E731
+    rng = np.random.default_rng([seed, n, 1])
+    walks = paths.dyck_walk_batch(n, 1, rng)
+    incs = rng.integers(-1, 2, size=n, dtype=np.int64)
     return {
+        "dyck_walk_batch": _timed(lambda _: paths.dyck_walk_batch(n, 1, rng), repeats),
+        "uniform_encoding_arrays": _timed(lambda _: paths.uniform_encoding_arrays(n, rng), repeats),
+        "contour_accumulate": _timed(lambda _: paths.contour_accumulate(walks, incs, start=1), repeats),
         "sample_rooted_pd": _timed(
             lambda _: harness.sample_rooted_pd(n, np.random.default_rng([seed, n])), repeats
         ),

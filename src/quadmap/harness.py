@@ -24,9 +24,9 @@ import numpy as np
 
 from .labeled import Encoding, LabeledTree, _encoding_from_arrays, decode
 from .paths import (
+    _doddering_rdfw,
     _reroot_arrays,
     contour_accumulate,
-    doddering_rdfw,
     dyck_walk_batch,
     uniform_encoding_arrays,
 )
@@ -218,7 +218,7 @@ def _chord_contours(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit and length-weighted contours of the chord tree of a positive
     label body; the edge lengths are drawn from ``rng``."""
-    walk = doddering_rdfw(body)[None, :]
+    walk = _doddering_rdfw(body)[None, :]
     lengths = model.sample((walk.shape[1] - 1) // 2, rng)
     return walk[0], contour_accumulate(walk, lengths, start=0.0)[0]
 

@@ -7,10 +7,18 @@ exactly uniform over the C_k contour walks.  Edge matching pairs each
 up-step with the down-step closing the same tree edge, which lets per-edge
 quantities (label increments, Gaussian displacements, edge lengths) be
 accumulated along the contour without an explicit tree.
+
+The walk, edge-matching and branch-sum kernels are linear in the walk
+length.  The rotation is one slice of the doubled step row, and the stable
+sort that groups the steps by (row, level) runs as numpy's radix sort
+whenever its keys fit 16 bits (:func:`_stable_order`, which the map
+kernels share): a contour's levels are bounded by its height, typically
+about sqrt(n), so a single walk's keys fit unless it climbs past 65535.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "dyck_walk",
@@ -37,31 +45,52 @@ def dyck_walk_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     sums = np.cumsum(steps, axis=1)
     # first argmin marks the unique rotation staying nonnegative until the end
     cut = np.argmin(sums, axis=1) + 1
-    idx = (cut[:, None] + np.arange(2 * n)) % (2 * n + 1)
-    rotated = np.take_along_axis(steps, idx, axis=1)
+    doubled = np.concatenate((steps, steps), axis=1)
+    rotated = sliding_window_view(doubled, 2 * n, axis=1)[np.arange(count), cut]
     walks = np.zeros((count, 2 * n + 1), dtype=np.int64)
     np.cumsum(rotated, axis=1, out=walks[:, 1:])
     return walks
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for a 1-D array of nonnegative
+    integer keys.  Keys that fit 8 or 16 bits are cast down first, where
+    numpy's stable sort is an O(N) radix sort; wider keys sort as they
+    are."""
+    top = keys.max(initial=0)
+    if top < 2**8:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
+    if top < 2**16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
+
+
+def _edge_order(walks: np.ndarray) -> np.ndarray:
+    """The steps of a (count, 2n+1) stack of contour walks, flat, in
+    (row, level, time) order, a step's level being the higher of its two
+    heights: one stable sort by the single key row * (2n+1) + level
+    (levels are at most n).  Entries 2k and 2k+1 are the up- and
+    down-step of edge k (see :func:`contour_edges`)."""
+    count, width = walks.shape
+    level = np.maximum(walks[:, :-1], walks[:, 1:])
+    return _stable_order((level + width * np.arange(count)[:, None]).ravel())
 
 
 def contour_edges(walks: np.ndarray) -> np.ndarray:
     """Edge id per contour step; the two steps of one edge share an id.
 
     ``walks`` has shape (count, 2n+1); the result has shape (count, 2n) with
-    ids in [0, count*n).  A step's level is the higher of its two heights.
-    Within a fixed level the up- and down-steps alternate along the
-    contour, so a stable sort of the steps by the single key
-    row * (2n+1) + level (levels are at most n) keeps time order inside
-    each (row, level) group, and pairing consecutive entries matches each
-    up-step with the down-step closing the same edge.
+    ids in [0, count*n).  Within a fixed level the up- and down-steps
+    alternate along the contour, starting with an up-step, so in the
+    (row, level, time) order of :func:`_edge_order` each pair of
+    consecutive entries is an up-step and the down-step closing the same
+    edge.  That sort is a radix sort when its keys fit 16 bits, as a
+    single walk's do while its height, not its length, stays below 65536.
     """
-    count, width = walks.shape
-    level = np.maximum(walks[:, :-1], walks[:, 1:])
-    key = level + width * np.arange(count)[:, None]
-    order = np.argsort(key.ravel(), kind="stable")
+    order = _edge_order(walks)
     edge = np.empty(order.size, dtype=np.int64)
     edge[order] = np.arange(order.size) // 2
-    return edge.reshape(count, width - 1)
+    return edge.reshape(walks.shape[0], walks.shape[1] - 1)
 
 
 def contour_accumulate(
@@ -72,14 +101,19 @@ def contour_accumulate(
     Position (r, t) of the result is ``start`` plus the sum of
     ``edge_values`` over the edges on the path from the root to the node
     under the walker at time t.  Shapes: walks (count, 2n+1), edge_values
-    flat of length count*n, result (count, 2n+1).
+    flat of length count*n, result (count, 2n+1).  Edge k's up-step adds
+    its value and its down-step subtracts it; both steps are placed by one
+    scatter through :func:`_edge_order`.
     """
-    steps = np.diff(walks, axis=1)
-    edges = contour_edges(walks)
-    contrib = np.where(steps > 0, edge_values[edges], -edge_values[edges])
+    values = np.asarray(edge_values)
+    pairs = np.empty(2 * values.size, dtype=values.dtype)
+    pairs[0::2] = values
+    np.negative(values, out=pairs[1::2])
+    contrib = np.empty_like(pairs)
+    contrib[_edge_order(walks)] = pairs
     out = np.empty(walks.shape, dtype=contrib.dtype)
     out[:, 0] = start
-    np.cumsum(contrib, axis=1, out=out[:, 1:])
+    np.cumsum(contrib.reshape(out[:, 1:].shape), axis=1, out=out[:, 1:])
     out[:, 1:] += np.asarray(start, dtype=contrib.dtype)
     return out
 
@@ -98,14 +132,36 @@ def uniform_encoding_arrays(
     return labels, walks
 
 
-def doddering_rdfw(labels_body: np.ndarray) -> np.ndarray:
+def _check_label_process(labels) -> tuple[int, ...]:
+    """The positive label process ``labels`` on [0, N] as Python ints, or
+    a ``ValueError`` naming the rule it breaks: it starts at 1, stays >= 1
+    and increases by at most 1 per step."""
+    labs = tuple(int(x) for x in labels)
+    if not labs or labs[0] != 1:
+        raise ValueError("label process must start at 1")
+    if min(labs) < 1:
+        raise ValueError("label process must stay >= 1")
+    for a, b in zip(labs, labs[1:]):
+        if b - a > 1:
+            raise ValueError("label process may increase by at most 1 per step")
+    return labs
+
+
+def doddering_rdfw(labels_body) -> np.ndarray:
     """Reverse depth-first walk of the doddering tree of a label process.
 
     ``labels_body`` is the positive label process on [0, N]; the result is
     the integer walk of length 2(N+1)+1 whose up-steps occur exactly at the
-    first visits m(l) = 2l - labels_body[l-1] of the reverse traversal.
+    first visits m(l) = 2l - labels_body[l-1] of the reverse traversal.  A
+    process that does not start at 1, drops below 1 or rises by more than
+    1 in a step is a ``ValueError``.
     """
-    labs = np.asarray(labels_body, dtype=np.int64)
+    return _doddering_rdfw(np.array(_check_label_process(labels_body), dtype=np.int64))
+
+
+def _doddering_rdfw(labs: np.ndarray) -> np.ndarray:
+    """:func:`doddering_rdfw` of an int64 label process already known to be
+    positive, to start at 1 and to rise by at most 1 per step."""
     non_root = labs.shape[0]  # the tree has N+2 nodes, N+1 of them non-root
     length = 2 * non_root
     first_visit = 2 * np.arange(1, non_root + 1) - labs

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .paths import _stable_order
 from .trees import _trusted
 
 __all__ = [
@@ -309,7 +310,7 @@ def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> 
     tail = _union(tail, n_vertices)
     heads = tail[_union(twin, twin.shape[1])]
     total = count * n_vertices
-    by_vertex = np.argsort(tail, kind="stable")
+    by_vertex = _stable_order(tail)
     heads = heads[by_vertex]
     first = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=total), out=first[1:])
@@ -400,7 +401,7 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root):
         seen[level] = True
         levels.append(level)
     order = np.concatenate(levels)
-    order = order[np.argsort(order // m, kind="stable")]
+    order = order[_stable_order(order // m)]
     label = np.empty(nxt.size, dtype=np.int64)
     label[order] = np.tile(np.arange(m), count)  # a connected row reaches all m darts
     parts = np.empty((count, 2 * m), dtype=np.int64)

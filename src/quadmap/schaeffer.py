@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labeled import LabeledTree, encode, is_well_labeled
-from .paths import doddering_rdfw
+from .paths import _check_label_process, _stable_order, doddering_rdfw
 from .planar_map import (
     HalfEdgeMap,
     PointedQuadrangulation,
@@ -60,18 +60,6 @@ class PredecessorTable:
     label one below label(i); -1 stands for the origin corner (label 0)."""
 
     values: tuple[int, ...]
-
-
-def _check_label_process(labels) -> tuple[int, ...]:
-    labs = tuple(int(x) for x in labels)
-    if not labs or labs[0] != 1:
-        raise ValueError("label process must start at 1")
-    if min(labs) < 1:
-        raise ValueError("label process must stay >= 1")
-    for a, b in zip(labs, labs[1:]):
-        if b - a > 1:
-            raise ValueError("label process may increase by at most 1 per step")
-    return labs
 
 
 def predecessor_table(labels) -> PredecessorTable:
@@ -129,7 +117,7 @@ def doddering(labels) -> DodderingTree:
     """Build the doddering tree of a positive label process.  Its reverse
     traversal visits the tags -1, 0, 1, ... at depths (0, *labels), so its
     contour is :func:`~quadmap.paths.doddering_rdfw` read backwards."""
-    walk = doddering_rdfw(np.array(_check_label_process(labels)))
+    walk = doddering_rdfw(labels)
     tree = walk_to_tree(_trusted(Walk, steps=tuple(walk[::-1].tolist())))
     tags = [0] * tree.n_nodes
     for tag, u in enumerate(visit_order(tree, "reverse"), start=-1):
@@ -196,7 +184,7 @@ def _contour_node_array(walk: np.ndarray) -> np.ndarray:
     arrival = np.ones(flat.shape, dtype=bool)
     arrival[:, 1:] = flat[:, 1:] > flat[:, :-1]
     ids = (np.cumsum(arrival, axis=1) - 1).ravel()  # node id, read at its first visit
-    by_level = np.argsort((flat + width * np.arange(len(flat))[:, None]).ravel(), kind="stable")
+    by_level = _stable_order((flat + width * np.arange(len(flat))[:, None]).ravel())
     at = np.where(arrival.ravel()[by_level], np.arange(flat.size), 0)
     np.maximum.accumulate(at, out=at)
     nodes = np.empty(flat.size, dtype=np.int64)
@@ -226,7 +214,7 @@ def _chord_arrays(body: np.ndarray, walk: np.ndarray):
     pred = _predecessor_array(bodies)
     nodes = _contour_node_array(walks)[:, :size]
     rank = np.empty(count * size, dtype=np.int64)  # 1 + position in (node, time) order
-    by_node = np.argsort((nodes + size * row).ravel(), kind="stable")
+    by_node = _stable_order((nodes + size * row).ravel())
     rank[by_node] = np.arange(count * size) % size + 1
     rank = rank.reshape(count, size)
     at_origin = pred < 0
@@ -325,7 +313,7 @@ def _glued_arrays(parent: np.ndarray, walk: np.ndarray):
         jump = jump[jump]
     nested = ((steps >= 0) & (at == up[child])).reshape(count, size).all(axis=1)
     vertex = _union(np.pad(_contour_node_array(walk)[:, :size] + 1, root_first), size // 2 + 2)
-    order = np.argsort(vertex, kind="stable")
+    order = _stable_order(vertex)
     glued = vertex[order][1:] == vertex[order][:-1]
     if np.any(glued & (depth[order][1:] != depth[order][:-1])):
         raise ValueError("gluing identifies nodes at different depths")
@@ -334,7 +322,7 @@ def _glued_arrays(parent: np.ndarray, walk: np.ndarray):
     start = np.empty(up.size, dtype=np.int64)
     start[order] = np.cumsum(block[order]) - block[order]
     # children grouped by parent, each group by decreasing tag
-    by_parent = child[::-1][np.argsort(up[child][::-1], kind="stable")]
+    by_parent = child[::-1][_stable_order(up[child][::-1])]
     rank = np.arange(child.size) - (np.cumsum(kids) - kids)[up[by_parent]]
     flat = np.empty(2 * child.size, dtype=np.int64)
     flat[start[child]] = 2 * np.arange(child.size)  # object b's tag k is b·size + k
@@ -443,7 +431,7 @@ def _labeled_tree_of_arrays(walk: np.ndarray, node_labels: np.ndarray) -> Labele
     before its first visit."""
     up = walk[1:] > walk[:-1]
     parents = _contour_node_array(walk)[:-1][up]
-    kids = (np.argsort(parents, kind="stable") + 1).tolist()
+    kids = (_stable_order(parents) + 1).tolist()
     ends = np.cumsum(np.bincount(parents, minlength=walk.size // 2 + 1)).tolist()
     children = tuple(tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends))
     tree = _trusted(PlaneTree, children=children)

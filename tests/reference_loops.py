@@ -4,7 +4,9 @@ The library runs every map layer as numpy kernels; these loops compute the
 same values one dart at a time over lists, and ``test_array_kernels.py``
 compares each kernel and public function with them.  They read maps
 through their arrays only, so no reference calls a kernel, and they raise
-the constructor's messages in its order.
+the constructor's messages in its order.  The contour kernels' earlier
+array forms (rotation by a modular index array, branch sums through edge
+ids) are kept the same way, for ``test_paths.py``.
 """
 from collections import deque
 
@@ -19,7 +21,7 @@ from quadmap.labeled import (
     first_min_corner,
     minima_set,
 )
-from quadmap.paths import uniform_encoding_arrays
+from quadmap.paths import contour_edges, uniform_encoding_arrays
 from quadmap.planar_map import RootedQuadrangulation, _array_map
 from quadmap.schaeffer import point
 from quadmap.trees import PlaneTree, Walk, _trusted, contour_nodes
@@ -344,6 +346,36 @@ def glued_rotations(d, g, b) -> list[list[int]]:
             rot += child_darts[k]
         rotations.append(rot)
     return rotations
+
+
+# -- contour kernels -----------------------------------------------------------
+
+
+def dyck_walk_batch(n: int, count: int, rng) -> np.ndarray:
+    """``paths.dyck_walk_batch`` rotating each shuffled row at its
+    cycle-lemma cut through a modular index array."""
+    steps = np.full((count, 2 * n + 1), -1, dtype=np.int64)
+    steps[:, :n] = 1
+    steps = rng.permuted(steps, axis=1)
+    cut = np.argmin(np.cumsum(steps, axis=1), axis=1) + 1
+    idx = (cut[:, None] + np.arange(2 * n)) % (2 * n + 1)
+    rotated = np.take_along_axis(steps, idx, axis=1)
+    walks = np.zeros((count, 2 * n + 1), dtype=np.int64)
+    np.cumsum(rotated, axis=1, out=walks[:, 1:])
+    return walks
+
+
+def contour_accumulate(walks: np.ndarray, edge_values: np.ndarray, start=0) -> np.ndarray:
+    """``paths.contour_accumulate`` reading each step's edge value through
+    ``contour_edges`` and negating it on the down-steps."""
+    steps = np.diff(walks, axis=1)
+    edges = contour_edges(walks)
+    contrib = np.where(steps > 0, edge_values[edges], -edge_values[edges])
+    out = np.empty(walks.shape, dtype=contrib.dtype)
+    out[:, 0] = start
+    np.cumsum(contrib, axis=1, out=out[:, 1:])
+    out[:, 1:] += np.asarray(start, dtype=contrib.dtype)
+    return out
 
 
 # -- rerooting ----------------------------------------------------------------

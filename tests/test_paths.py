@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import reference_loops as reference
 
 from quadmap.labeled import Encoding
 from quadmap.paths import (
+    _stable_order,
     contour_accumulate,
     contour_edges,
     doddering_rdfw,
@@ -53,12 +55,18 @@ def test_contour_edges_match_stack():
         assert not set(edges[0].tolist()) & set(edges[1].tolist())
 
 
+def _spike(n: int) -> np.ndarray:
+    """The walk up n steps then down n: one path of n edges."""
+    return np.concatenate((np.arange(n + 1), np.arange(n - 1, -1, -1)))[None, :]
+
+
 def test_contour_edges_match_lexsort_reference():
-    # the former 3-key sort: by row, then level, then time
+    # the former 3-key sort: by row, then level, then time; the spikes'
+    # levels reach past 8 bits (n = 300) and past 16 bits (n = 70000)
     rng = np.random.default_rng(8)
-    for count, n in ((1, 1), (1, 257), (6, 40), (40, 300)):
-        walks = dyck_walk_batch(n, count, rng)
-        width = walks.shape[1]
+    batches = [dyck_walk_batch(n, count, rng) for count, n in ((1, 1), (1, 257), (6, 40), (40, 300))]
+    for walks in batches + [_spike(300), _spike(70000)]:
+        count, width = walks.shape
         level = np.maximum(walks[:, :-1], walks[:, 1:])
         order = np.lexsort(
             (
@@ -70,6 +78,39 @@ def test_contour_edges_match_lexsort_reference():
         ref = np.empty(order.size, dtype=np.int64)
         ref[order] = np.repeat(np.arange(order.size // 2), 2)
         assert np.array_equal(contour_edges(walks), ref.reshape(count, width - 1))
+
+
+@pytest.mark.parametrize("top", [0, 255, 256, 65535, 65536, 2**40])
+def test_stable_order_matches_stable_argsort(top):
+    # maxima on each side of the uint8, uint16 and int64 paths, with ties
+    rng = np.random.default_rng(top)
+    keys = rng.integers(0, min(top, 50) + 1, size=3000)
+    keys[rng.integers(keys.size)] = top
+    rows = (keys[:1000] + (top + 1) * np.arange(3)[:, None]).ravel()  # stacked rows
+    for k in (keys, rows, keys[:0]):
+        assert np.array_equal(_stable_order(k), np.argsort(k, kind="stable"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+@pytest.mark.parametrize("count", [1, 5])
+def test_dyck_walk_batch_matches_modular_rotation(n, count):
+    fast = np.random.default_rng([n, count])
+    slow = np.random.default_rng([n, count])
+    assert np.array_equal(dyck_walk_batch(n, count, fast), reference.dyck_walk_batch(n, count, slow))
+    assert fast.integers(2**62) == slow.integers(2**62)  # the same draws were used
+
+
+def test_contour_accumulate_matches_edge_id_reference():
+    rng = np.random.default_rng(9)
+    for count, n in ((1, 1), (1, 300), (7, 50)):
+        walks = dyck_walk_batch(n, count, rng)
+        ints = rng.integers(-1, 2, size=count * n)
+        floats = rng.normal(size=count * n)
+        floats[::4] = 0.0
+        for values, start in ((ints, 1), (floats, 0.0), (floats, 2.5)):
+            fast = contour_accumulate(walks, values, start=start)
+            slow = reference.contour_accumulate(walks, values, start=start)
+            assert fast.dtype == slow.dtype and fast.tobytes() == slow.tobytes()
 
 
 def test_contour_accumulate_depth():
@@ -100,6 +141,15 @@ def test_doddering_rdfw_matches_tree():
     fast = doddering_rdfw(body)
     slow = dfw(doddering(tuple(int(x) for x in body)).tree, "reverse").steps
     assert tuple(int(x) for x in fast) == slow
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [((2, 1), "start at 1"), ((1, 0, 1), "stay >= 1"), ((1, 3, 1), "at most 1 per step"), ((), "start at 1")],
+)
+def test_doddering_rdfw_rejects_bad_label_processes(body, message):
+    with pytest.raises(ValueError, match=message):
+        doddering_rdfw(np.array(body, dtype=np.int64))
 
 
 def test_dyck_walk_rejects_bad_sizes():
