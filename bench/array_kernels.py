@@ -1,13 +1,15 @@
-"""Per-layer timings of the contour and map kernels, written as JSON.
+"""Per-layer timings of the contour, tree and map kernels, written as JSON.
 
 Run from the repository root against the ``quadmap`` on ``PYTHONPATH``:
 
     PYTHONPATH=src python3 bench/array_kernels.py --sizes 1000 10000 --repeats 3 --out after.json
     PYTHONPATH=/path/to/older/src python3 bench/array_kernels.py ... --out before.json
 
-Each map layer is timed with ``perf_counter`` on the same seeded draw per
-size (``harness.sample_rooted_pd(n, default_rng([seed, n]))``), and the
-contour layers on one walk of n edges, as one replica of the scaling
+Each tree and map layer is timed with ``perf_counter`` on the same seeded
+draw per size (``harness.sample_rooted_pd(n, default_rng([seed, n]))``):
+``encode``, ``decode``, the public validation of ``PlaneTree`` (from the
+children lists) and of ``Encoding``, and the map kernels.  The contour
+layers are timed on one walk of n edges, as one replica of the scaling
 experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
 ``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The
 median and the spread of ``--repeats`` runs are reported.
@@ -24,7 +26,7 @@ import time
 
 import numpy as np
 
-from quadmap import harness, paths, planar_map, schaeffer
+from quadmap import harness, labeled, paths, planar_map, schaeffer, trees
 
 
 def _timed(fn, repeats: int, setup=lambda: None) -> dict:
@@ -38,10 +40,12 @@ def _timed(fn, repeats: int, setup=lambda: None) -> dict:
 
 
 def layers(n: int, seed: int, repeats: int) -> dict:
-    """Time every contour and map layer at size n.  Each repeat gets a map
-    freshly built by ``quad_of_tree``, so no repeat reuses the orbits an
-    earlier one cached on the map."""
+    """Time every contour, tree and map layer at size n.  Each repeat gets
+    a map freshly built by ``quad_of_tree``, so no repeat reuses the orbits
+    an earlier one cached on the map."""
     tree, quad = harness.sample_rooted_pd(n, np.random.default_rng([seed, n]))
+    enc = labeled.encode(tree)
+    children = tree.tree.children
     text = planar_map.save_map(quad)
     fresh = lambda: schaeffer.quad_of_tree(tree)  # noqa: E731
     rng = np.random.default_rng([seed, n, 1])
@@ -54,6 +58,10 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         "sample_rooted_pd": _timed(
             lambda _: harness.sample_rooted_pd(n, np.random.default_rng([seed, n])), repeats
         ),
+        "encode": _timed(lambda _: labeled.encode(tree), repeats),
+        "decode": _timed(lambda _: labeled.decode(enc), repeats),
+        "PlaneTree_validation": _timed(lambda _: trees.PlaneTree(children), repeats),
+        "Encoding_validation": _timed(lambda _: labeled.Encoding(enc.labels, enc.walk), repeats),
         "quad_of_tree": _timed(lambda _: schaeffer.quad_of_tree(tree), repeats),
         "tree_of_quad": _timed(schaeffer.tree_of_quad, repeats, fresh),
         "bfs_distances": _timed(lambda q: planar_map.bfs_distances(q.map, q.origin), repeats, fresh),

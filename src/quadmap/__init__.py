@@ -38,14 +38,10 @@ from .planar_map import (
 )
 from .schaeffer import (
     DodderingTree,
-    GluerTree,
-    GluingAssignment,
     PredecessorTable,
     assemble,
-    canonical_gluing,
     doddering,
     fiber,
-    gluer,
     point,
     predecessor_table,
     quad_of_tree,

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import enumeration, harness
-from .labeled import encode
+from .labeled import _node_labels, encode
 from .planar_map import (
     _bfs_arrays,
     _csr_rotation_arrays,
@@ -28,7 +28,6 @@ from .planar_map import (
 )
 from .schaeffer import _chord_arrays, _glued_arrays, _predecessor_array, _tree_of_quad_arrays
 from .snake import sample_snake
-from .trees import dfw
 
 __all__ = ["main"]
 
@@ -125,8 +124,7 @@ def _bijection_checks(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray, 
     back_walks, back_labels = _tree_of_quad_arrays(
         twin, nxt, tail, _face_array(twin, nxt), dist, roots
     )
-    climbs = labels[:, 1:][walks[:, 1:] > walks[:, :-1]].reshape(count, n)
-    node_labels = np.concatenate((labels[:, :1], climbs), axis=1)
+    node_labels = _node_labels(labels, walks)
     round_trip = np.array_equal(back_walks, walks) and np.array_equal(back_labels, node_labels)
     body = labels[:, :-1]
     minima = np.count_nonzero(body == body.min(axis=1, keepdims=True), axis=1)
@@ -156,7 +154,7 @@ def _gluing_check(body, walks, shape, shapes, nxt, tail) -> bool:
     if not (listed and nested.all() and np.array_equal(depth, body)):
         return False
     kinds = np.unique(shape)
-    gluer_walks = np.array([dfw(shapes[s]).steps for s in kinds.tolist()])
+    gluer_walks = np.array([shapes[s].walk.steps for s in kinds.tolist()])
     glued_nxt, glued_tail = _csr_rotation_arrays(flat, sizes)
     row = np.arange(count)[:, None]
     return (

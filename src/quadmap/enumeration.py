@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .labeled import Encoding, LabeledTree, _encoding_from_arrays, is_well_labeled
+from .labeled import Encoding, LabeledTree, _node_labels, is_well_labeled
 from .paths import (
     _least_keys,
     _reroot_arrays,
@@ -32,7 +32,7 @@ from .planar_map import (
     _rooted_code_arrays,
 )
 from .schaeffer import _chord_arrays
-from .trees import PlaneTree, Walk, _trusted, walk_to_tree
+from .trees import PlaneTree, Walk, _trusted
 
 __all__ = [
     "MAX_LISTING_N",
@@ -95,20 +95,20 @@ def _walks(n: int) -> list[tuple[int, ...]]:
 def plane_trees(n: int) -> list[PlaneTree]:
     """All C_n plane trees with n edges."""
     _check_bound(n, MAX_LISTING_N)
-    return [walk_to_tree(_trusted(Walk, steps=w)) for w in _walks(n)]
+    walks = np.array(_walks(n), dtype=np.int64)
+    return [_trusted(PlaneTree, walk=_trusted(Walk, steps=walk)) for walk in walks]
 
 
 def labeled_trees(n: int) -> list[LabeledTree]:
     """All C_n * 3^n labeled trees with n edges."""
     _check_bound(n, MAX_LISTING_N)
-    out = []
-    for tree in plane_trees(n):
-        for incs in product((-1, 0, 1), repeat=n):
-            labels = [1] * tree.n_nodes
-            for u in range(1, tree.n_nodes):
-                labels[u] = labels[tree.parent[u]] + incs[u - 1]
-            out.append(_trusted(LabeledTree, tree=tree, labels=tuple(labels)))
-    return out
+    labels, walks, shape = _encoding_arrays(n)
+    node_labels = _node_labels(labels, walks[shape])
+    trees = plane_trees(n)
+    return [
+        _trusted(LabeledTree, tree=trees[s], labels=row)
+        for s, row in zip(shape.tolist(), node_labels)
+    ]
 
 
 def well_labeled_trees(n: int) -> list[LabeledTree]:
@@ -264,10 +264,8 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
     sizes = 2 * n // stabilizers
     reps = _reroot_arrays(labels[first], walks[shape[first]], theta)
     orbits = tuple(
-        Orbit(_encoding_from_arrays(rep_labels, rep_walk), size, stabilizer)
-        for rep_labels, rep_walk, size, stabilizer in zip(
-            *reps, sizes.tolist(), stabilizers.tolist()
-        )
+        Orbit(_trusted(Encoding, labels=lab, walk=_trusted(Walk, steps=walk)), size, stab)
+        for lab, walk, size, stab in zip(*reps, sizes.tolist(), stabilizers.tolist())
     )
     return OrbitDecomposition(n, orbits)
 

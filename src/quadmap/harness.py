@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labeled import Encoding, LabeledTree, _encoding_from_arrays, decode
+from .labeled import Encoding, LabeledTree, _node_labels
 from .paths import (
     _doddering_rdfw,
     _reroot_arrays,
@@ -165,7 +165,7 @@ def replica_rng(master_seed: int, size_index: int, replica: int) -> np.random.Ge
 def sample_labeled_uniform(n: int, rng: np.random.Generator) -> LabeledTree:
     """Uniform labeled tree with n edges."""
     labels, walks = uniform_encoding_arrays(n, rng)
-    return decode(_encoding_from_arrays(labels[0], walks[0]))
+    return _labeled_tree_of_arrays(walks[0], _node_labels(labels[0], walks[0]))
 
 
 def sample_rooted_pd(
@@ -182,8 +182,7 @@ def sample_rooted_pd(
     minima = np.flatnonzero(body == body.min())
     theta = int(minima[int(rng.integers(len(minima)))])
     labs, walk = _reroot_arrays(labels[0], walks[0], theta)
-    node_labels = np.concatenate((labs[:1], labs[1:][walk[1:] > walk[:-1]]))
-    return _labeled_tree_of_arrays(walk, node_labels), _quad_of_arrays(labs, walk)
+    return _labeled_tree_of_arrays(walk, _node_labels(labs, walk)), _quad_of_arrays(labs, walk)
 
 
 def sample_pointed_ps(n: int, rng: np.random.Generator) -> PointedQuadrangulation:
@@ -204,9 +203,9 @@ def perturbed_walk(
     deterministic lengths, vanishing as n grows when the lengths have
     enough moments).
     """
-    if min(encoding.labels) < 1:
+    if encoding.labels.min() < 1:
         raise ValueError("encoding must be well-labeled")
-    walk, weighted = _chord_contours(np.array(encoding.labels[:-1]), model, rng)
+    walk, weighted = _chord_contours(encoding.labels[:-1], model, rng)
     scale = encoding.n**0.25
     c_tilde = weighted / scale
     gap = float(np.abs(c_tilde - walk / scale).max())

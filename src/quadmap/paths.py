@@ -76,6 +76,43 @@ def _edge_order(walks: np.ndarray) -> np.ndarray:
     return _stable_order((level + width * np.arange(count)[:, None]).ravel())
 
 
+def _contour_node_array(walk: np.ndarray) -> np.ndarray:
+    """Array form of :func:`~quadmap.trees.contour_nodes` for one walk or a
+    stack of them along leading axes, each row on its own: the node under
+    the walker is the last one first visited at the same level, at or
+    before that time.  Sorting the times stably by (row, level) puts a
+    first visit at the head of every run, so a running maximum of
+    first-visit positions never reaches back into the previous run."""
+    width = walk.shape[-1]
+    flat = walk.reshape(-1, width)
+    arrival = np.ones(flat.shape, dtype=bool)
+    arrival[:, 1:] = flat[:, 1:] > flat[:, :-1]
+    ids = (np.cumsum(arrival, axis=1) - 1).ravel()  # node id, read at its first visit
+    by_level = _stable_order((flat + width * np.arange(len(flat))[:, None]).ravel())
+    at = np.where(arrival.ravel()[by_level], np.arange(flat.size), 0)
+    np.maximum.accumulate(at, out=at)
+    nodes = np.empty(flat.size, dtype=np.int64)
+    nodes[by_level] = ids[by_level[at]]
+    return nodes.reshape(walk.shape)
+
+
+def _steps_to_end(succ: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """List ranking: the number of ``succ`` steps from each element to the
+    end of its chain, where ``last`` marks the chain ends (pointer jumping,
+    O(log longest chain) passes).  A chain that never reaches an end, which
+    only a faulty caller can build, raises ``RuntimeError`` once the passes
+    that any chain of ``succ.size`` elements needs are spent."""
+    left = (~last).astype(np.int64)
+    jump = np.where(last, np.arange(succ.size), succ)
+    for _ in range(succ.size.bit_length() + 1):
+        ahead = jump[jump]
+        if np.array_equal(ahead, jump):
+            return left
+        left += left[jump]
+        jump = ahead
+    raise RuntimeError("list ranking: a chain never reaches a marked end")
+
+
 def contour_edges(walks: np.ndarray) -> np.ndarray:
     """Edge id per contour step; the two steps of one edge share an id.
 
@@ -132,18 +169,20 @@ def uniform_encoding_arrays(
     return labels, walks
 
 
-def _check_label_process(labels) -> tuple[int, ...]:
-    """The positive label process ``labels`` on [0, N] as Python ints, or
-    a ``ValueError`` naming the rule it breaks: it starts at 1, stays >= 1
-    and increases by at most 1 per step."""
-    labs = tuple(int(x) for x in labels)
-    if not labs or labs[0] != 1:
+def _check_label_process(labels) -> np.ndarray:
+    """The positive label process ``labels`` on [0, N] as a read-only int64
+    array, or a ``ValueError`` naming the rule it breaks: its entries are
+    integers, it starts at 1, stays >= 1 and increases by at most 1 per
+    step."""
+    from .trees import _int64  # trees imports this module
+
+    labs = _int64(labels, "labels")
+    if labs.size == 0 or labs[0] != 1:
         raise ValueError("label process must start at 1")
-    if min(labs) < 1:
+    if labs.min() < 1:
         raise ValueError("label process must stay >= 1")
-    for a, b in zip(labs, labs[1:]):
-        if b - a > 1:
-            raise ValueError("label process may increase by at most 1 per step")
+    if np.any(np.diff(labs) > 1):
+        raise ValueError("label process may increase by at most 1 per step")
     return labs
 
 
@@ -156,7 +195,7 @@ def doddering_rdfw(labels_body) -> np.ndarray:
     process that does not start at 1, drops below 1 or rises by more than
     1 in a step is a ``ValueError``.
     """
-    return _doddering_rdfw(np.array(_check_label_process(labels_body), dtype=np.int64))
+    return _doddering_rdfw(_check_label_process(labels_body))
 
 
 def _doddering_rdfw(labs: np.ndarray) -> np.ndarray:

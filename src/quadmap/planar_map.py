@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import _stable_order
-from .trees import _trusted
+from .paths import _stable_order, _steps_to_end
+from .trees import _ArrayValue, _int64, _trusted
 
 __all__ = [
     "HalfEdgeMap",
@@ -52,7 +52,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class HalfEdgeMap:
+class HalfEdgeMap(_ArrayValue):
     """Connected genus-0 map given by its twin involution and rotations.
 
     ``tail[d]`` is the origin vertex of dart d; vertex ids are whatever the
@@ -71,18 +71,6 @@ class HalfEdgeMap:
         if m == 0 or m % 2 or self.nxt.size != m or self.tail.size != m:
             raise ValueError("twin, nxt and tail must have equal positive even length")
         _check_arrays(self)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            np.array_equal(self.twin, other.twin)
-            and np.array_equal(self.nxt, other.nxt)
-            and np.array_equal(self.tail, other.tail)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.twin.tobytes(), self.nxt.tobytes(), self.tail.tobytes()))
 
     # -- basic counts -------------------------------------------------
 
@@ -146,19 +134,6 @@ class HalfEdgeMap:
         return cls(np.arange(nxt.size) ^ 1 if twin is None else twin, nxt, tail)
 
 
-def _int64(values, name: str) -> np.ndarray:
-    """A read-only one-dimensional int64 copy of ``values``; an entry that
-    int64 cannot hold is a ValueError naming ``name``."""
-    try:
-        array = np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{name} has an entry outside the int64 range") from None
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    array.flags.writeable = False
-    return array
-
-
 def _cycle_mins(perm: np.ndarray) -> np.ndarray:
     """Smallest dart of each dart's cycle of the permutation ``perm``.
 
@@ -190,23 +165,6 @@ def _orbit_arrays(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     darts = np.empty(perm.size, dtype=np.int64)
     darts[starts[cycle[low]] + left[low] - left] = np.arange(perm.size)
     return darts, starts
-
-
-def _steps_to_end(succ: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """List ranking: the number of ``succ`` steps from each element to the
-    end of its chain, where ``last`` marks the chain ends (pointer jumping,
-    O(log longest chain) passes).  A chain that never reaches an end, which
-    only a faulty caller can build, raises ``RuntimeError`` once the passes
-    that any chain of ``succ.size`` elements needs are spent."""
-    left = (~last).astype(np.int64)
-    jump = np.where(last, np.arange(succ.size), succ)
-    for _ in range(succ.size.bit_length() + 1):
-        ahead = jump[jump]
-        if np.array_equal(ahead, jump):
-            return left
-        left += left[jump]
-        jump = ahead
-    raise RuntimeError("list ranking: a chain never reaches a marked end")
 
 
 def _split(darts: np.ndarray, starts: np.ndarray) -> list[tuple[int, ...]]:
@@ -279,8 +237,6 @@ def _rotation_map(rotations) -> HalfEdgeMap:
 def _array_map(twin: np.ndarray, nxt: np.ndarray, tail: np.ndarray) -> HalfEdgeMap:
     """Map of new one-dimensional int64 arrays, owned by no one else, that a
     library construction made valid (no re-check); they become read-only."""
-    for a in (twin, nxt, tail):
-        a.flags.writeable = False
     return _trusted(HalfEdgeMap, twin=twin, nxt=nxt, tail=tail)
 
 

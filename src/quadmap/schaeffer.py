@@ -5,12 +5,13 @@ Forward direction: read the label process along the clockwise contour,
 draw one chord from every corner to its predecessor corner (the latest
 earlier corner labeled one less, the extra origin corner acting as label
 0), and keep only the chords.  The same picture factors through two
-auxiliary trees: a "doddering" tree carrying each chord once, and a
-"gluer" tree (the underlying plane tree) telling which doddering nodes
-get identified; :func:`assemble` performs that identification directly.
-Both run as numpy kernels on stacks of objects (``_chord_arrays`` and
-``_glued_arrays``), so ``quadmap verify`` checks one against the other
-on every small tree at once.
+auxiliary trees: a "doddering" tree carrying each chord once, and the
+underlying plane tree (the "gluer" tree), whose corners tell which
+doddering nodes get identified: :func:`assemble` glues the non-root
+doddering nodes, in reverse order, onto the plane tree's corners in
+clockwise order.  Both run as numpy kernels on stacks of objects
+(``_chord_arrays`` and ``_glued_arrays``), so ``quadmap verify`` checks
+one against the other on every small tree at once.
 
 Inverse direction: label the quadrangulation's vertices by distance to
 the root vertex, select one edge or diagonal per face by the local label
@@ -23,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .labeled import LabeledTree, encode, is_well_labeled
-from .paths import _check_label_process, _stable_order, doddering_rdfw
+from .paths import (
+    _check_label_process,
+    _contour_node_array,
+    _stable_order,
+    _steps_to_end,
+    doddering_rdfw,
+)
 from .planar_map import (
     HalfEdgeMap,
     PointedQuadrangulation,
@@ -32,20 +39,15 @@ from .planar_map import (
     _bfs_arrays,
     _csr_rotation_arrays,
     _origin_rounds,
-    _steps_to_end,
     _union,
 )
-from .trees import PlaneTree, Walk, _integer, _trusted, dfw, visit_order, walk_to_tree
+from .trees import PlaneTree, Walk, _ArrayValue, _int64, _trusted, visit_order, walk_to_tree
 
 __all__ = [
     "PredecessorTable",
     "predecessor_table",
     "DodderingTree",
     "doddering",
-    "GluerTree",
-    "gluer",
-    "GluingAssignment",
-    "canonical_gluing",
     "quad_of_tree",
     "tree_of_quad",
     "assemble",
@@ -54,18 +56,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PredecessorTable:
+@dataclass(frozen=True, eq=False)
+class PredecessorTable(_ArrayValue):
     """Predecessor corner per corner: values[i] is the latest k < i with
     label one below label(i); -1 stands for the origin corner (label 0)."""
 
-    values: tuple[int, ...]
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _int64(self.values, "values"))
 
 
 def predecessor_table(labels) -> PredecessorTable:
     """Predecessor table of a positive label process on [0, N]."""
-    labs = np.array(_check_label_process(labels), dtype=np.int64)
-    return PredecessorTable(tuple(_predecessor_array(labs).tolist()))
+    return _trusted(PredecessorTable, values=_predecessor_array(_check_label_process(labels)))
 
 
 def _predecessor_array(labs: np.ndarray) -> np.ndarray:
@@ -87,8 +91,8 @@ def _predecessor_array(labs: np.ndarray) -> np.ndarray:
     return np.where(found, cand % size, -1).reshape(labs.shape)
 
 
-@dataclass(frozen=True)
-class DodderingTree:
+@dataclass(frozen=True, eq=False)
+class DodderingTree(_ArrayValue):
     """Chord tree of a positive label process on [0, N].
 
     One node per abscissa in [-1, N] (the root carries -1); the parent of
@@ -100,96 +104,30 @@ class DodderingTree:
     """
 
     tree: PlaneTree
-    tags: tuple[int, ...]
+    tags: np.ndarray
 
     def __post_init__(self) -> None:
-        tags = tuple(_integer(t, "doddering tag") for t in self.tags)
+        tags = _int64(self.tags, "tags")
         object.__setattr__(self, "tags", tags)
-        if len(tags) != self.tree.n_nodes:
-            raise ValueError(f"{len(tags)} doddering tags for {self.tree.n_nodes} nodes")
+        if tags.size != self.tree.n_nodes:
+            raise ValueError(f"{tags.size} doddering tags for {self.tree.n_nodes} nodes")
         if tags[0] != -1:
             raise ValueError("the doddering root must carry the tag -1")
-        if sorted(tags) != list(range(-1, len(tags) - 1)):
-            raise ValueError(f"doddering tags must be a permutation of -1..{len(tags) - 2}")
+        if not np.array_equal(np.sort(tags), np.arange(-1, tags.size - 1)):
+            raise ValueError(f"doddering tags must be a permutation of -1..{tags.size - 2}")
 
 
 def doddering(labels) -> DodderingTree:
     """Build the doddering tree of a positive label process.  Its reverse
     traversal visits the tags -1, 0, 1, ... at depths (0, *labels), so its
     contour is :func:`~quadmap.paths.doddering_rdfw` read backwards."""
-    walk = doddering_rdfw(labels)
-    tree = walk_to_tree(_trusted(Walk, steps=tuple(walk[::-1].tolist())))
-    tags = [0] * tree.n_nodes
-    for tag, u in enumerate(visit_order(tree, "reverse"), start=-1):
-        tags[u] = tag
-    return _trusted(DodderingTree, tree=tree, tags=tuple(tags))
-
-
-@dataclass(frozen=True)
-class GluerTree:
-    """Underlying plane tree of a well-labeled tree, with its 2n contour
-    corners; corner k belongs to the node under the walker at time k."""
-
-    tree: PlaneTree
-
-    @property
-    def walk(self) -> Walk:
-        return dfw(self.tree)
-
-
-def gluer(tree: LabeledTree | PlaneTree) -> GluerTree:
-    if isinstance(tree, LabeledTree):
-        tree = tree.tree
-    return GluerTree(tree)
-
-
-@dataclass(frozen=True)
-class GluingAssignment:
-    """Strictly increasing injection from the non-root doddering nodes, in
-    reverse order, to gluer corners in clockwise order.  ``targets[k]`` is
-    the corner receiving the node tagged k."""
-
-    targets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        t = tuple(_integer(x, "gluing target") for x in self.targets)
-        object.__setattr__(self, "targets", t)
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("gluing assignment must be strictly increasing")
-        if t and t[0] < 0:
-            raise ValueError("gluing targets must be nonnegative corners")
-
-
-def canonical_gluing(d: DodderingTree, g: GluerTree) -> GluingAssignment:
-    """The assignment sending the (k+1)-th reverse-order doddering node to
-    the k-th clockwise gluer corner; discretely this is the identity."""
-    n_nonroot = d.tree.n_nodes - 1
-    if n_nonroot != 2 * g.tree.n:
-        raise ValueError("doddering and gluer sizes do not match")
-    return _trusted(GluingAssignment, targets=tuple(range(n_nonroot)))
+    tree = walk_to_tree(_trusted(Walk, steps=doddering_rdfw(labels)[::-1]))
+    tags = np.empty(tree.n_nodes, dtype=np.int64)
+    tags[visit_order(tree, "reverse")] = np.arange(-1, tree.n_nodes - 1)
+    return _trusted(DodderingTree, tree=tree, tags=tags)
 
 
 # -- forward construction -------------------------------------------------
-
-
-def _contour_node_array(walk: np.ndarray) -> np.ndarray:
-    """Array form of :func:`~quadmap.trees.contour_nodes` for one walk or a
-    stack of them along leading axes, each row on its own: the node under
-    the walker is the last one first visited at the same level, at or
-    before that time.  Sorting the times stably by (row, level) puts a
-    first visit at the head of every run, so a running maximum of
-    first-visit positions never reaches back into the previous run."""
-    width = walk.shape[-1]
-    flat = walk.reshape(-1, width)
-    arrival = np.ones(flat.shape, dtype=bool)
-    arrival[:, 1:] = flat[:, 1:] > flat[:, :-1]
-    ids = (np.cumsum(arrival, axis=1) - 1).ravel()  # node id, read at its first visit
-    by_level = _stable_order((flat + width * np.arange(len(flat))[:, None]).ravel())
-    at = np.where(arrival.ravel()[by_level], np.arange(flat.size), 0)
-    np.maximum.accumulate(at, out=at)
-    nodes = np.empty(flat.size, dtype=np.int64)
-    nodes[by_level] = ids[by_level[at]]
-    return nodes.reshape(walk.shape)
 
 
 def _chord_arrays(body: np.ndarray, walk: np.ndarray):
@@ -257,43 +195,37 @@ def quad_of_tree(tree: LabeledTree) -> RootedQuadrangulation:
     if not is_well_labeled(tree):
         raise ValueError("tree must be well-labeled")
     enc = encode(tree)
-    return _quad_of_arrays(np.array(enc.labels), np.array(enc.walk.steps))
+    return _quad_of_arrays(enc.labels, enc.walk.steps)
 
 
-def assemble(
-    d: DodderingTree, g: GluerTree, b: GluingAssignment
-) -> RootedQuadrangulation:
-    """Glue the doddering tree along the gluer tree.
+def assemble(d: DodderingTree, tree: PlaneTree) -> RootedQuadrangulation:
+    """Glue the doddering tree along the plane tree's walk.
 
-    Non-root doddering nodes whose assigned corners belong to the same
-    gluer node are identified.  Around a glued vertex, the member nodes
-    appear by increasing assigned corner and each contributes its parent
-    dart followed by its child darts by decreasing abscissa (the
-    doddering clockwise order).  The root dart is the doddering root edge
-    (tag -1 to tag 0).  With :func:`canonical_gluing` the result is
-    :func:`quad_of_tree`'s map dart for dart and vertex for vertex.
+    The doddering tree of a label process on [0, 2n - 1] has 2n non-root
+    nodes and the plane tree 2n corners; the node tagged k is sent to
+    corner k, and nodes sent to corners of the same plane-tree node are
+    identified.  Around a glued vertex, the member nodes appear by
+    increasing corner and each contributes its parent dart followed by its
+    child darts by decreasing abscissa (the doddering clockwise order).
+    The root dart is the doddering root edge (tag -1 to tag 0).  For the
+    doddering tree of a well-labeled tree's label process and that tree's
+    shape, the result is :func:`quad_of_tree`'s map dart for dart and
+    vertex for vertex; a gluing that identifies nodes at different depths
+    is a ``ValueError``.
     """
-    n_nonroot = d.tree.n_nodes - 1
-    walk = g.walk
-    if len(b.targets) != n_nonroot:
-        raise ValueError("assignment size does not match the doddering tree")
-    if n_nonroot != walk.n * 2:
-        raise ValueError("gluer corner count does not match the doddering tree")
-    if b.targets and b.targets[-1] >= 2 * walk.n:
-        raise ValueError("gluing target out of corner range")
-    # the checks leave only the canonical assignment: 2n increasing corners in [0, 2n)
-    tags = np.array(d.tags)
-    parent = tags[np.array(d.tree.parent)][np.argsort(tags)[1:]]  # each tag's parent tag
-    flat, sizes, _, _ = _glued_arrays(parent[None], np.array(walk.steps)[None])
+    if d.tree.n_nodes - 1 != 2 * tree.n:
+        raise ValueError("plane tree corner count does not match the doddering tree")
+    parent = d.tags[d.tree.parent][np.argsort(d.tags)[1:]]  # each tag's parent tag
+    flat, sizes, _, _ = _glued_arrays(parent[None], tree.walk.steps[None])
     twin = np.arange(flat.size) ^ 1
     return RootedQuadrangulation(HalfEdgeMap(twin, *_csr_rotation_arrays(flat, sizes)), 1)
 
 
 def _glued_arrays(parent: np.ndarray, walk: np.ndarray):
-    """:func:`assemble` with the canonical assignment for (B, 2n) stacks of
-    each doddering tag's parent tag (-1: the root) and (B, 2n+1) gluer
-    walks, run as their disjoint union.  Returns its rotation lists as a
-    flat dart array and one size per vertex (object b's darts offset by
+    """:func:`assemble` for (B, 2n) stacks of each doddering tag's parent
+    tag (-1: the root) and (B, 2n+1) plane-tree walks, run as their
+    disjoint union.  Returns its rotation lists as a flat dart array and
+    one size per vertex (object b's darts offset by
     b·4n, its vertices by b·(n + 2)), the (B, 2n) tag depths, and whether
     in each object every tag's parent is an ancestor-or-self of the
     previous tag: whether the reverse traversal lists the tags in order.
@@ -427,15 +359,9 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
 
 def _labeled_tree_of_arrays(walk: np.ndarray, node_labels: np.ndarray) -> LabeledTree:
     """The labeled tree with contour walk ``walk`` and ``node_labels`` in
-    first-visit order; a node's parent is the node under the walker just
-    before its first visit."""
-    up = walk[1:] > walk[:-1]
-    parents = _contour_node_array(walk)[:-1][up]
-    kids = (_stable_order(parents) + 1).tolist()
-    ends = np.cumsum(np.bincount(parents, minlength=walk.size // 2 + 1)).tolist()
-    children = tuple(tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    tree = _trusted(PlaneTree, children=children)
-    return _trusted(LabeledTree, tree=tree, labels=tuple(node_labels.tolist()))
+    first-visit order, both new arrays."""
+    tree = _trusted(PlaneTree, walk=_trusted(Walk, steps=walk))
+    return _trusted(LabeledTree, tree=tree, labels=node_labels)
 
 
 # -- pointing and fibers ---------------------------------------------------

@@ -212,8 +212,8 @@ def normalize_encoding(e: Encoding, n: int | None = None) -> SnakePath:
         n = e.n
     if n != e.n:
         raise ValueError("n does not match the encoding")
-    f = (np.array(e.labels, dtype=float) - 1.0) / n**0.25
-    z = np.array(e.walk.steps, dtype=float) / n**0.5
+    f = (e.labels - 1.0) / n**0.25
+    z = e.walk.steps / n**0.5
     # the encoding invariants already give the snake property exactly
     return _path(f, z)
 

@@ -1,20 +1,25 @@
 """Rooted plane trees and their depth-first encodings.
 
 Node ids are first-visit ranks of the clockwise depth-first traversal
-(root = 0), so a tree is fully described by the per-node tuples of child
-ids in clockwise order.  The contour walk, the height process and corner
-bookkeeping all derive from that structure.  Everything here is immutable
-after construction and safe to share between concurrent tasks.
+(root = 0), so a tree is fully described by its clockwise contour walk, a
+read-only int64 array; the children lists, parents, height process and
+corner bookkeeping all derive from it.  Everything here is immutable after
+construction, compares and hashes by its arrays, and is safe to share
+between concurrent tasks.
 
 The "reverse" direction means the traversal that enumerates every child
-list in reversed order; it coincides with the clockwise traversal of the
-mirrored tree.
+list in reversed order; its walk is the clockwise walk read backwards.
 """
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+
+import numpy as np
+
+from .paths import _contour_node_array, _doddering_rdfw, _stable_order, _steps_to_end
 
 __all__ = [
     "PlaneTree",
@@ -32,14 +37,21 @@ __all__ = [
 _DIRECTIONS = ("clockwise", "reverse")
 
 
-def _trusted(cls, **fields):
-    """Instance of the frozen dataclass ``cls`` with ``fields`` as given, for
-    values derived from valid values: skips ``__post_init__``.  Callers pass
-    every field in the stored form: tuples of Python ints, and read-only
-    int64 arrays for maps."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _trusted(cls, **values):
+    """Instance of the frozen dataclass ``cls`` with the fields ``values``,
+    for values derived from valid values: skips ``__post_init__``.  Callers
+    pass every field in its stored form; an array field is a new int64
+    array that no one else writes, and it becomes read-only here."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    for value in values.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    obj.__dict__.update(values)
     return obj
 
 
@@ -55,215 +67,215 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
-def _check_direction(direction: str) -> None:
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+def _int64(values, name: str) -> np.ndarray:
+    """A read-only one-dimensional int64 copy of ``values``.  As for
+    :func:`_integer`, values whose numpy type is not a non-bool integer
+    (floats, bools, strings) are a ``ValueError`` naming ``name``, and so
+    is an entry that int64 cannot hold."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        try:
+            np.array(values, dtype=np.int64)
+        except OverflowError:  # integers past int64 read as floats or objects
+            raise ValueError(f"{name} has an entry outside the int64 range") from None
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{name}: expected an integer array, got {array.dtype} entries")
+    if array.dtype.kind == "u" and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} has an entry outside the int64 range")
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    return _read_only(array.astype(np.int64))
 
 
-@dataclass(frozen=True)
-class Walk:
+class _ArrayValue:
+    """Equality and hashing by field values for frozen dataclasses declared
+    with ``eq=False``: array fields compare entry by entry and hash by their
+    bytes, so ``==`` gives a bool, as it does for tuples."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def __hash__(self) -> int:
+        values = (getattr(self, f.name) for f in fields(self))
+        return hash(tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values))
+
+
+@dataclass(frozen=True, eq=False)
+class Walk(_ArrayValue):
     """Contour process of a plane tree with n >= 1 edges.
 
     ``steps`` holds the 2n+1 successive depths w(0..2n); both endpoints are
     0, every value is nonnegative and consecutive values differ by exactly 1.
     """
 
-    steps: tuple[int, ...]
+    steps: np.ndarray
 
     def __post_init__(self) -> None:
-        w = self.steps
-        if not isinstance(w, tuple):
-            object.__setattr__(self, "steps", tuple(int(x) for x in w))
-            w = self.steps
-        if len(w) < 3 or len(w) % 2 == 0:
+        w = _int64(self.steps, "steps")
+        object.__setattr__(self, "steps", w)
+        if w.size < 3 or w.size % 2 == 0:
             raise ValueError("walk must have odd length 2n+1 with n >= 1")
         if w[0] != 0 or w[-1] != 0:
             raise ValueError("walk must start and end at 0")
-        for a, b in zip(w, w[1:]):
-            if abs(b - a) != 1:
-                raise ValueError("walk increments must be +-1")
-            if b < 0:
-                raise ValueError("walk must stay nonnegative")
+        if np.any(np.abs(np.diff(w)) != 1):
+            raise ValueError("walk increments must be +-1")
+        if w.min() < 0:
+            raise ValueError("walk must stay nonnegative")
 
     @property
     def n(self) -> int:
         """Number of tree edges encoded by the walk."""
-        return (len(self.steps) - 1) // 2
+        return (self.steps.size - 1) // 2
 
-    def __getitem__(self, i: int) -> int:
+    def __getitem__(self, i):
         return self.steps[i]
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self.steps.size
 
     def to_line(self) -> str:
-        return ",".join(str(x) for x in self.steps)
+        return ",".join(map(str, self.steps.tolist()))
 
     @classmethod
     def from_line(cls, line: str) -> "Walk":
-        return cls(tuple(int(tok) for tok in line.strip().split(",")))
+        return cls([int(tok) for tok in line.strip().split(",")])
 
 
-@dataclass(frozen=True)
-class PlaneTree:
-    """Rooted plane tree; ``children[u]`` lists u's children clockwise.
+@dataclass(frozen=True, eq=False, init=False)
+class PlaneTree(_ArrayValue):
+    """Rooted plane tree, stored as its clockwise contour ``walk``.
 
-    Node ids must be clockwise first-visit ranks: the clockwise DFS from
-    node 0 discovers node k exactly at the k-th first visit.  This is
-    checked at construction.
+    Node ids are clockwise first-visit ranks: the clockwise DFS from node 0
+    discovers node k exactly at the k-th first visit, so the walk fixes
+    ``children``, ``parent`` and ``depth``, which are derived on demand.
+    The public constructor takes the children lists, ``children[u]`` naming
+    u's children clockwise, and checks that they follow this numbering.
     """
 
-    children: tuple[tuple[int, ...], ...]
+    walk: Walk
 
-    def __post_init__(self) -> None:
-        kids = tuple(tuple(int(c) for c in cs) for cs in self.children)
-        object.__setattr__(self, "children", kids)
-        n_nodes = len(kids)
-        if n_nodes < 2:
+    def __init__(self, children) -> None:
+        self.__post_init__(children)
+
+    def __post_init__(self, children) -> None:
+        # __init__ hands the children over as a dataclass InitVar would, so
+        # that this check is timed and counted with the other constructors'
+        sizes = np.fromiter(map(len, children), dtype=np.int64, count=len(children))
+        kids = _int64(list(itertools.chain.from_iterable(children)), "children")
+        if sizes.size < 2:
             raise ValueError("a plane tree needs at least one edge")
-        # Clockwise DFS from the root must discover ids in increasing order
-        # and visit every node exactly once.
-        expected = 1
-        stack = [iter(kids[0])]
-        while stack:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-                continue
-            if child != expected:
-                raise ValueError(
-                    f"node ids are not clockwise first-visit ranks "
-                    f"(expected {expected}, found {child})"
-                )
-            expected += 1
-            if child >= n_nodes:
-                raise ValueError("child id out of range")
-            stack.append(iter(kids[child]))
-        if expected != n_nodes:
-            raise ValueError("children lists do not describe a connected tree")
+        ids = np.arange(sizes.size)
+        if not np.array_equal(np.sort(kids), ids[1:]):
+            raise ValueError("children lists must name every non-root node exactly once")
+        parent = np.empty_like(ids)
+        parent[kids] = np.repeat(ids, sizes)
+        parent[0] = -1
+        # with ids in first-visit order the depths in id order are the height
+        # process, whose walk _doddering_rdfw builds (up-steps at the first
+        # visits 2v - depth(v)); that walk must give the same children back
+        valid = np.all(parent < ids)
+        if valid:
+            walk = _doddering_rdfw(_steps_to_end(np.maximum(parent, 0), ids == 0)[1:])
+            valid = walk[-1] == 0 and walk.min() >= 0
+        if not (
+            valid
+            and np.array_equal(_parent_array(walk), parent)
+            and np.array_equal(kids, _stable_order(parent[1:]) + 1)
+        ):
+            raise ValueError("node ids are not clockwise first-visit ranks")
+        object.__setattr__(self, "walk", _trusted(Walk, steps=walk))
 
     @property
     def n(self) -> int:
         """Edge count."""
-        return len(self.children) - 1
+        return self.walk.n
 
     @property
     def n_nodes(self) -> int:
-        return len(self.children)
+        return self.walk.n + 1
 
     @cached_property
-    def parent(self) -> tuple[int, ...]:
+    def parent(self) -> np.ndarray:
         """Parent id per node; the root has parent -1."""
-        par = [-1] * self.n_nodes
-        for u, kids in enumerate(self.children):
-            for c in kids:
-                par[c] = u
-        return tuple(par)
+        return _read_only(_parent_array(self.walk.steps))
 
     @cached_property
-    def depth(self) -> tuple[int, ...]:
+    def depth(self) -> np.ndarray:
         """Distance to the root per node."""
-        dep = [0] * self.n_nodes
-        for u in range(1, self.n_nodes):
-            dep[u] = dep[self.parent[u]] + 1
-        return tuple(dep)
+        return _read_only(height_process(self))
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Children ids per node, clockwise."""
+        kids = (_stable_order(self.parent[1:]) + 1).tolist()
+        ends = np.cumsum(np.bincount(self.parent[1:], minlength=self.n_nodes)).tolist()
+        return tuple(tuple(kids[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
     def to_line(self) -> str:
-        return dfw(self).to_line()
+        return self.walk.to_line()
 
     @classmethod
     def from_line(cls, line: str) -> "PlaneTree":
         return walk_to_tree(Walk.from_line(line))
 
 
-def _ordered_children(tree: PlaneTree, node: int, direction: str):
-    kids = tree.children[node]
-    return kids if direction == "clockwise" else kids[::-1]
+def _parent_array(steps: np.ndarray) -> np.ndarray:
+    """Parent id per node of the tree with contour ``steps``, -1 for the
+    root: the node under the walker just before the node's first visit."""
+    up = steps[1:] > steps[:-1]
+    return np.concatenate(([-1], _contour_node_array(steps)[:-1][up]))
 
 
 def dfw(tree: PlaneTree, direction: str = "clockwise") -> Walk:
     """Depth-first walk (contour process) of the tree, length 2n+1."""
-    _check_direction(direction)
-    values = [0]
-    stack = [iter(_ordered_children(tree, 0, direction))]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-            if stack:
-                values.append(len(stack) - 1)
-        else:
-            stack.append(iter(_ordered_children(tree, child, direction)))
-            values.append(len(stack) - 1)
-    return _trusted(Walk, steps=tuple(values))
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    if direction == "clockwise":
+        return tree.walk
+    return _trusted(Walk, steps=tree.walk.steps[::-1])
 
 
 def walk_to_tree(walk: Walk) -> PlaneTree:
-    """Rebuild the plane tree whose clockwise walk is ``walk``."""
+    """The plane tree whose clockwise walk is ``walk``."""
     if not isinstance(walk, Walk):
-        walk = Walk(tuple(walk))
-    children: list[list[int]] = [[]]
-    stack = [0]
-    next_id = 1
-    for a, b in zip(walk.steps, walk.steps[1:]):
-        if b > a:
-            children.append([])
-            children[stack[-1]].append(next_id)
-            stack.append(next_id)
-            next_id += 1
-        else:
-            stack.pop()
-    return _trusted(PlaneTree, children=tuple(tuple(cs) for cs in children))
+        walk = Walk(walk)
+    return _trusted(PlaneTree, walk=walk)
 
 
-def visit_order(tree: PlaneTree, direction: str = "clockwise") -> tuple[int, ...]:
+def visit_order(tree: PlaneTree, direction: str = "clockwise") -> np.ndarray:
     """Node ids in first-visit order of the chosen traversal.
 
     For the clockwise direction this is (0, 1, ..., n) by the id convention;
-    the reverse direction carries its own mapping.
+    the reverse traversal reads the clockwise contour backwards.
     """
-    _check_direction(direction)
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for c in reversed(_ordered_children(tree, u, direction)):
-            stack.append(c)
-    return tuple(order)
+    walk = dfw(tree, direction)
+    step = 1 if direction == "clockwise" else -1
+    return contour_nodes(tree.walk)[::step][first_visit_times(walk)]
 
 
-def height_process(tree: PlaneTree, direction: str = "clockwise") -> tuple[int, ...]:
+def height_process(tree: PlaneTree, direction: str = "clockwise") -> np.ndarray:
     """Depths of the n+1 nodes in first-visit order (length n+1)."""
-    return tuple(tree.depth[u] for u in visit_order(tree, direction))
+    walk = dfw(tree, direction)
+    return walk.steps[first_visit_times(walk)]
 
 
-def first_visit_times(walk: Walk) -> tuple[int, ...]:
+def first_visit_times(walk: Walk) -> np.ndarray:
     """Time of the first visit of the k-th node along the walk.
 
     ``m(k) + h(k) = 2k`` ties these times to the height process of the same
     traversal, for every tree.
     """
-    times = [0]
-    for i, (a, b) in enumerate(zip(walk.steps, walk.steps[1:])):
-        if b > a:
-            times.append(i + 1)
-    return tuple(times)
+    w = walk.steps
+    return np.concatenate(([0], np.flatnonzero(w[1:] > w[:-1]) + 1))
 
 
-def contour_nodes(walk: Walk) -> tuple[int, ...]:
+def contour_nodes(walk: Walk) -> np.ndarray:
     """Node id under the walker at each time 0..2n (first-visit ranks)."""
-    nodes = [0]
-    stack = [0]
-    next_id = 1
-    for a, b in zip(walk.steps, walk.steps[1:]):
-        if b > a:
-            stack.append(next_id)
-            next_id += 1
-        else:
-            stack.pop()
-        nodes.append(stack[-1])
-    return tuple(nodes)
+    return _contour_node_array(walk.steps)
 
 
 def same_node(walk: Walk, i: int, j: int) -> bool:
@@ -273,11 +285,12 @@ def same_node(walk: Walk, i: int, j: int) -> bool:
     both endpoint values.
     """
     w = walk.steps
+    i, j = _integer(i, "corner"), _integer(j, "corner")
     for corner in (i, j):
-        if not 0 <= corner < len(w):
-            raise ValueError(f"corner {corner} out of range 0..{len(w) - 1}")
+        if not 0 <= corner < w.size:
+            raise ValueError(f"corner {corner} out of range 0..{w.size - 1}")
     lo, hi = min(i, j), max(i, j)
-    return min(w[lo : hi + 1]) == w[i] == w[j]
+    return bool(w[lo : hi + 1].min() == w[i] == w[j])
 
 
 def mirror(tree: PlaneTree) -> PlaneTree:

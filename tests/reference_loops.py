@@ -1,30 +1,24 @@
-"""Per-dart Python loops for the map layers, kept as references.
+"""Per-dart and per-node Python loops for the map and tree layers, kept
+as references.
 
-The library runs every map layer as numpy kernels; these loops compute the
-same values one dart at a time over lists, and ``test_array_kernels.py``
-compares each kernel and public function with them.  They read maps
-through their arrays only, so no reference calls a kernel, and they raise
-the constructor's messages in its order.  The contour kernels' earlier
-array forms (rotation by a modular index array, branch sums through edge
-ids) are kept the same way, for ``test_paths.py``.
+The library runs every map layer and the tree layer as numpy kernels;
+these loops compute the same values one dart or node at a time over lists,
+and ``test_array_kernels.py`` and ``test_tree_arrays.py`` compare each
+kernel and public function with them.  They read maps through their arrays
+only, so no reference calls a kernel, and they raise the constructor's
+messages in its order.  The contour kernels' earlier array forms (rotation
+by a modular index array, branch sums through edge ids) are kept the same
+way, for ``test_paths.py``.
 """
 from collections import deque
 
 import numpy as np
 
-from quadmap.labeled import (
-    Encoding,
-    LabeledTree,
-    _encoding_from_arrays,
-    decode,
-    encode,
-    first_min_corner,
-    minima_set,
-)
-from quadmap.paths import contour_edges, uniform_encoding_arrays
+from quadmap.labeled import Encoding, LabeledTree, first_min_corner, minima_set
+from quadmap.paths import contour_edges, doddering_rdfw, uniform_encoding_arrays
 from quadmap.planar_map import RootedQuadrangulation, _array_map
 from quadmap.schaeffer import point
-from quadmap.trees import PlaneTree, Walk, _trusted, contour_nodes
+from quadmap.trees import PlaneTree, Walk, _trusted
 
 
 def orbits(perm) -> list[tuple[int, ...]]:
@@ -207,8 +201,8 @@ def chord_rotations(labels_body, walk):
             origin_in.append(i)
         else:
             incoming[p].append(i)
-    nodes = contour_nodes(walk)
-    rotations = [[] for _ in range(walk.n + 2)]
+    nodes = read_walk(walk)[1]
+    rotations = [[] for _ in range(len(walk) // 2 + 2)]
     rotations[0] = [2 * i + 1 for i in reversed(origin_in)]
     for c in range(two_n):
         rot = rotations[nodes[c] + 1]
@@ -218,8 +212,8 @@ def chord_rotations(labels_body, walk):
 
 
 def quad_of_tree(tree) -> RootedQuadrangulation:
-    enc = encode(tree)
-    nxt, tail = rotation_arrays(chord_rotations(enc.labels[:-1], enc.walk))
+    labels, walk = encode(tree.tree.children, tree.labels.tolist())
+    nxt, tail = rotation_arrays(chord_rotations(labels[:-1], walk))
     quad = _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
     return _trusted(RootedQuadrangulation, map=quad, root=1)
 
@@ -304,32 +298,27 @@ def tree_of_quad(q) -> LabeledTree:
         new_id[u] = len(order)
         order.append(u)
         stack.extend(reversed(children[u]))
-    tree = _trusted(PlaneTree, children=tuple(tuple(new_id[c] for c in children[u]) for u in order))
-    return _trusted(LabeledTree, tree=tree, labels=tuple(labels_out[u] for u in order))
+    kids = tuple(tuple(new_id[c] for c in children[u]) for u in order)
+    return labeled_tree(kids, [labels_out[u] for u in order])
 
 
 # -- the doddering/gluer gluing ----------------------------------------------
 
 
-def glued_rotations(d, g, b) -> list[list[int]]:
+def glued_rotations(d, tree) -> list[list[int]]:
     """``assemble``'s vertex rotation lists, after its checks that the sizes
     match and that no glued vertex mixes depths: the origin (the doddering
-    root) first, then one list per gluer node."""
+    root) first, then one list per plane-tree node."""
     n_nonroot = d.tree.n_nodes - 1
-    walk = g.walk
-    if len(b.targets) != n_nonroot:
-        raise ValueError("assignment size does not match the doddering tree")
-    if n_nonroot != walk.n * 2:
-        raise ValueError("gluer corner count does not match the doddering tree")
-    if b.targets and b.targets[-1] >= 2 * walk.n:
-        raise ValueError("gluing target out of corner range")
-    tags = d.tags
+    if n_nonroot != tree.n * 2:
+        raise ValueError("plane tree corner count does not match the doddering tree")
+    tags = d.tags.tolist()
     # label of the node tagged k is its depth in the doddering tree
-    depth_of_tag = dict(zip(tags, d.tree.depth))
-    corner_class = contour_nodes(walk)
-    members = [[] for _ in range(walk.n + 1)]
-    for k, corner in enumerate(b.targets):
-        members[corner_class[corner]].append(k)
+    depth_of_tag = dict(zip(tags, traverse(d.tree.children)[2]))
+    corner_class = read_walk(tree.walk.steps.tolist())[1]
+    members = [[] for _ in range(tree.n + 1)]
+    for k in range(n_nonroot):  # the node tagged k goes to corner k
+        members[corner_class[k]].append(k)
     # chord k has darts 2k (at node tagged k) and 2k+1 (at its parent), so
     # decreasing child darts list the children by decreasing abscissa
     child_darts = {
@@ -385,13 +374,13 @@ def reroot(enc, theta: int):
     """``labeled.reroot``: labels rotated to corner theta and shifted to 1,
     and the walk as tree distances from the node at corner theta, read with
     running minima forward to the end and backward to corner 0."""
-    two_n = len(enc.labels) - 1
+    two_n = enc.labels.size - 1
     if not 0 <= theta <= two_n:
         raise ValueError(f"theta must lie in [0, {two_n}]")
     th = theta % two_n
     if th == 0:
         return enc
-    labs, w = enc.labels, enc.walk.steps
+    labs, w = enc.labels.tolist(), enc.walk.steps.tolist()
     base = labs[th]
     new_labels = [labs[(th + i) % two_n] - base + 1 for i in range(two_n)]
     new_labels.append(1)
@@ -406,8 +395,8 @@ def reroot(enc, theta: int):
         if w[j] < run_min:
             run_min = w[j]
         new_walk[j + two_n - th] = w[j] + w[th] - 2 * run_min
-    walk = _trusted(Walk, steps=tuple(new_walk))
-    return _trusted(Encoding, labels=tuple(new_labels), walk=walk)
+    walk = _trusted(Walk, steps=np.array(new_walk))
+    return _trusted(Encoding, labels=np.array(new_labels), walk=walk)
 
 
 # -- samplers -----------------------------------------------------------------
@@ -415,13 +404,103 @@ def reroot(enc, theta: int):
 
 def sample_rooted_pd(n: int, rng):
     labels, walks = uniform_encoding_arrays(n, rng)
-    enc = _encoding_from_arrays(labels[0], walks[0])
+    enc = Encoding(labels[0], Walk(walks[0]))
     minima = minima_set(enc.labels)
-    tree = decode(reroot(enc, minima[int(rng.integers(len(minima)))]))
+    enc = reroot(enc, int(minima[int(rng.integers(len(minima)))]))
+    tree = labeled_tree(*decode(enc.labels.tolist(), enc.walk.steps.tolist()))
     return tree, quad_of_tree(tree)
 
 
 def sample_pointed_ps(n: int, rng):
     labels, walks = uniform_encoding_arrays(n, rng)
-    enc = _encoding_from_arrays(labels[0], walks[0])
-    return point(quad_of_tree(decode(reroot(enc, first_min_corner(enc.labels)))))
+    enc = Encoding(labels[0], Walk(walks[0]))
+    enc = reroot(enc, first_min_corner(enc.labels))
+    tree = labeled_tree(*decode(enc.labels.tolist(), enc.walk.steps.tolist()))
+    return point(quad_of_tree(tree))
+
+
+# -- the tree layer -----------------------------------------------------------
+
+
+def traverse(children, direction: str = "clockwise"):
+    """(walk, first-visit order, height process) of the depth-first
+    traversal that lists every child list clockwise or reversed."""
+    step = 1 if direction == "clockwise" else -1
+    walk, order, heights = [0], [0], [0]
+    stack = [iter(children[0][::step])]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(iter(children[child][::step]))
+            order.append(child)
+            heights.append(len(stack) - 1)
+        if stack:
+            walk.append(len(stack) - 1)
+    return tuple(walk), tuple(order), tuple(heights)
+
+
+def read_walk(steps):
+    """(children lists, node under the walker at each time, first-visit
+    times) of the tree whose clockwise walk is ``steps``."""
+    children, nodes, firsts, stack = [[]], [0], [0], [0]
+    for t in range(1, len(steps)):
+        if steps[t] > steps[t - 1]:
+            children[stack[-1]].append(len(children))
+            stack.append(len(children))
+            children.append([])
+            firsts.append(t)
+        else:
+            stack.pop()
+        nodes.append(stack[-1])
+    return tuple(map(tuple, children)), tuple(nodes), tuple(firsts)
+
+
+def labeled_tree(children, labels) -> LabeledTree:
+    """The ``LabeledTree`` of children lists and node labels."""
+    tree = _trusted(PlaneTree, walk=_trusted(Walk, steps=np.array(traverse(children)[0])))
+    return _trusted(LabeledTree, tree=tree, labels=np.array(labels, dtype=np.int64))
+
+
+def encode(children, labels):
+    """(label process, walk) of a labeled tree."""
+    walk = traverse(children)[0]
+    return tuple(labels[u] for u in read_walk(walk)[1]), walk
+
+
+def decode(process, steps):
+    """(children lists, node labels) of an encoding."""
+    children, _, firsts = read_walk(steps)
+    return children, tuple(process[t] for t in firsts)
+
+
+def parents(children) -> list[int]:
+    par = [-1] * len(children)
+    for u, kids in enumerate(children):
+        for c in kids:
+            par[c] = u
+    return par
+
+
+def to_marked(children, labels) -> tuple[int, ...]:
+    par = parents(children)
+    return tuple(labels[u] - labels[par[u]] for u in range(1, len(children)))
+
+
+def from_marked(children, marks) -> tuple[int, ...]:
+    par, labels = parents(children), [1] * len(children)
+    for u in range(1, len(children)):
+        labels[u] = labels[par[u]] + marks[u - 1]
+    return tuple(labels)
+
+
+def doddering(labels):
+    """(children lists, tags) of the doddering tree: the tree whose walk is
+    ``doddering_rdfw`` read backwards, tagged -1, 0, 1, ... in reverse
+    first-visit order."""
+    children = read_walk(doddering_rdfw(labels)[::-1].tolist())[0]
+    tags = [0] * len(children)
+    for tag, u in enumerate(traverse(children, "reverse")[1], start=-1):
+        tags[u] = tag
+    return children, tuple(tags)

@@ -70,9 +70,7 @@ from quadmap.planar_map import (
 )
 from quadmap.schaeffer import (
     assemble,
-    canonical_gluing,
     doddering,
-    gluer,
     point,
     quad_of_tree,
     tree_of_quad,
@@ -104,8 +102,7 @@ def test_criterion_1_bijection_suite():
         for t in well_labeled_trees(n):
             q = quad_of_tree(t)
             d = doddering(encode(t).labels[:-1])
-            g = gluer(t)
-            built = assemble(d, g, canonical_gluing(d, g))
+            built = assemble(d, t.tree)
             assert rooted_code(built.map, built.root) == rooted_code(q.map, q.root)
     for n in range(1, 4):
         maps = enumerate_rooted_maps(n)
@@ -208,7 +205,7 @@ def test_criterion_4_structural_identities(n, replicas):
         assert quad.map.degree(0) == len(minima_set(enc.labels))
         body = enc.labels[:-1]
         d = doddering(body)
-        assert height_process(d.tree, "reverse") == (0,) + tuple(body)
+        assert height_process(d.tree, "reverse").tolist() == [0] + body.tolist()
         walk = dfw(tree.tree, "reverse")
         h = height_process(tree.tree, "reverse")
         m = first_visit_times(walk)

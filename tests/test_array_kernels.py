@@ -31,7 +31,15 @@ from quadmap.enumeration import (
     unrooted_plane_tree_count,
     well_labeled_trees,
 )
-from quadmap.labeled import LabeledTree, decode, encode, reroot, stabilizer_size, to_positive
+from quadmap.labeled import (
+    Encoding,
+    LabeledTree,
+    decode,
+    encode,
+    reroot,
+    stabilizer_size,
+    to_positive,
+)
 from quadmap.paths import _reroot_arrays, uniform_encoding_arrays
 from quadmap.planar_map import (
     HalfEdgeMap,
@@ -61,16 +69,14 @@ from quadmap.schaeffer import (
     _labeled_tree_of_arrays,
     _predecessor_array,
     _tree_of_quad_arrays,
-    canonical_gluing,
     doddering,
     fiber,
-    gluer,
     point,
     predecessor_table,
     quad_of_tree,
     tree_of_quad,
 )
-from quadmap.trees import PlaneTree, _trusted, contour_nodes
+from quadmap.trees import PlaneTree, Walk, _trusted
 
 SAMPLED_N = (2**6, 2**8, 2**9, 2**10, 2**12)  # 256 .. 16384 darts
 
@@ -104,7 +110,7 @@ def check_chord_arrays(enc, labels: np.ndarray, walk: np.ndarray) -> None:
     """``_chord_arrays`` and ``_rotation_arrays`` equal the reference
     rotation lists' arrays."""
     twin, nxt, tail = _chord_arrays(labels[:-1], walk)
-    rotations = reference.chord_rotations(enc.labels[:-1], enc.walk)
+    rotations = reference.chord_rotations(enc.labels[:-1].tolist(), enc.walk.steps.tolist())
     built = reference.rotation_arrays(rotations)
     assert tuple(a.tolist() for a in _rotation_arrays(rotations)) == tuple(
         a.tolist() for a in built
@@ -136,8 +142,8 @@ def test_kernels_match_python_on_all_small_quads(n):
         labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
         predecessors = reference.predecessors(enc.labels[:-1])
         assert tuple(_predecessor_array(labels[:-1]).tolist()) == predecessors
-        assert predecessor_table(enc.labels[:-1]).values == predecessors
-        assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
+        assert tuple(predecessor_table(enc.labels[:-1]).values.tolist()) == predecessors
+        assert tuple(_contour_node_array(walk).tolist()) == reference.read_walk(walk.tolist())[1]
         check_chord_arrays(enc, labels, walk)
         check_inverse(q, tree)
         up = walk[1:] > walk[:-1]
@@ -146,8 +152,8 @@ def test_kernels_match_python_on_all_small_quads(n):
         for theta in range(2 * n):
             new_labels, new_walk = _reroot_arrays(labels, walk, theta)
             again = reference.reroot(enc, theta)
-            assert tuple(new_labels.tolist()) == again.labels
-            assert tuple(new_walk.tolist()) == again.walk.steps
+            assert new_labels.tolist() == again.labels.tolist()
+            assert new_walk.tolist() == again.walk.steps.tolist()
             assert reroot(enc, theta) == again
 
 
@@ -170,17 +176,17 @@ def test_kernels_match_python_on_sampled_maps(n):
     labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
     predecessors = reference.predecessors(enc.labels[:-1])
     assert tuple(_predecessor_array(labels[:-1]).tolist()) == predecessors
-    assert tuple(_contour_node_array(walk).tolist()) == contour_nodes(enc.walk)
+    assert tuple(_contour_node_array(walk).tolist()) == reference.read_walk(walk.tolist())[1]
     check_chord_arrays(enc, labels, walk)
     check_inverse(q, tree)
     raw_labels, raw_walks = uniform_encoding_arrays(n, rng)
-    raw = decode(harness._encoding_from_arrays(raw_labels[0], raw_walks[0]))
+    raw = decode(Encoding(raw_labels[0], Walk(raw_walks[0])))
     raw_enc = encode(raw)
     for theta in rng.integers(0, 2 * n, size=5):
         new_labels, new_walk = _reroot_arrays(raw_labels[0], raw_walks[0], int(theta))
         again = reference.reroot(raw_enc, int(theta))
-        assert tuple(new_labels.tolist()) == again.labels
-        assert tuple(new_walk.tolist()) == again.walk.steps
+        assert new_labels.tolist() == again.labels.tolist()
+        assert new_walk.tolist() == again.walk.steps.tolist()
 
 
 @pytest.mark.parametrize("n", SAMPLED_N)
@@ -249,8 +255,7 @@ def test_glued_arrays_match_the_reference_loop(n):
     flat, sizes, depth, nested = _glued_arrays(_predecessor_array(body), walks)
     expected_flat, expected_sizes = [], []
     for b, t in enumerate(trees):
-        d, g = doddering(body[b]), gluer(t)
-        for rot in reference.glued_rotations(d, g, canonical_gluing(d, g)):
+        for rot in reference.glued_rotations(doddering(body[b]), t.tree):
             expected_flat += [dart + 4 * n * b for dart in rot]
             expected_sizes.append(len(rot))
     assert flat.tolist() == expected_flat and sizes.tolist() == expected_sizes
@@ -425,8 +430,8 @@ def test_steps_to_end_raises_on_a_chain_without_end():
 def test_encoding_arrays_list_the_labeled_trees(n):
     labels, walks, shape = _encoding_arrays(n)
     encodings = [encode(t) for t in labeled_trees(n)]
-    assert [tuple(row) for row in labels.tolist()] == [e.labels for e in encodings]
-    assert [tuple(walks[s].tolist()) for s in shape] == [e.walk.steps for e in encodings]
+    assert labels.tolist() == [e.labels.tolist() for e in encodings]
+    assert [walks[s].tolist() for s in shape] == [e.walk.steps.tolist() for e in encodings]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -489,7 +494,7 @@ def _orbit_oracle(n):
     for tree in labeled_trees(n):
         enc = encode(tree)
         images = [reference.reroot(enc, theta) for theta in range(2 * n)]
-        keys = [(e.labels, e.walk.steps) for e in images]
+        keys = [(tuple(e.labels.tolist()), tuple(e.walk.steps.tolist())) for e in images]
         rep_key = min(keys)
         if rep_key in found:
             continue
@@ -509,7 +514,9 @@ def test_unrooted_count_matches_per_object_loop(n):
     classes = set()
     for tree in plane_trees(n):
         enc = encode(LabeledTree(tree, (1,) * tree.n_nodes))
-        classes.add(min(reference.reroot(enc, theta).walk.steps for theta in range(2 * n)))
+        classes.add(
+            min(tuple(reference.reroot(enc, theta).walk.steps.tolist()) for theta in range(2 * n))
+        )
     assert unrooted_plane_tree_count(n) == len(classes)
 
 
@@ -527,7 +534,7 @@ def test_stabilizer_size_matches_per_corner_loop():
     rng = np.random.default_rng(41)
     for n in (8, 20, 50):
         labels, walks = uniform_encoding_arrays(n, rng, count=3)
-        trees += [decode(harness._encoding_from_arrays(a, w)) for a, w in zip(labels, walks)]
+        trees += [decode(Encoding(a, Walk(w))) for a, w in zip(labels, walks)]
     for tree in trees:
         assert stabilizer_size(tree) == _stabilizer_oracle(tree)
 

@@ -33,7 +33,7 @@ CHI2_99 = {2: 9.2103, 8: 20.0902, 17: 33.4087}
 
 def test_sample_labeled_uniform_n1():
     rng = np.random.default_rng(5)
-    counts = Counter(sample_labeled_uniform(1, rng).labels for _ in range(30000))
+    counts = Counter(tuple(sample_labeled_uniform(1, rng).labels.tolist()) for _ in range(30000))
     assert set(counts) == {(1, 0), (1, 1), (1, 2)}
     for value in counts.values():
         assert abs(value / 30000 - 1 / 3) < 0.02
@@ -45,7 +45,7 @@ def test_sample_labeled_uniform_n2_chi_square():
     counts = Counter()
     for _ in range(draws):
         t = sample_labeled_uniform(2, rng)
-        counts[(t.tree.children, t.labels)] += 1
+        counts[(t.tree.children, tuple(t.labels.tolist()))] += 1
     assert len(counts) == 18
     expected = draws / 18
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())

@@ -2,9 +2,9 @@
 tests keep the dropped runtime checks as test-time checks.
 
 Every library-built value is rebuilt field by field through its public
-validating constructor and must come back equal and hold only tuples of
-Python ints, or, for a map, read-only one-dimensional int64 arrays.  A
-counting test pins where validation still runs.
+validating constructor (a plane tree from its children lists) and must
+come back equal and hold only read-only one-dimensional int64 arrays, or
+tuples of Python ints.  A counting test pins where validation still runs.
 """
 from collections import Counter
 from dataclasses import fields, is_dataclass
@@ -39,7 +39,6 @@ from quadmap.planar_map import (
 )
 from quadmap.schaeffer import (
     DodderingTree,
-    GluingAssignment,
     doddering,
     fiber,
     point,
@@ -52,17 +51,16 @@ from quadmap.trees import PlaneTree, Walk, dfw, mirror, walk_to_tree
 
 def rebuilt(value):
     """``value`` rebuilt through the public constructors of it and its parts."""
+    if isinstance(value, PlaneTree):
+        return PlaneTree(value.children)
     if is_dataclass(value):
         return type(value)(**{f.name: rebuilt(getattr(value, f.name)) for f in fields(value)})
     return value
 
 
 def holds_python_ints(value) -> bool:
-    if isinstance(value, HalfEdgeMap):
-        return all(
-            type(a) is np.ndarray and a.dtype == np.int64 and a.ndim == 1 and not a.flags.writeable
-            for a in (value.twin, value.nxt, value.tail)
-        )
+    if type(value) is np.ndarray:
+        return value.dtype == np.int64 and value.ndim == 1 and not value.flags.writeable
     if is_dataclass(value):
         return all(holds_python_ints(getattr(value, f.name)) for f in fields(value))
     if isinstance(value, tuple):
@@ -178,7 +176,6 @@ VALUE_CLASSES = (
     RootedQuadrangulation,
     PointedQuadrangulation,
     DodderingTree,
-    GluingAssignment,
     SnakePath,
 )
 
