@@ -11,12 +11,11 @@ timed ones in this process, with stdout captured; each kernel that
 ``quadmap.cli`` calls by module-level name is wrapped with a
 ``perf_counter`` accumulator, and ``other`` is the rest of the command
 (mostly the counting checks).  ``ascii`` times ``planar_map._ascii_ints``
-on 524,288 values, as one row and as a stack of one row, and the stack's
-row-end step alone, in both of the forms it has had.  ``rss`` reports the
-peak resident memory of this process before and after a part of
-perfbench's ``exhaustive`` op
-(``verify --max-n 5``, then ``orbit_decomposition(5)`` and
-``tv_distance(4)``).  Run it in a fresh process per measurement.
+on 524,288 values as a stack of one row, and the stack's row-end step
+alone, in both of the forms it has had.  ``rss`` reports the peak
+resident memory of this process before and after a part of perfbench's
+``exhaustive`` op (``verify --max-n 5``, then ``orbit_decomposition(5)``
+and ``tv_distance(4)``).  Run it in a fresh process per measurement.
 """
 from __future__ import annotations
 
@@ -89,7 +88,6 @@ def ascii_timings() -> dict:
         return round(min(timeit.repeat(fn, number=1, repeat=15)) * 1e3, 2)
 
     return {
-        "one_d_ms": best_ms(lambda: _ascii_ints(values)),
         "stacked_ms": best_ms(lambda: _ascii_ints(stacked)),
         # the older form, two sums over the digit mask, and the current one
         "row_ends_two_sums_ms": best_ms(

@@ -110,12 +110,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 _VERIFY_DARTS = 2**14
 
 
-def _bijection_checks(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray, shapes):
+def _bijection_checks(labels: np.ndarray, walks: np.ndarray):
     """Verify's bijection checks on (B, 2n+1) stacks of well-labeled
-    encodings whose walks are ``shapes[shape[b]]``'s: the rooted codes of
-    their quadrangulations, whether the inverse gives every tree back,
-    whether the gluing and the BFS metrics agree, and the pointed codes
-    for the sizes that have law tables (an empty list above them)."""
+    encodings: the rooted codes of their quadrangulations, whether the
+    inverse gives every tree back, whether the gluing and the BFS metrics
+    agree, and the pointed codes for the sizes that have law tables (an
+    empty list above them)."""
     count, n = len(labels), labels.shape[1] // 2
     twin, nxt, tail = _chord_arrays(labels[:, :-1], walks)
     roots, origins = np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
@@ -134,17 +134,16 @@ def _bijection_checks(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray, 
         and np.array_equal(np.count_nonzero(tail == 0, axis=1), minima)
         and np.array_equal(dist.max(axis=1), node_labels.max(axis=1))
     )
-    ok = _gluing_check(body, walks, shape, shapes, nxt, tail) and ok
+    ok = _gluing_check(body, walks, nxt, tail) and ok
     pointed = _pointed_code_arrays(nxt, twin, tail, 0) if n <= enumeration.MAX_LAW_N else []
     return codes, round_trip, ok, pointed
 
 
-def _gluing_check(body, walks, shape, shapes, nxt, tail) -> bool:
+def _gluing_check(body, walks, nxt, tail) -> bool:
     """Whether the doddering trees of the (B, 2n) label bodies, glued along
     their (B, 2n+1) gluer walks by one ``_glued_arrays`` call, have reverse
     height process (0, *body[b]), list every dart once and give the chord
-    stack's (nxt, tail), offsets removed; and whether each distinct gluer
-    tree ``shapes[s]`` has the walk of its rows.  Mixed depths fail it."""
+    stack's (nxt, tail), offsets removed.  Mixed depths fail it."""
     count, m = len(body), 2 * body.shape[1]
     try:
         flat, sizes, depth, nested = _glued_arrays(_predecessor_array(body), walks)
@@ -153,13 +152,10 @@ def _gluing_check(body, walks, shape, shapes, nxt, tail) -> bool:
     listed = np.array_equal(np.sort(flat), np.arange(count * m))
     if not (listed and nested.all() and np.array_equal(depth, body)):
         return False
-    kinds = np.unique(shape)
-    gluer_walks = np.array([shapes[s].walk.steps for s in kinds.tolist()])
     glued_nxt, glued_tail = _csr_rotation_arrays(flat, sizes)
     row = np.arange(count)[:, None]
     return (
-        np.array_equal(gluer_walks[np.searchsorted(kinds, shape)], walks)
-        and np.array_equal(glued_nxt.reshape(count, m) - m * row, nxt)
+        np.array_equal(glued_nxt.reshape(count, m) - m * row, nxt)
         and np.array_equal(glued_tail.reshape(count, m) - (m // 4 + 2) * row, tail)
     )
 
@@ -173,13 +169,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # bijection suite, on stacks of well-labeled trees
     pointed_counts = {}
     for n in range(1, args.max_n + 1):
-        labels, walks, shape = enumeration._well_labeled_arrays(n)
-        shapes = enumeration.plane_trees(n)
+        labels, walks = enumeration._well_labeled_arrays(n)
         codes, pointed, round_trip, ok = [], set(), True, True
         pieces = -(-len(labels) * 4 * n // _VERIFY_DARTS)
         for rows in np.array_split(np.arange(len(labels)), pieces):
             slice_codes, slice_round_trip, slice_ok, slice_pointed = _bijection_checks(
-                labels[rows], walks[rows], shape[rows], shapes
+                labels[rows], walks[rows]
             )
             codes += slice_codes
             round_trip = round_trip and slice_round_trip

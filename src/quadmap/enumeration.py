@@ -139,19 +139,18 @@ def _encoding_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return labels, walks, np.repeat(np.arange(len(walks)), len(incs))
 
 
-def _well_labeled_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _well_labeled_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Label processes and contour walks, both (N, 2n+1), of all
-    well-labeled trees with n edges in :func:`well_labeled_trees` order,
-    and the row of each tree's walk in the C_n walks."""
+    well-labeled trees with n edges in :func:`well_labeled_trees` order."""
     labels, walks, shape = _encoding_arrays(n)
     keep = labels.min(axis=1) >= 1
-    return labels[keep], walks[shape[keep]], shape[keep]
+    return labels[keep], walks[shape[keep]]
 
 
 def rooted_quads(n: int):
     """All rooted quadrangulations with n faces (images of the bijection)."""
     _check_bound(n, MAX_LISTING_N)
-    labels, walks, _ = _well_labeled_arrays(n)
+    labels, walks = _well_labeled_arrays(n)
     # each map copies its rows, so that keeping one map keeps no stack alive
     return [
         _trusted(RootedQuadrangulation, map=_array_map(*(a.copy() for a in arrays)), root=1)

@@ -4,7 +4,9 @@ Samplers are exact: the uniform labeled-tree draw combines the
 cycle-lemma tree sampler with i.i.d. label increments, the root-degree
 weighted quadrangulation law comes out of rerooting a uniform labeled
 tree at a uniform label minimum, and the pointed law is the image of the
-uniform labeled tree under positivize-construct-point.
+uniform labeled tree under positivize-construct-point.  Each public
+sampler is the batch of one of a private kernel that draws ``count``
+encodings as stacked arrays.
 
 One replica driver runs every experiment statistic, the snake radius
 included: replica r at size index i evaluates ``stat(n, rng)`` on its own
@@ -154,6 +156,9 @@ class EdgeLengthModel:
         return scale * (1.0 - rng.random(size)) ** (-1.0 / beta)
 
 
+_EDGE_LENGTHS = EdgeLengthModel("uniform", (0.5, 1.5))  # the edge_gap experiment's lengths
+
+
 def replica_rng(master_seed: int, size_index: int, replica: int) -> np.random.Generator:
     """Independent stream per (seed, size, replica); schedule independent."""
     return np.random.default_rng([master_seed, size_index, replica])
@@ -177,19 +182,35 @@ def sample_rooted_pd(
     minimum gives each well-labeled representative with the right weight;
     the pair (well-labeled tree, its quadrangulation) is returned.
     """
-    labels, walks = uniform_encoding_arrays(n, rng)
-    body = labels[0, : 2 * n]
-    minima = np.flatnonzero(body == body.min())
-    theta = int(minima[int(rng.integers(len(minima)))])
-    labs, walk = _reroot_arrays(labels[0], walks[0], theta)
+    labels, walks = _rooted_pd_arrays(n, rng, 1)
+    labs, walk = labels[0], walks[0]
     return _labeled_tree_of_arrays(walk, _node_labels(labs, walk)), _quad_of_arrays(labs, walk)
+
+
+def _rooted_pd_arrays(n: int, rng: np.random.Generator, count: int):
+    """:func:`sample_rooted_pd`'s well-labeled encodings, ``count`` of them
+    as (count, 2n+1) stacks of labels and walks.  Each row's corner is
+    drawn by one ``rng.integers(0, k)`` over the rows' minimum counts k,
+    which for one row is the draw ``rng.integers(k)``."""
+    labels, walks = uniform_encoding_arrays(n, rng, count)
+    body = labels[:, : 2 * n]
+    minima = body == body.min(axis=1, keepdims=True)
+    pick = rng.integers(0, np.count_nonzero(minima, axis=1))
+    theta = np.argmax(np.cumsum(minima, axis=1) > pick[:, None], axis=1)  # the pick-th minimum
+    return _reroot_arrays(labels, walks, theta)
 
 
 def sample_pointed_ps(n: int, rng: np.random.Generator) -> PointedQuadrangulation:
     """Draw a pointed quadrangulation as the image of a uniform labeled tree."""
-    labels, walks = uniform_encoding_arrays(n, rng)
-    theta = int(np.argmin(labels[0, : 2 * n]))  # the first minimum
-    return point(_quad_of_arrays(*_reroot_arrays(labels[0], walks[0], theta)))
+    labels, walks = _pointed_ps_arrays(n, rng, 1)
+    return point(_quad_of_arrays(labels[0], walks[0]))
+
+
+def _pointed_ps_arrays(n: int, rng: np.random.Generator, count: int):
+    """:func:`sample_pointed_ps`'s well-labeled encodings, before pointing,
+    ``count`` of them as (count, 2n+1) stacks of labels and walks."""
+    labels, walks = uniform_encoding_arrays(n, rng, count)
+    return _reroot_arrays(labels, walks, np.argmin(labels[:, : 2 * n], axis=1))  # first minimum
 
 
 def perturbed_walk(
@@ -331,22 +352,14 @@ def class_diameter_samples(
     return _replicas(stat, n, replicas, seed, size_index)
 
 
-def edge_gap_samples(
-    n: int,
-    replicas: int,
-    seed: int,
-    model: EdgeLengthModel | None = None,
-    size_index: int = 0,
-) -> np.ndarray:
-    """Sup gap between the unit and length-perturbed chord-tree contours."""
-    if model is None:
-        model = EdgeLengthModel("uniform", (0.5, 1.5))
-
+def edge_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.ndarray:
+    """Sup gap between the unit and the length-perturbed chord-tree
+    contours, with edge lengths uniform on [0.5, 1.5]."""
     def stat(n, rng):
         labels, _ = uniform_encoding_arrays(n, rng)
         # well-labeled representative: rotate the first minimum to the front
         body = np.roll(labels[0, : 2 * n], -int(np.argmin(labels[0, : 2 * n])))
-        walk, weighted = _chord_contours(body - body[0] + 1, model, rng)
+        walk, weighted = _chord_contours(body - body[0] + 1, _EDGE_LENGTHS, rng)
         return np.abs(weighted - walk).max() / n**0.25
 
     return _replicas(stat, n, replicas, seed, size_index)

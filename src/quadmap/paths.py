@@ -76,24 +76,23 @@ def _edge_order(walks: np.ndarray) -> np.ndarray:
     return _stable_order((level + width * np.arange(count)[:, None]).ravel())
 
 
-def _contour_node_array(walk: np.ndarray) -> np.ndarray:
-    """Array form of :func:`~quadmap.trees.contour_nodes` for one walk or a
-    stack of them along leading axes, each row on its own: the node under
-    the walker is the last one first visited at the same level, at or
-    before that time.  Sorting the times stably by (row, level) puts a
-    first visit at the head of every run, so a running maximum of
-    first-visit positions never reaches back into the previous run."""
-    width = walk.shape[-1]
-    flat = walk.reshape(-1, width)
-    arrival = np.ones(flat.shape, dtype=bool)
-    arrival[:, 1:] = flat[:, 1:] > flat[:, :-1]
+def _contour_node_array(walks: np.ndarray) -> np.ndarray:
+    """Array form of :func:`~quadmap.trees.contour_nodes` for a (B, 2n+1)
+    stack of walks, each row on its own: the node under the walker is the
+    last one first visited at the same level, at or before that time.
+    Sorting the times stably by (row, level) puts a first visit at the
+    head of every run, so a running maximum of first-visit positions never
+    reaches back into the previous run."""
+    width = walks.shape[1]
+    arrival = np.ones(walks.shape, dtype=bool)
+    arrival[:, 1:] = walks[:, 1:] > walks[:, :-1]
     ids = (np.cumsum(arrival, axis=1) - 1).ravel()  # node id, read at its first visit
-    by_level = _stable_order((flat + width * np.arange(len(flat))[:, None]).ravel())
-    at = np.where(arrival.ravel()[by_level], np.arange(flat.size), 0)
+    by_level = _stable_order((walks + width * np.arange(len(walks))[:, None]).ravel())
+    at = np.where(arrival.ravel()[by_level], np.arange(walks.size), 0)
     np.maximum.accumulate(at, out=at)
-    nodes = np.empty(flat.size, dtype=np.int64)
+    nodes = np.empty(walks.size, dtype=np.int64)
     nodes[by_level] = ids[by_level[at]]
-    return nodes.reshape(walk.shape)
+    return nodes.reshape(walks.shape)
 
 
 def _steps_to_end(succ: np.ndarray, last: np.ndarray) -> np.ndarray:

@@ -14,10 +14,11 @@ and compare and hash by their arrays; BFS helpers allocate their own
 scratch and may be called concurrently.
 
 The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
-as numpy kernels over the arrays at every size.  The BFS and code kernels
-take stacks of maps with a leading batch axis, run as the maps' disjoint
-union, which is how the exhaustive battery handles its tens of thousands
-of small maps in a few calls; a single map is the batch of one.
+as numpy kernels over the arrays at every size.  The BFS, code and text
+kernels take only stacks with a leading batch axis, run as the maps'
+disjoint union, which is how the exhaustive battery handles its tens of
+thousands of small maps in a few calls; a public function over one map is
+their batch of one (``[None]`` in, row ``[0]`` out).
 """
 from __future__ import annotations
 
@@ -201,7 +202,7 @@ def _check_arrays(he: HalfEdgeMap) -> None:
     if not in_range:
         raise ValueError("vertex ids must be 0..V-1")
     # each vertex is one rotation cycle, so darts connect iff vertices do
-    if np.any(_bfs_arrays(twin, tail, n_vertices, int(tail[0])) < 0):
+    if np.any(_bfs_arrays(twin[None], tail[None], n_vertices, tail[:1]) < 0):
         raise ValueError("map is not connected")
     if n_vertices - m // 2 + he.n_faces != 2:
         raise ValueError("map is not of genus 0")
@@ -251,17 +252,12 @@ def _union(stack: np.ndarray, size: int) -> np.ndarray:
 
 
 def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> np.ndarray:
-    """Frontier BFS over the vertex -> dart CSR of ``tail``; -1 marks a
-    vertex that ``origin`` does not reach.
-
-    ``twin`` and ``tail`` are one map's arrays with ``origin`` a vertex,
-    or (B, m) stacks of maps with ``n_vertices`` vertices each and one
-    origin per map, giving a (B, n_vertices) stack of distances.  A stack
-    runs as the disjoint union of its maps, whose components never meet.
+    """Frontier BFS over the vertex -> dart CSR of ``tail``, for (B, m)
+    stacks of maps with ``n_vertices`` vertices each and one origin per
+    map, giving a (B, n_vertices) stack of distances; -1 marks a vertex
+    that its map's origin does not reach.  A stack runs as the disjoint
+    union of its maps, whose components never meet.
     """
-    single = np.ndim(origin) == 0
-    if single:
-        twin, tail, origin = twin[None], tail[None], np.reshape(origin, 1)
     count = len(twin)
     tail = _union(tail, n_vertices)
     heads = tail[_union(twin, twin.shape[1])]
@@ -282,15 +278,13 @@ def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> 
         seen = heads[pos]
         frontier = np.unique(seen[dist[seen] < 0])
         dist[frontier] = level
-    dist = dist.reshape(count, n_vertices)
-    return dist[0] if single else dist
+    return dist.reshape(count, n_vertices)
 
 
-def _ascii_ints(values: np.ndarray):
-    """``",".join(map(str, row))`` in ASCII for a row of nonnegative int64
-    values, or the list of them for each row of a stack: a row of
-    fixed-width digits plus a comma per value, with the leading zeros
-    masked out."""
+def _ascii_ints(values: np.ndarray) -> list[bytes]:
+    """``",".join(map(str, row))`` in ASCII for each row of a stack of
+    nonnegative int64 values: a row of fixed-width digits plus a comma per
+    value, with the leading zeros masked out."""
     width = len(str(int(values.max())))
     flat = values.reshape(-1, 1)
     chars = np.full((flat.size, width + 1), ord(","), dtype=np.uint8)
@@ -302,8 +296,6 @@ def _ascii_ints(values: np.ndarray):
     powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
     keep[:, :-2] = flat >= powers  # the units digit always stays
     text = chars[keep].tobytes()
-    if values.ndim == 1:
-        return text[:-1]
     ends = np.cumsum(np.count_nonzero(keep.reshape(len(values), -1), axis=1)).tolist()
     return [text[a:b - 1] for a, b in zip([0] + ends[:-1], ends)]
 
@@ -326,10 +318,9 @@ def _parse_ascii_ints(line: str) -> np.ndarray | None:
     return np.fromstring(line, dtype=np.int64, sep=",")
 
 
-def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root):
-    """:func:`rooted_code` by levels of the dart BFS, for one map and a
-    root dart, or for (R, m) stacks of maps and one root per row, giving
-    the list of the rows' codes.
+def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root) -> list[bytes]:
+    """:func:`rooted_code` by levels of the dart BFS, for (R, m) stacks of
+    maps and one root per row, giving the list of the rows' codes.
 
     A level's candidates are its darts' (nxt, twin) images interleaved in
     queue order; the new ones, first occurrences kept in order, are
@@ -338,9 +329,6 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root):
     meet, so each row's darts keep their own queue order, and a stable
     sort by row recovers each row's queue.
     """
-    single = np.ndim(root) == 0
-    if single:
-        nxt, twin, root = nxt[None], twin[None], np.reshape(root, 1)
     count, m = nxt.shape
     nxt, twin = _union(nxt, m), _union(twin, m)
     level = _union(np.asarray(root), m)
@@ -363,7 +351,7 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root):
     parts = np.empty((count, 2 * m), dtype=np.int64)
     parts[:, 0::2] = label[nxt[order]].reshape(count, m)
     parts[:, 1::2] = label[twin[order]].reshape(count, m)
-    return _ascii_ints(parts[0]) if single else _ascii_ints(parts)
+    return _ascii_ints(parts)
 
 
 def _origin_rounds(nxt: np.ndarray, twin: np.ndarray, tail: np.ndarray, origin: int):
@@ -474,7 +462,7 @@ class PointedQuadrangulation(PointedMap):
 
 def bfs_distances(m: HalfEdgeMap, origin: int) -> tuple[int, ...]:
     """Graph distance from ``origin`` to every vertex."""
-    return tuple(_bfs_arrays(m.twin, m.tail, m.n_vertices, origin).tolist())
+    return tuple(_bfs_arrays(m.twin[None], m.tail[None], m.n_vertices, [origin])[0].tolist())
 
 
 def radius(q: RootedMap | PointedMap) -> int:
@@ -506,7 +494,7 @@ def rooted_code(m: HalfEdgeMap, root: int) -> bytes:
     Darts are relabeled breadth-first from the root along the rotation and
     twin permutations, which is invariant under dart renaming.
     """
-    return _rooted_code_arrays(m.nxt, m.twin, root)
+    return _rooted_code_arrays(m.nxt[None], m.twin[None], [root])[0]
 
 
 def pointed_code(m: HalfEdgeMap, origin: int) -> bytes:
@@ -595,7 +583,7 @@ def save_map(obj) -> str:
     so the text round-trips bit-exactly through :func:`load_map`.
     """
     m = obj.map
-    lines = [f"n={m.n_edges}", *(_ascii_ints(a).decode("ascii") for a in (m.twin, m.nxt))]
+    lines = [f"n={m.n_edges}", *(_ascii_ints(a[None])[0].decode("ascii") for a in (m.twin, m.nxt))]
     if isinstance(obj, RootedMap):
         lines.append(str(obj.root))
     else:

@@ -16,6 +16,9 @@ one against the other on every small tree at once.
 Inverse direction: label the quadrangulation's vertices by distance to
 the root vertex, select one edge or diagonal per face by the local label
 pattern, and read off the plane tree those selections form.
+
+The kernels take only stacks with a leading batch axis; a public function
+over one object is their batch of one (``[None]`` in, row ``[0]`` out).
 """
 from __future__ import annotations
 
@@ -69,20 +72,19 @@ class PredecessorTable(_ArrayValue):
 
 def predecessor_table(labels) -> PredecessorTable:
     """Predecessor table of a positive label process on [0, N]."""
-    return _trusted(PredecessorTable, values=_predecessor_array(_check_label_process(labels)))
+    labs = _check_label_process(labels)
+    return _trusted(PredecessorTable, values=_predecessor_array(labs[None])[0])
 
 
 def _predecessor_array(labs: np.ndarray) -> np.ndarray:
-    """Predecessor table of one positive label process, or of a stack of
-    them along leading axes, each row on its own, with -1 for the origin
-    corner.  Corners sorted by (row, label, time) hold each label's corners
-    of a row in time order, and a ``searchsorted`` for (row, label - 1, i)
-    lands just after the row's latest corner with label - 1 before i;
-    labels are at least 1, so (row, label - 1) never reaches into the
-    previous row."""
-    size = labs.shape[-1]
-    flat = labs.reshape(-1, size)
-    group = flat + (flat.max() + 1) * np.arange(len(flat))[:, None]
+    """Predecessor tables of a (B, N) stack of positive label processes,
+    each row on its own, with -1 for the origin corner.  Corners sorted by
+    (row, label, time) hold each label's corners of a row in time order,
+    and a ``searchsorted`` for (row, label - 1, i) lands just after the
+    row's latest corner with label - 1 before i; labels are at least 1, so
+    (row, label - 1) never reaches into the previous row."""
+    size = labs.shape[1]
+    group = labs + (labs.max() + 1) * np.arange(len(labs))[:, None]
     time = np.arange(size)
     keys = np.sort((group * size + time).ravel())
     below = np.searchsorted(keys, ((group - 1) * size + time).ravel()) - 1
@@ -130,10 +132,10 @@ def doddering(labels) -> DodderingTree:
 # -- forward construction -------------------------------------------------
 
 
-def _chord_arrays(body: np.ndarray, walk: np.ndarray):
-    """(twin, nxt, tail) of the chord map of a well-labeled encoding's
-    label body and walk, or of (B, 2n) bodies and (B, 2n+1) walks, giving
-    (B, 4n) stacks in each map's own darts and vertices.
+def _chord_arrays(bodies: np.ndarray, walks: np.ndarray):
+    """(twin, nxt, tail) of the chord maps of (B, 2n) well-labeled label
+    bodies and their (B, 2n+1) walks, as (B, 4n) stacks in each map's own
+    darts and vertices.
 
     Chord i runs from corner i to its predecessor corner; its darts are 2i
     (at corner i) and 2i+1 (at the predecessor).  Vertex 0 is the added
@@ -145,9 +147,7 @@ def _chord_arrays(body: np.ndarray, walk: np.ndarray):
     decreasing source), with the corners of each vertex ranked in contour
     order.  The labels come from valid well-labeled trees, so they are not
     checked again."""
-    size = body.shape[-1]  # 2n corners, 4n darts per map
-    bodies, walks = body.reshape(-1, size), walk.reshape(-1, size + 1)
-    count = len(bodies)
+    count, size = bodies.shape  # 2n corners, 4n darts per map
     row = np.arange(count)[:, None]
     pred = _predecessor_array(bodies)
     nodes = _contour_node_array(walks)[:, :size]
@@ -175,13 +175,12 @@ def _chord_arrays(body: np.ndarray, walk: np.ndarray):
     nxt = nxt.reshape(count, 2 * size)
     nxt -= 2 * size * row
     twin = np.tile(np.arange(2 * size) ^ 1, (count, 1))
-    shape = body.shape[:-1] + (2 * size,)
-    return twin.reshape(shape), nxt.reshape(shape), tail.reshape(shape)
+    return twin, nxt, tail
 
 
 def _quad_of_arrays(labels: np.ndarray, walk: np.ndarray) -> RootedQuadrangulation:
     """:func:`quad_of_tree` of the well-labeled encoding (labels, walk)."""
-    quad = _array_map(*_chord_arrays(labels[:-1], walk))
+    quad = _array_map(*(a[0] for a in _chord_arrays(labels[None, :-1], walk[None])))
     return _trusted(RootedQuadrangulation, map=quad, root=1)
 
 
@@ -277,27 +276,23 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     first selection after the root edge around its endpoint.
     """
     he = q.map
-    dist = _bfs_arrays(he.twin, he.tail, he.n_vertices, q.origin)
-    faces = he._face_orbits[0].reshape(-1, 4)  # the map's cached face orbits
-    return _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
+    twin, nxt, tail = he.twin[None], he.nxt[None], he.tail[None]
+    dist = _bfs_arrays(twin, tail, he.n_vertices, [q.origin])
+    faces = he._face_orbits[0].reshape(1, -1, 4)  # the map's cached face orbits
+    walks, node_labels = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, [q.root])
+    return _labeled_tree_of_arrays(walks[0], node_labels[0])
 
 
 def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
-    """:func:`tree_of_quad` on arrays: the face patterns are read over the
-    (F, 4) face array, the diagonals are spliced in one scatter, and the
-    blue tree's contour is the cycle of d -> next blue dart after twin(d),
-    ranked by pointer jumping from the root's first blue dart.
-
-    For one map and its root dart the result is the ``LabeledTree``.  For
-    (B, m) stacks of quadrangulations with F faces each, (B, F, 4) faces,
-    (B, F+2) distances and one root per map, the stacks run as their
-    disjoint union and the result is the trees' (B, 2F+1) contour walks
-    and (B, F+1) node labels in first-visit order.
+    """:func:`tree_of_quad` on (B, m) stacks of quadrangulations with F
+    faces each, their (B, F, 4) faces, (B, F+2) distances and one root per
+    map, run as their disjoint union: the face patterns are read over the
+    face array, the diagonals are spliced in one scatter, and the blue
+    tree's contour is the cycle of d -> next blue dart after twin(d),
+    ranked by pointer jumping from the root's first blue dart.  Returns
+    the trees' (B, 2F+1) contour walks and (B, F+1) node labels in
+    first-visit order.
     """
-    single = np.ndim(root) == 0
-    if single:
-        twin, nxt, tail, faces, dist = (a[None] for a in (twin, nxt, tail, faces, dist))
-        root = np.reshape(root, 1)
     count, m = twin.shape
     n_vertices = dist.shape[1]
     twin, nxt, faces, root = (_union(a, m) for a in (twin, nxt, faces, np.asarray(root)))
@@ -352,8 +347,6 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
     node_labels = np.empty((count, per // 2 + 1), dtype=np.int64)
     node_labels[:, 0] = dist[tail[twin[root]]]
     node_labels[:, 1:] = dist[tail[twin[contour[down]]]].reshape(count, -1)
-    if single:
-        return _labeled_tree_of_arrays(walk[0], node_labels[0])
     return walk, node_labels
 
 

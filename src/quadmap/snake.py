@@ -205,13 +205,10 @@ def class_distances(x: SnakePath, y: SnakePath) -> tuple[float, float]:
     return closest, farthest
 
 
-def normalize_encoding(e: Encoding, n: int | None = None) -> SnakePath:
-    """Scale a discrete encoding onto the grid: contour by n^(1/2), centered
-    labels by n^(1/4); the grid size is 2n."""
-    if n is None:
-        n = e.n
-    if n != e.n:
-        raise ValueError("n does not match the encoding")
+def normalize_encoding(e: Encoding) -> SnakePath:
+    """Scale a discrete encoding with n edges onto the grid: contour by
+    n^(1/2), centered labels by n^(1/4); the grid size is 2n."""
+    n = e.n
     f = (e.labels - 1.0) / n**0.25
     z = e.walk.steps / n**0.5
     # the encoding invariants already give the snake property exactly

@@ -67,11 +67,16 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
+_BOOLS = {bool, np.bool_}
+
+
 def _int64(values, name: str) -> np.ndarray:
     """A read-only one-dimensional int64 copy of ``values``.  As for
     :func:`_integer`, values whose numpy type is not a non-bool integer
     (floats, bools, strings) are a ``ValueError`` naming ``name``, and so
-    is an entry that int64 cannot hold."""
+    is an entry that int64 cannot hold.  Numpy reads a sequence mixing
+    bools with integers as integers, so such a sequence's entries are
+    checked one by one."""
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         try:
@@ -85,6 +90,8 @@ def _int64(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} has an entry outside the int64 range")
     if array.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    if not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
+        raise ValueError(f"{name}: expected an integer array, got a bool entry")
     return _read_only(array.astype(np.int64))
 
 
@@ -227,7 +234,7 @@ def _parent_array(steps: np.ndarray) -> np.ndarray:
     """Parent id per node of the tree with contour ``steps``, -1 for the
     root: the node under the walker just before the node's first visit."""
     up = steps[1:] > steps[:-1]
-    return np.concatenate(([-1], _contour_node_array(steps)[:-1][up]))
+    return np.concatenate(([-1], _contour_node_array(steps[None])[0, :-1][up]))
 
 
 def dfw(tree: PlaneTree, direction: str = "clockwise") -> Walk:
@@ -275,7 +282,7 @@ def first_visit_times(walk: Walk) -> np.ndarray:
 
 def contour_nodes(walk: Walk) -> np.ndarray:
     """Node id under the walker at each time 0..2n (first-visit ranks)."""
-    return _contour_node_array(walk.steps)
+    return _contour_node_array(walk.steps[None])[0]
 
 
 def same_node(walk: Walk, i: int, j: int) -> bool:

@@ -98,18 +98,20 @@ def check_map_kernels(he: HalfEdgeMap, origin: int, roots) -> None:
     assert ref.faces == reference.faces(he)
     assert ref.vertex_cycles == reference.vertex_cycles(he)
     distances = reference.bfs_distances(he, origin)
-    assert tuple(_bfs_arrays(twin, tail, he.n_vertices, origin).tolist()) == distances
+    dist = _bfs_arrays(twin[None], tail[None], he.n_vertices, [origin])[0]
+    assert tuple(dist.tolist()) == distances
     assert bfs_distances(ref, origin) == distances
     for root in roots:
         code = reference.rooted_code(he, root)
-        assert _rooted_code_arrays(nxt, twin, root) == rooted_code(ref, root) == code
-    assert _ascii_ints(nxt).decode() == ",".join(map(str, nxt.tolist()))
+        assert _rooted_code_arrays(nxt[None], twin[None], [root]) == [code]
+        assert rooted_code(ref, root) == code
+    assert _ascii_ints(nxt[None])[0].decode() == ",".join(map(str, nxt.tolist()))
 
 
 def check_chord_arrays(enc, labels: np.ndarray, walk: np.ndarray) -> None:
     """``_chord_arrays`` and ``_rotation_arrays`` equal the reference
     rotation lists' arrays."""
-    twin, nxt, tail = _chord_arrays(labels[:-1], walk)
+    twin, nxt, tail = (a[0] for a in _chord_arrays(labels[None, :-1], walk[None]))
     rotations = reference.chord_rotations(enc.labels[:-1].tolist(), enc.walk.steps.tolist())
     built = reference.rotation_arrays(rotations)
     assert tuple(a.tolist() for a in _rotation_arrays(rotations)) == tuple(
@@ -125,7 +127,10 @@ def check_inverse(q, tree) -> None:
     he = q.map
     dist = np.array(reference.bfs_distances(he, q.origin))
     faces = np.array(reference.faces(he))
-    built = _tree_of_quad_arrays(he.twin, he.nxt, he.tail, faces, dist, q.root)
+    walks, node_labels = _tree_of_quad_arrays(
+        he.twin[None], he.nxt[None], he.tail[None], faces[None], dist[None], [q.root]
+    )
+    built = _labeled_tree_of_arrays(walks[0], node_labels[0])
     assert built == tree_of_quad(q) == reference.tree_of_quad(q) == tree
 
 
@@ -141,9 +146,10 @@ def test_kernels_match_python_on_all_small_quads(n):
         enc = encode(tree)
         labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
         predecessors = reference.predecessors(enc.labels[:-1])
-        assert tuple(_predecessor_array(labels[:-1]).tolist()) == predecessors
+        assert tuple(_predecessor_array(labels[None, :-1])[0].tolist()) == predecessors
         assert tuple(predecessor_table(enc.labels[:-1]).values.tolist()) == predecessors
-        assert tuple(_contour_node_array(walk).tolist()) == reference.read_walk(walk.tolist())[1]
+        nodes = _contour_node_array(walk[None])[0]
+        assert tuple(nodes.tolist()) == reference.read_walk(walk.tolist())[1]
         check_chord_arrays(enc, labels, walk)
         check_inverse(q, tree)
         up = walk[1:] > walk[:-1]
@@ -175,8 +181,9 @@ def test_kernels_match_python_on_sampled_maps(n):
     enc = encode(tree)
     labels, walk = np.array(enc.labels), np.array(enc.walk.steps)
     predecessors = reference.predecessors(enc.labels[:-1])
-    assert tuple(_predecessor_array(labels[:-1]).tolist()) == predecessors
-    assert tuple(_contour_node_array(walk).tolist()) == reference.read_walk(walk.tolist())[1]
+    assert tuple(_predecessor_array(labels[None, :-1])[0].tolist()) == predecessors
+    nodes = _contour_node_array(walk[None])[0]
+    assert tuple(nodes.tolist()) == reference.read_walk(walk.tolist())[1]
     check_chord_arrays(enc, labels, walk)
     check_inverse(q, tree)
     raw_labels, raw_walks = uniform_encoding_arrays(n, rng)
@@ -272,7 +279,7 @@ def test_text_kernels_match_join_and_int():
     ]
     for values in samples:
         line = ",".join(map(str, values.tolist()))
-        assert _ascii_ints(values) == line.encode("ascii")
+        assert _ascii_ints(values[None]) == [line.encode("ascii")]
         parsed = _parse_ascii_ints(line)
         if values.max() < 10**18:
             assert parsed.tolist() == values.tolist()
@@ -289,7 +296,7 @@ def test_stacked_text_rows_match_single_rows():
     rows = np.array([[0, 1, 2], [1000, 5, 99999], [7, 7, 7], [10**9, 0, 10**12]])
     drawn = rng.integers(0, 10**6, (50, 2, 9)) // 10 ** rng.integers(0, 6, (50, 1, 1))
     for stack in (rows, rows[:, None, :], drawn):
-        assert _ascii_ints(stack) == [_ascii_ints(row.ravel()) for row in stack]
+        assert _ascii_ints(stack) == [_ascii_ints(row.reshape(1, -1))[0] for row in stack]
 
 
 # -- rejection parity ---------------------------------------------------------
@@ -437,7 +444,7 @@ def test_encoding_arrays_list_the_labeled_trees(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stacked_kernels_match_scalar_on_all_small_quads(n):
     trees = well_labeled_trees(n)
-    labels, walks, _ = _well_labeled_arrays(n)
+    labels, walks = _well_labeled_arrays(n)
     count = len(trees)
     twin, nxt, tail = _chord_arrays(labels[:, :-1], walks)
     roots, origins = np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
@@ -478,13 +485,15 @@ def test_batch_of_one_matches_stacked_large_maps(n):
     faces = _face_array(twin, nxt)
     back_walks, back_labels = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, np.ones(3, int))
     for b in range(3):
-        one = _chord_arrays(labels[b, :-1], walks[b])
-        assert all(np.array_equal(a[b], c) for a, c in zip((twin, nxt, tail), one))
-        assert codes[b] == _rooted_code_arrays(nxt[b], twin[b], int(roots[b]))
-        assert np.array_equal(dist[b], _bfs_arrays(twin[b], tail[b], n + 2, 0))
-        assert np.array_equal(faces[b], _face_array(twin[b : b + 1], nxt[b : b + 1])[0])
-        tree = _tree_of_quad_arrays(twin[b], nxt[b], tail[b], faces[b], dist[b], 1)
-        assert tree == _labeled_tree_of_arrays(back_walks[b], back_labels[b])
+        one = slice(b, b + 1)  # the stack of one holding row b
+        chord = _chord_arrays(labels[one, :-1], walks[one])
+        assert all(np.array_equal(a[one], c) for a, c in zip((twin, nxt, tail), chord))
+        assert codes[b] == _rooted_code_arrays(nxt[one], twin[one], roots[one])[0]
+        assert np.array_equal(dist[one], _bfs_arrays(twin[one], tail[one], n + 2, [0]))
+        assert np.array_equal(faces[one], _face_array(twin[one], nxt[one]))
+        tree = _tree_of_quad_arrays(twin[one], nxt[one], tail[one], faces[one], dist[one], [1])
+        assert np.array_equal(tree[0], back_walks[one])
+        assert np.array_equal(tree[1], back_labels[one])
         assert np.array_equal(back_walks[b], walks[b])
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import reference_loops as reference
 from quadmap import harness
 from quadmap.enumeration import law_tables
 from quadmap.harness import (
@@ -25,15 +26,27 @@ from quadmap.harness import (
     sample_rooted_pd,
     snake_radius_samples,
 )
-from quadmap.labeled import encode, is_well_labeled, minima_set
-from quadmap.planar_map import bfs_distances, radius, rooted_code, validate_quadrangulation
+from quadmap.labeled import _node_labels, encode, minima_set
+from quadmap.paths import uniform_encoding_arrays
+from quadmap.planar_map import (
+    _bfs_arrays,
+    _rooted_code_arrays,
+    bfs_distances,
+    validate_quadrangulation,
+)
+from quadmap.schaeffer import _chord_arrays, _labeled_tree_of_arrays, point, quad_of_tree
 
 CHI2_99 = {2: 9.2103, 8: 20.0902, 17: 33.4087}
 
 
+# The n <= 2 law tests draw their samples in one call of the stacked kernel
+# that each public sampler is the batch of one of.
+
+
 def test_sample_labeled_uniform_n1():
     rng = np.random.default_rng(5)
-    counts = Counter(tuple(sample_labeled_uniform(1, rng).labels.tolist()) for _ in range(30000))
+    labels, walks = uniform_encoding_arrays(1, rng, 30000)
+    counts = Counter(map(tuple, _node_labels(labels, walks).tolist()))
     assert set(counts) == {(1, 0), (1, 1), (1, 2)}
     for value in counts.values():
         assert abs(value / 30000 - 1 / 3) < 0.02
@@ -42,27 +55,25 @@ def test_sample_labeled_uniform_n1():
 def test_sample_labeled_uniform_n2_chi_square():
     rng = np.random.default_rng(9)
     draws = 100000
-    counts = Counter()
-    for _ in range(draws):
-        t = sample_labeled_uniform(2, rng)
-        counts[(t.tree.children, tuple(t.labels.tolist()))] += 1
+    labels, walks = uniform_encoding_arrays(2, rng, draws)
+    node_labels = _node_labels(labels, walks)
+    counts = Counter(zip(map(tuple, walks.tolist()), map(tuple, node_labels.tolist())))
     assert len(counts) == 18
     expected = draws / 18
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < CHI2_99[17]
     shapes = Counter()
-    for (children, _), c in counts.items():
-        shapes[children] += c
+    for (walk, _), c in counts.items():
+        shapes[walk] += c
     assert all(abs(v / draws - 1 / 2) < 0.01 for v in shapes.values())
 
 
 def test_sample_rooted_pd_n1():
     rng = np.random.default_rng(6)
-    counts = Counter()
-    for _ in range(30000):
-        tree, quad = sample_rooted_pd(1, rng)
-        assert is_well_labeled(tree)
-        counts[quad.map.degree(0)] += 1
+    labels, walks = harness._rooted_pd_arrays(1, rng, 30000)
+    assert labels.min() >= 1  # every tree is well-labeled
+    _, _, tail = _chord_arrays(labels[:, :-1], walks)
+    counts = Counter(np.count_nonzero(tail == 0, axis=1).tolist())  # the origin's degree
     assert abs(counts[1] / 30000 - 2 / 3) < 0.02  # endpoint-pointed path
     assert abs(counts[2] / 30000 - 1 / 3) < 0.02
 
@@ -71,10 +82,9 @@ def test_sample_rooted_pd_n2_chi_square():
     rng = np.random.default_rng(8)
     exact = {row.code: float(row.p_d) for row in law_tables(2).rooted}
     draws = 100000
-    counts = Counter()
-    for _ in range(draws):
-        _, quad = sample_rooted_pd(2, rng)
-        counts[rooted_code(quad.map, quad.root)] += 1
+    labels, walks = harness._rooted_pd_arrays(2, rng, draws)
+    twin, nxt, _ = _chord_arrays(labels[:, :-1], walks)
+    counts = Counter(_rooted_code_arrays(nxt, twin, np.ones(draws, dtype=np.int64)))
     assert set(counts) <= set(exact)
     chi2 = sum(
         (counts.get(code, 0) - draws * p) ** 2 / (draws * p)
@@ -85,9 +95,53 @@ def test_sample_rooted_pd_n2_chi_square():
 
 def test_sample_pointed_ps_n1():
     rng = np.random.default_rng(7)
-    counts = Counter(radius(sample_pointed_ps(1, rng)) for _ in range(30000))
+    labels, walks = harness._pointed_ps_arrays(1, rng, 30000)
+    twin, _, tail = _chord_arrays(labels[:, :-1], walks)
+    origins = np.zeros(30000, dtype=np.int64)  # the origin is vertex 0
+    counts = Counter(_bfs_arrays(twin, tail, 3, origins).max(axis=1).tolist())
     assert abs(counts[2] / 30000 - 2 / 3) < 0.02
     assert abs(counts[1] / 30000 - 1 / 3) < 0.02
+
+
+def _rooted_pd_row(n, rng):
+    labels, walks = harness._rooted_pd_arrays(n, rng, 1)
+    tree = _labeled_tree_of_arrays(walks[0], _node_labels(labels, walks)[0])
+    return tree, quad_of_tree(tree)
+
+
+def _pointed_ps_row(n, rng):
+    labels, walks = harness._pointed_ps_arrays(n, rng, 1)
+    tree = _labeled_tree_of_arrays(walks[0], _node_labels(labels, walks)[0])
+    return point(quad_of_tree(tree))
+
+
+def _labeled_row(n, rng):
+    labels, walks = uniform_encoding_arrays(n, rng, 1)
+    return _labeled_tree_of_arrays(walks[0], _node_labels(labels, walks)[0])
+
+
+@pytest.mark.parametrize(
+    "scalar, row, loop",
+    [
+        (sample_labeled_uniform, _labeled_row, None),
+        (sample_rooted_pd, _rooted_pd_row, reference.sample_rooted_pd),
+        (sample_pointed_ps, _pointed_ps_row, reference.sample_pointed_ps),
+    ],
+    ids=["labeled", "rooted_pd", "pointed_ps"],
+)
+def test_scalar_samplers_are_the_batch_of_one(scalar, row, loop):
+    # row 0 of a stacked draw of one is the scalar draw, and so is the
+    # per-object loop that drew the minimum as rng.integers(k); all three
+    # leave the stream in the same state
+    for n in (1, 2, 64):
+        for seed in range(8):
+            rngs = [np.random.default_rng([seed, n]) for _ in range(3)]
+            draws = [scalar(n, rngs[0]), row(n, rngs[1])]
+            if loop is not None:
+                draws.append(loop(n, rngs[2]))
+            assert all(d == draws[0] for d in draws[1:])
+            after = {rng.random() for rng in rngs[: len(draws)]}
+            assert len(after) == 1
 
 
 def test_sampled_quadrangulations_satisfy_identities():

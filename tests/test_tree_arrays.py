@@ -253,15 +253,13 @@ W = Walk((0, 1, 0, 1, 0))
         (lambda: doddering((1, 2.0, 1.5)), "labels"),
         (lambda: PlaneTree((("1",), ())), "children"),
         (lambda: Walk((0.0, 1.0, 0.0)), "steps"),
-        (lambda: Walk((0, True, 0)).steps, [0, 1, 0]),  # numpy reads it as int64
+        # numpy alone reads these sequences as int64
+        pytest.param(lambda: Walk((0, True, 0)), "steps", id="bool-steps"),
+        pytest.param(lambda: LabeledTree(EDGE, (1, True)), "labels", id="bool-labels"),
         (lambda: Encoding((1, 1, 1), (0, 1, 0)), "walk"),
         (lambda: same_node(W, 0.5, 2), "corner"),
     ],
 )
 def test_integer_fields_take_only_integers(build, expected):
-    if isinstance(expected, list):
-        stored = build()
-        assert stored.dtype == np.int64 and stored.tolist() == expected
-    else:
-        with pytest.raises(ValueError, match=f"^{expected}: expected a"):
-            build()
+    with pytest.raises(ValueError, match=f"^{expected}: expected a"):
+        build()
