@@ -8,11 +8,13 @@ Run from the repository root against the ``quadmap`` on ``PYTHONPATH``:
 Each tree and map layer is timed with ``perf_counter`` on the same seeded
 draw per size (``harness.sample_rooted_pd(n, default_rng([seed, n]))``):
 ``encode``, ``decode``, the public validation of ``PlaneTree`` (from the
-children lists) and of ``Encoding``, and the map kernels.  The contour
-layers are timed on one walk of n edges, as one replica of the scaling
-experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
-``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The
-median and the spread of ``--repeats`` runs are reported.
+children lists) and of ``Encoding``, the map kernels, and the conversions
+``map_of_quad`` (of the drawn quadrangulation) and ``quad_of_map`` (of its
+``map_of_quad``).  The contour layers are timed on one walk of n edges, as
+one replica of the scaling experiment draws it: ``dyck_walk_batch``,
+``uniform_encoding_arrays`` and ``contour_accumulate`` of i.i.d. label
+increments along a fixed walk.  The median and the spread of ``--repeats``
+runs are reported.
 """
 from __future__ import annotations
 
@@ -66,6 +68,10 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         "tree_of_quad": _timed(schaeffer.tree_of_quad, repeats, fresh),
         "bfs_distances": _timed(lambda q: planar_map.bfs_distances(q.map, q.origin), repeats, fresh),
         "rooted_code": _timed(lambda q: planar_map.rooted_code(q.map, q.root), repeats, fresh),
+        "map_of_quad": _timed(planar_map.map_of_quad, repeats, fresh),
+        "quad_of_map": _timed(
+            planar_map.quad_of_map, repeats, lambda: planar_map.map_of_quad(fresh())
+        ),
         "save_map": _timed(planar_map.save_map, repeats, fresh),
         "load_map": _timed(lambda _: planar_map.load_map(text), repeats),
         "HalfEdgeMap_validation": _timed(

@@ -265,6 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "experiment" and not args.config and not args.name:
         parser.error("experiment needs --name or --config")
+    if args.command in ("sample", "snake") and args.count < 1:
+        parser.error("--count must be >= 1")
     if args.command == "verify" and not 1 <= args.max_n <= enumeration.MAX_LISTING_N:
         parser.error(
             f"--max-n must be between 1 and {enumeration.MAX_LISTING_N} "

@@ -72,30 +72,22 @@ def _check_bound(n: int, bound: int) -> None:
         raise ValueError(f"n={n} exceeds the exhaustive bound {bound}")
 
 
-def _walks(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], ups: int, downs: int) -> None:
-        if ups == n and downs == n:
-            out.append(tuple(prefix))
-            return
-        if ups < n:
-            prefix.append(prefix[-1] + 1)
-            extend(prefix, ups + 1, downs)
-            prefix.pop()
-        if downs < ups:
-            prefix.append(prefix[-1] - 1)
-            extend(prefix, ups, downs + 1)
-            prefix.pop()
-
-    extend([0], 0, 0)
-    return out
+def _walks(n: int) -> np.ndarray:
+    """The C_n Dyck walks with n up-steps as a (C_n, 2n+1) int64 array in
+    lexicographic order, up-steps first: the 2n-bit words read in
+    decreasing order, bit 1 an up-step, kept when their walk stays
+    nonnegative and ends at 0."""
+    words = np.arange(4**n - 1, -1, -1)
+    ups = (words[:, None] >> np.arange(2 * n - 1, -1, -1)) & 1
+    walks = np.zeros((words.size, 2 * n + 1), dtype=np.int64)
+    np.cumsum(2 * ups - 1, axis=1, out=walks[:, 1:])
+    return walks[(walks.min(axis=1) >= 0) & (walks[:, -1] == 0)]
 
 
 def plane_trees(n: int) -> list[PlaneTree]:
     """All C_n plane trees with n edges."""
     _check_bound(n, MAX_LISTING_N)
-    walks = np.array(_walks(n), dtype=np.int64)
+    walks = _walks(n)
     return [_trusted(PlaneTree, walk=_trusted(Walk, steps=walk)) for walk in walks]
 
 
@@ -127,7 +119,7 @@ def _encoding_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     processes are one product with the n processes ``contour_accumulate``
     gives for a single unit increment.
     """
-    walks = np.array(_walks(n), dtype=np.int64)
+    walks = _walks(n)
     units = np.repeat(walks, n, axis=0)  # row (c, u-1): walk c, unit increment at node u
     climbs = contour_edges(units)[units[:, 1:] > units[:, :-1]].reshape(len(units), n)
     values = np.zeros(len(units) * n, dtype=np.int64)
@@ -196,7 +188,7 @@ def _euler_phi(n: int) -> int:
 def unrooted_plane_tree_count(n: int) -> int:
     """Number of rerooting classes of plane trees with n edges (exhaustive)."""
     _check_bound(n, MAX_LISTING_N)
-    walks = np.array(_walks(n), dtype=np.int64)
+    walks = _walks(n)
     keys = _reroot_keys(np.ones_like(walks), walks, np.arange(len(walks)))
     least = keys[np.arange(len(keys)), _least_keys(keys)]
     return len(np.unique(least, axis=0))
@@ -343,8 +335,6 @@ def law_tables(n: int) -> LawTables:
             deg = degrees[row]
             rooted_rows_map[code] = RootedLaw(code, deg, Fraction(2 * n, total * deg))
     rooted_rows = tuple(rooted_rows_map[c] for c in sorted(rooted_rows_map))
-    assert sum(r.p_s for r in pointed_rows) == 1
-    assert sum(r.p_d for r in rooted_rows) == 1
     return LawTables(n, pointed_rows, rooted_rows)
 
 

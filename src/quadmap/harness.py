@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -101,8 +101,10 @@ class ExperimentConfig:
         missing = [k for k in ("name", "sizes", "replicas", "seed") if k not in data]
         if missing:
             raise ValueError(f"experiment config is missing {', '.join(map(repr, missing))}")
-        fields = ("name", "sizes", "replicas", "seed", "grid_m", "output")
-        return cls(**{k: data[k] for k in fields if k in data})
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"experiment config has unknown keys {', '.join(map(repr, unknown))}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .paths import _stable_order, _steps_to_end
-from .trees import _ArrayValue, _int64, _trusted
+from .trees import _ArrayValue, _index, _int64, _trusted
 
 __all__ = [
     "HalfEdgeMap",
@@ -102,13 +102,20 @@ class HalfEdgeMap(_ArrayValue):
     # -- orbits -------------------------------------------------------
 
     @cached_property
+    def _vertex_darts(self) -> np.ndarray:
+        """The darts of ``vertex_cycles``, vertex after vertex (read-only):
+        the rotation cycles, each from its smallest dart, stably sorted by
+        tail."""
+        darts = _orbit_arrays(self.nxt)[0]
+        darts = darts[_stable_order(self.tail[darts])]
+        darts.flags.writeable = False
+        return darts
+
+    @cached_property
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Rotation cycle (dart list) per vertex, indexed by vertex id."""
-        cycles: list[tuple[int, ...]] = [()] * self.n_vertices
-        tail = self.tail.tolist()
-        for cyc in _split(*_orbit_arrays(self.nxt)):
-            cycles[tail[cyc[0]]] = cyc
-        return tuple(cycles)
+        starts = np.append(0, np.cumsum(np.bincount(self.tail)))
+        return tuple(_split(self._vertex_darts, starts))
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -116,7 +123,7 @@ class HalfEdgeMap(_ArrayValue):
         return tuple(_split(*self._face_orbits))
 
     def degree(self, v: int) -> int:
-        return len(self.vertex_cycles[v])
+        return int(np.count_nonzero(self.tail == _index(v, "vertex", self.n_vertices)))
 
     @classmethod
     def from_rotations(
@@ -227,12 +234,6 @@ def _csr_rotation_arrays(flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarra
     nxt[flat] = flat[succ]
     tail[flat] = np.repeat(np.arange(len(sizes)), sizes)
     return nxt, tail
-
-
-def _rotation_map(rotations) -> HalfEdgeMap:
-    """Map of rotations that a library construction made valid (no re-check)."""
-    nxt, tail = _rotation_arrays(rotations)
-    return _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
 
 
 def _array_map(twin: np.ndarray, nxt: np.ndarray, tail: np.ndarray) -> HalfEdgeMap:
@@ -385,8 +386,7 @@ class RootedMap:
     root: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.root < self.map.n_darts:
-            raise ValueError("root dart out of range")
+        _index(self.root, "root", self.map.n_darts)
 
     @property
     def origin(self) -> int:
@@ -402,8 +402,7 @@ class PointedMap:
     origin: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.origin < self.map.n_vertices:
-            raise ValueError("origin vertex out of range")
+        _index(self.origin, "origin", self.map.n_vertices)
 
 
 def validate_quadrangulation(m: HalfEdgeMap) -> bool:
@@ -460,14 +459,18 @@ class PointedQuadrangulation(PointedMap):
 # -- metrics -----------------------------------------------------------
 
 
-def bfs_distances(m: HalfEdgeMap, origin: int) -> tuple[int, ...]:
-    """Graph distance from ``origin`` to every vertex."""
-    return tuple(_bfs_arrays(m.twin[None], m.tail[None], m.n_vertices, [origin])[0].tolist())
+def bfs_distances(m: HalfEdgeMap, origin: int) -> np.ndarray:
+    """Graph distance from ``origin`` to every vertex, as a read-only int64
+    array indexed by vertex id."""
+    origin = _index(origin, "origin", m.n_vertices)
+    dist = _bfs_arrays(m.twin[None], m.tail[None], m.n_vertices, [origin])[0]
+    dist.flags.writeable = False
+    return dist
 
 
 def radius(q: RootedMap | PointedMap) -> int:
     """Largest distance from the origin to a vertex."""
-    return max(bfs_distances(q.map, q.origin))
+    return int(bfs_distances(q.map, q.origin).max())
 
 
 def profile(q: RootedMap | PointedMap) -> list[float]:
@@ -480,7 +483,7 @@ def profile(q: RootedMap | PointedMap) -> list[float]:
     vertices at the largest distance.
     """
     m = q.map
-    dist = np.array(bfs_distances(m, q.origin))
+    dist = bfs_distances(m, q.origin)
     near = np.minimum(dist[m.tail[0::2]], dist[m.tail[m.twin[0::2]]])
     return (np.cumsum(np.bincount(near)) / m.n_edges).tolist()
 
@@ -494,11 +497,13 @@ def rooted_code(m: HalfEdgeMap, root: int) -> bytes:
     Darts are relabeled breadth-first from the root along the rotation and
     twin permutations, which is invariant under dart renaming.
     """
+    root = _index(root, "root", m.n_darts)
     return _rooted_code_arrays(m.nxt[None], m.twin[None], [root])[0]
 
 
 def pointed_code(m: HalfEdgeMap, origin: int) -> bytes:
     """Lexicographic minimum of the rooted codes over darts at the origin."""
+    origin = _index(origin, "origin", m.n_vertices)
     return _pointed_code_arrays(m.nxt[None], m.twin[None], m.tail[None], origin)[0]
 
 
@@ -521,14 +526,14 @@ def quad_of_map(m: RootedMap | PointedMap):
     vertices first, then one vertex per face of ``m``.
     """
     he = m.map
-    rotations: list[list[int]] = [
-        [2 * d for d in cyc] for cyc in he.vertex_cycles
-    ]
     # the new face vertices sit inside the old faces, so their rotation runs
-    # against the boundary orientation
-    for face in he.faces:
-        rotations.append([2 * d + 1 for d in reversed(face)])
-    quad = _rotation_map(rotations)
+    # against the boundary orientation: each face's darts reversed
+    darts, starts = he._face_orbits
+    sizes = np.diff(starts)
+    reversed_faces = darts[np.repeat(starts[:-1] + starts[1:] - 1, sizes) - np.arange(darts.size)]
+    flat = np.concatenate((2 * he._vertex_darts, 2 * reversed_faces + 1))
+    nxt, tail = _csr_rotation_arrays(flat, np.concatenate((np.bincount(he.tail), sizes)))
+    quad = _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
     if isinstance(m, RootedMap):
         return _trusted(RootedQuadrangulation, map=quad, root=2 * m.root)
     return _trusted(PointedQuadrangulation, map=quad, origin=m.origin)
@@ -543,26 +548,19 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
     if not isinstance(q, (RootedQuadrangulation, PointedQuadrangulation)):
         raise TypeError("map_of_quad needs a rooted or pointed quadrangulation")
     he = q.map
-    dist = bfs_distances(he, q.origin)
-    tail = he.tail.tolist()
-    # per face: the two darts whose tails are the even-parity corners
-    attach: dict[int, int] = {}  # host dart -> new dart id
-    for f, face in enumerate(he.faces):
-        evens = [d for d in face if dist[tail[d]] % 2 == 0]
-        attach[evens[0]] = 2 * f
-        attach[evens[1]] = 2 * f + 1
-    # new rotation around each even vertex: the diagonals in host-dart order
-    old_vertices = [v for v in range(he.n_vertices) if dist[v] % 2 == 0]
-    new_id = {v: i for i, v in enumerate(old_vertices)}
-    rotations = []
-    for v in old_vertices:
-        rot = [attach[d] for d in he.vertex_cycles[v] if d in attach]
-        rotations.append(rot)
-    out = _rotation_map(rotations)
+    even = bfs_distances(he, q.origin) % 2 == 0
+    # face f's two even corners, in face order, become the darts 2f and 2f+1
+    darts = he._face_orbits[0]
+    attach = np.full(he.n_darts, -1, dtype=np.int64)
+    attach[darts[even[he.tail[darts]]]] = np.arange(he.n_darts // 2)
+    # each even vertex keeps its diagonals in rotation order
+    kept = he._vertex_darts[even[he.tail[he._vertex_darts]]]
+    nxt, tail = _csr_rotation_arrays(attach[kept], np.bincount(he.tail)[even])
+    out = _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
     if isinstance(q, RootedMap):
         # root on the diagonal of the face on the far side of the root dart
-        return _trusted(RootedMap, map=out, root=attach[int(he.nxt[q.root])])
-    return _trusted(PointedMap, map=out, origin=new_id[q.origin])
+        return _trusted(RootedMap, map=out, root=int(attach[he.nxt[q.root]]))
+    return _trusted(PointedMap, map=out, origin=int(np.count_nonzero(even[: q.origin])))
 
 
 # -- serialization -------------------------------------------------------

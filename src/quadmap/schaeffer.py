@@ -376,6 +376,7 @@ def fiber(pq: PointedQuadrangulation) -> list[RootedQuadrangulation]:
     rounds = _origin_rounds(he.nxt[None], he.twin[None], he.tail[None], pq.origin)
     code_of = {int(darts[0]): codes[0] for _, darts, codes in rounds}
     seen = {}
-    for d in he.vertex_cycles[pq.origin]:
+    at_origin = he._vertex_darts[he.tail[he._vertex_darts] == pq.origin]  # rotation order
+    for d in at_origin.tolist():
         seen.setdefault(code_of[d], d)
     return [_trusted(RootedQuadrangulation, map=he, root=seen[c]) for c in sorted(seen)]

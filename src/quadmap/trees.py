@@ -67,6 +67,14 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
+def _index(value, name: str, size: int) -> int:
+    """``value`` as an int in [0, size), else a ``ValueError`` naming ``name``."""
+    value = _integer(value, name)
+    if not 0 <= value < size:
+        raise ValueError(f"{name} {value} out of range 0..{size - 1}")
+    return value
+
+
 _BOOLS = {bool, np.bool_}
 
 
@@ -292,10 +300,7 @@ def same_node(walk: Walk, i: int, j: int) -> bool:
     both endpoint values.
     """
     w = walk.steps
-    i, j = _integer(i, "corner"), _integer(j, "corner")
-    for corner in (i, j):
-        if not 0 <= corner < w.size:
-            raise ValueError(f"corner {corner} out of range 0..{w.size - 1}")
+    i, j = _index(i, "corner", w.size), _index(j, "corner", w.size)
     lo, hi = min(i, j), max(i, j)
     return bool(w[lo : hi + 1].min() == w[i] == w[j])
 

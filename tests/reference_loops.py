@@ -8,7 +8,7 @@ kernel and public function with them.  They read maps through their arrays
 only, so no reference calls a kernel, and they raise the constructor's
 messages in its order.  The contour kernels' earlier array forms (rotation
 by a modular index array, branch sums through edge ids) are kept the same
-way, for ``test_paths.py``.
+way, for ``test_paths.py``, and so is the recursive Dyck-walk listing.
 """
 from collections import deque
 
@@ -16,7 +16,13 @@ import numpy as np
 
 from quadmap.labeled import Encoding, LabeledTree, first_min_corner, minima_set
 from quadmap.paths import contour_edges, doddering_rdfw, uniform_encoding_arrays
-from quadmap.planar_map import RootedQuadrangulation, _array_map
+from quadmap.planar_map import (
+    PointedMap,
+    PointedQuadrangulation,
+    RootedMap,
+    RootedQuadrangulation,
+    _array_map,
+)
 from quadmap.schaeffer import point
 from quadmap.trees import PlaneTree, Walk, _trusted
 
@@ -173,6 +179,68 @@ def save_map(obj) -> str:
         mark = f"origin={renumbered(obj).origin}"
     lines = [f"n={he.n_darts // 2}", *(",".join(map(str, a.tolist())) for a in (he.twin, he.nxt))]
     return "\n".join(lines + [mark]) + "\n"
+
+
+# -- maps <-> quadrangulations -------------------------------------------------
+
+
+def _rotation_map(rotations):
+    nxt, tail = rotation_arrays(rotations)
+    return _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
+
+
+def quad_of_map(m):
+    """A new vertex in each face joined to its corners: the old darts 2d
+    around the old vertices, then each face's darts 2d+1 reversed."""
+    he = m.map
+    rotations = [[2 * d for d in cyc] for cyc in vertex_cycles(he)]
+    for face in faces(he):
+        rotations.append([2 * d + 1 for d in reversed(face)])
+    quad = _rotation_map(rotations)
+    if "root" in vars(m):
+        return _trusted(RootedQuadrangulation, map=quad, root=2 * m.root)
+    return _trusted(PointedQuadrangulation, map=quad, origin=m.origin)
+
+
+def map_of_quad(q):
+    """The diagonals between each face's two even corners, attached face by
+    face through a dict and listed around each even vertex in rotation order."""
+    he = q.map
+    dist = bfs_distances(he, q.origin)
+    tail = he.tail.tolist()
+    attach = {}  # host dart -> new dart id
+    for f, face in enumerate(faces(he)):
+        evens = [d for d in face if dist[tail[d]] % 2 == 0]
+        attach[evens[0]] = 2 * f
+        attach[evens[1]] = 2 * f + 1
+    old_vertices = [v for v in range(len(dist)) if dist[v] % 2 == 0]
+    new_id = {v: i for i, v in enumerate(old_vertices)}
+    cycles = vertex_cycles(he)
+    out = _rotation_map([[attach[d] for d in cycles[v] if d in attach] for v in old_vertices])
+    if "root" in vars(q):
+        return _trusted(RootedMap, map=out, root=attach[int(he.nxt[q.root])])
+    return _trusted(PointedMap, map=out, origin=new_id[q.origin])
+
+
+def walks(n: int) -> list[tuple[int, ...]]:
+    """The Dyck walks with n up-steps by recursion, up-steps tried first."""
+    out = []
+
+    def extend(prefix, ups, downs):
+        if ups == n and downs == n:
+            out.append(tuple(prefix))
+            return
+        if ups < n:
+            prefix.append(prefix[-1] + 1)
+            extend(prefix, ups + 1, downs)
+            prefix.pop()
+        if downs < ups:
+            prefix.append(prefix[-1] - 1)
+            extend(prefix, ups, downs + 1)
+            prefix.pop()
+
+    extend([0], 0, 0)
+    return out
 
 
 # -- the chord construction and its inverse ---------------------------------

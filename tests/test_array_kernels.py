@@ -21,6 +21,7 @@ from quadmap.enumeration import (
     PointedLaw,
     RootedLaw,
     _encoding_arrays,
+    _walks,
     _well_labeled_arrays,
     catalan,
     labeled_trees,
@@ -43,6 +44,7 @@ from quadmap.labeled import (
 from quadmap.paths import _reroot_arrays, uniform_encoding_arrays
 from quadmap.planar_map import (
     HalfEdgeMap,
+    PointedMap,
     _ascii_ints,
     _bfs_arrays,
     _check_arrays,
@@ -56,6 +58,7 @@ from quadmap.planar_map import (
     _steps_to_end,
     bfs_distances,
     load_map,
+    map_of_quad,
     pointed_code,
     quad_of_map,
     radius,
@@ -100,7 +103,7 @@ def check_map_kernels(he: HalfEdgeMap, origin: int, roots) -> None:
     distances = reference.bfs_distances(he, origin)
     dist = _bfs_arrays(twin[None], tail[None], he.n_vertices, [origin])[0]
     assert tuple(dist.tolist()) == distances
-    assert bfs_distances(ref, origin) == distances
+    assert tuple(bfs_distances(ref, origin).tolist()) == distances
     for root in roots:
         code = reference.rooted_code(he, root)
         assert _rooted_code_arrays(nxt[None], twin[None], [root]) == [code]
@@ -211,7 +214,7 @@ def test_public_functions_equal_on_both_paths(n):
         he.faces,
         he.vertex_cycles,
         he.n_faces,
-        bfs_distances(he, q.origin),
+        tuple(bfs_distances(he, q.origin).tolist()),
         rooted_code(he, q.root),
         text,
         pointed_text,
@@ -250,6 +253,39 @@ def test_public_functions_equal_on_both_paths(n):
         ref,
     )
     assert public == expected
+
+
+def check_conversions(m) -> None:
+    """``quad_of_map`` of a rooted or pointed map, and ``map_of_quad`` of
+    the result, equal the reference loops dart for dart."""
+    q = quad_of_map(m)
+    assert q == reference.quad_of_map(m)
+    assert map_of_quad(q) == reference.map_of_quad(q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_map_conversions_match_the_loops_on_all_small_maps(n, rooted_maps_by_size):
+    for rm in rooted_maps_by_size[n].values():
+        assert not rm.map._vertex_darts.flags.writeable
+        check_conversions(rm)
+        for origin in range(rm.map.n_vertices):
+            check_conversions(PointedMap(rm.map, origin))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 3000])
+def test_map_conversions_match_the_loops_on_sampled_quads(n):
+    rng = np.random.default_rng([41, n])
+    for _ in range(2):
+        _, q = harness.sample_rooted_pd(n, rng)
+        for quad in (q, harness.sample_pointed_ps(n, rng)):
+            back = map_of_quad(quad)
+            assert back == reference.map_of_quad(quad)
+            assert quad_of_map(back) == reference.quad_of_map(back)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walks_match_the_recursive_listing(n):
+    assert _walks(n).tolist() == [list(w) for w in reference.walks(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -464,7 +500,7 @@ def test_stacked_kernels_match_scalar_on_all_small_quads(n):
         )
         assert codes[b] == rooted_code(he, q.root)
         assert pointed[b] == pointed_code(he, q.origin)
-        assert tuple(dist[b].tolist()) == bfs_distances(he, q.origin)
+        assert dist[b].tolist() == bfs_distances(he, q.origin).tolist()
         assert faces[b].tolist() == [list(f) for f in he.faces]
         assert _labeled_tree_of_arrays(back[0][b], back[1][b]) == tree_of_quad(q) == tree
 

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from quadmap import cli
+from quadmap import cli, enumeration
 from quadmap.cli import main
+from quadmap.enumeration import RootedLaw
 from quadmap.labeled import Encoding
 from quadmap.planar_map import load_map
 from quadmap.schaeffer import _glued_arrays
@@ -161,6 +162,16 @@ def test_verify_reports_a_bad_gluing_as_a_fail_line(corrupt, monkeypatch, capsys
     assert corrupted
 
 
+def test_verify_reports_laws_that_do_not_sum_to_one_as_a_fail_line(monkeypatch, capsys):
+    def halved(code, degree, p_d):  # law_tables' rooted rows then sum to one half
+        return RootedLaw(code, degree, p_d / 2)
+
+    monkeypatch.setattr(enumeration, "RootedLaw", halved)
+    assert main(["verify", "--max-n", "1"]) == 1
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [words[-1] for words in lines if words[:3] == ["laws", "sum", "to"]] == ["FAIL"]
+
+
 def test_verify_rejects_max_n_above_listing_bound(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--max-n", "7"])
@@ -190,6 +201,36 @@ def test_bad_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert message in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--kind", "labeled", "--n", "2", "--count", "-2"],
+        ["snake", "--m", "4", "--count", "0"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--count must be >= 1" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config, key", [('"outptu": "x.csv"', "outptu"), ('"grid-m": 4', "grid-m")])
+def test_config_files_with_unknown_keys_are_usage_errors(config, key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"name": "radius", "sizes": [4, 8], "replicas": 2, "seed": 1, ' + config + "}")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"unknown keys '{key}'" in err and out == ""
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(

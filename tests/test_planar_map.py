@@ -81,7 +81,7 @@ def test_quadrangulation_counts_enforced():
 def test_bfs_radius_profile_hand_cases():
     q_end = path_quad((1, 2))
     q_center = path_quad((1, 1))
-    assert bfs_distances(q_end.map, 0) == (0, 1, 2)
+    assert bfs_distances(q_end.map, 0).tolist() == [0, 1, 2]
     assert radius(q_end) == 2
     assert radius(q_center) == 1
     assert profile(q_end) == [0.5, 1.0]
@@ -147,6 +147,29 @@ def test_map_quad_round_trip_pointed(n):
         assert isinstance(back, PointedMap)
         pq2 = quad_of_map(back)
         assert pointed_code(pq2.map, pq2.origin) == code
+
+
+@pytest.mark.parametrize(
+    "fn, value, name",
+    [
+        (rooted_code, -1, "root"),
+        (bfs_distances, -1, "origin"),
+        (bfs_distances, 99, "origin"),
+        (bfs_distances, 1.0, "origin"),
+        (rooted_code, 2.5, "root"),
+        (pointed_code, 99, "origin"),
+    ],
+)
+def test_map_functions_check_root_and_origin(fn, value, name):
+    he = path_quad((1, 2)).map
+    with pytest.raises(ValueError, match=f"^{name}"):
+        fn(he, value)
+
+
+@pytest.mark.parametrize("v", [-1, 3, 1.0])
+def test_degree_checks_its_vertex(v):
+    with pytest.raises(ValueError, match="^vertex"):
+        path_quad((1, 2)).map.degree(v)
 
 
 def test_bipartite_coloring_recovers_map():
