@@ -13,8 +13,12 @@ children lists) and of ``Encoding``, the map kernels, and the conversions
 ``map_of_quad``).  The contour layers are timed on one walk of n edges, as
 one replica of the scaling experiment draws it: ``dyck_walk_batch``,
 ``uniform_encoding_arrays`` and ``contour_accumulate`` of i.i.d. label
-increments along a fixed walk.  The median and the spread of ``--repeats``
-runs are reported.
+increments along a fixed walk.  The level kernels ``_rooted_code_arrays``,
+``_bfs_arrays`` and ``_ascii_ints`` are also timed, whatever the sizes, at
+the shape of the exhaustive battery: one stack of the chord maps of all
+well-labeled trees with 5 edges, each rooted at dart 1 and started from
+vertex 0, and its ``nxt`` rows as text.  The median and the spread of
+``--repeats`` runs are reported.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import time
 
 import numpy as np
 
-from quadmap import harness, labeled, paths, planar_map, schaeffer, trees
+from quadmap import enumeration, harness, labeled, paths, planar_map, schaeffer, trees
 
 
 def _timed(fn, repeats: int, setup=lambda: None) -> dict:
@@ -80,6 +84,23 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     }
 
 
+def small_stack(repeats: int) -> dict:
+    """Time the level kernels on the stack of all well-labeled 5-edge quads."""
+    n = 5
+    labels, walks = enumeration._well_labeled_arrays(n)
+    twin, nxt, tail = schaeffer._chord_arrays(labels[:, :-1], walks)
+    roots, origins = np.ones(len(twin), dtype=np.int64), np.zeros(len(twin), dtype=np.int64)
+    return {
+        "n": n,
+        "maps": len(twin),
+        "_rooted_code_arrays": _timed(
+            lambda _: planar_map._rooted_code_arrays(nxt, twin, roots), repeats
+        ),
+        "_bfs_arrays": _timed(lambda _: planar_map._bfs_arrays(twin, tail, n + 2, origins), repeats),
+        "_ascii_ints": _timed(lambda _: planar_map._ascii_ints(nxt), repeats),
+    }
+
+
 def machine() -> dict:
     cpu = ""
     try:
@@ -105,6 +126,7 @@ def main() -> None:
     args = p.parse_args()
     record = {"machine": machine(), "seed": args.seed, "repeats": args.repeats}
     record["layers"] = {n: layers(n, args.seed, args.repeats) for n in args.sizes}
+    record["small_stack"] = small_stack(args.repeats)
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)

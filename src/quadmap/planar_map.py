@@ -18,7 +18,10 @@ as numpy kernels over the arrays at every size.  The BFS, code and text
 kernels take only stacks with a leading batch axis, run as the maps'
 disjoint union, which is how the exhaustive battery handles its tens of
 thousands of small maps in a few calls; a public function over one map is
-their batch of one (``[None]`` in, row ``[0]`` out).
+their batch of one (``[None]`` in, row ``[0]`` out).  Their loops sort
+nothing: a BFS level dedupes its vertices by scattered slots, the dart BFS
+keeps each dart's first candidate slot, and the text kernel deletes the
+NUL bytes it writes for leading zeros.
 """
 from __future__ import annotations
 
@@ -92,7 +95,7 @@ class HalfEdgeMap(_ArrayValue):
         return len(self._face_orbits[1]) - 1
 
     def head(self, d: int) -> int:
-        return int(self.tail[self.twin[d]])
+        return int(self.tail[self.twin[_index(d, "dart", self.n_darts)]])
 
     @cached_property
     def _face_orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +260,9 @@ def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> 
     stacks of maps with ``n_vertices`` vertices each and one origin per
     map, giving a (B, n_vertices) stack of distances; -1 marks a vertex
     that its map's origin does not reach.  A stack runs as the disjoint
-    union of its maps, whose components never meet.
+    union of its maps, whose components never meet.  A level dedupes its
+    unvisited heads without a sort: each writes its slot to ``owner``, and
+    the entries that read their own slot back form the next frontier.
     """
     count = len(twin)
     tail = _union(tail, n_vertices)
@@ -268,6 +273,7 @@ def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> 
     first = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=total), out=first[1:])
     dist = np.full(total, -1, dtype=np.int64)
+    owner = np.empty(total, dtype=np.int64)
     frontier = _union(np.asarray(origin), n_vertices)
     dist[frontier] = 0
     level = 0
@@ -277,27 +283,32 @@ def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> 
         # positions lo[i] .. lo[i] + sizes[i] - 1, concatenated
         pos = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
         seen = heads[pos]
-        frontier = np.unique(seen[dist[seen] < 0])
+        seen = seen[dist[seen] < 0]
+        # whichever write to a vertex wins, exactly one of its entries reads
+        # its slot back; the distances do not depend on the frontier's order
+        slot = np.arange(seen.size)
+        owner[seen] = slot
+        frontier = seen[owner[seen] == slot]
         dist[frontier] = level
     return dist.reshape(count, n_vertices)
 
 
 def _ascii_ints(values: np.ndarray) -> list[bytes]:
     """``",".join(map(str, row))`` in ASCII for each row of a stack of
-    nonnegative int64 values: a row of fixed-width digits plus a comma per
-    value, with the leading zeros masked out."""
+    nonnegative int64 values.  Each value is written as ``width`` digits,
+    each ``rest - 10 * (rest // 10)``, and a comma; a leading zero is a
+    NUL byte, and one ``translate`` deletes them all.  A row's text is its
+    nonzero bytes."""
     width = len(str(int(values.max())))
-    flat = values.reshape(-1, 1)
-    chars = np.full((flat.size, width + 1), ord(","), dtype=np.uint8)
-    rest = flat[:, 0].astype(np.uint32 if width < 10 else np.uint64)
+    rest = values.reshape(-1).astype(np.uint32 if width < 10 else np.uint64)
+    chars = np.full((rest.size, width + 1), ord(","), dtype=np.uint8)
     for column in range(width - 1, -1, -1):
-        chars[:, column] = rest % 10 + ord("0")
-        rest //= 10
-    keep = np.ones(chars.shape, dtype=bool)
-    powers = 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
-    keep[:, :-2] = flat >= powers  # the units digit always stays
-    text = chars[keep].tobytes()
-    ends = np.cumsum(np.count_nonzero(keep.reshape(len(values), -1), axis=1)).tolist()
+        quot = rest // 10
+        to_ascii = ord("0") if column == width - 1 else np.uint8(ord("0")) * (rest > 0)
+        chars[:, column] = rest - 10 * quot + to_ascii
+        rest = quot
+    text = chars.tobytes().translate(None, b"\0")
+    ends = np.cumsum(np.count_nonzero(chars.reshape(len(values), -1), axis=1)).tolist()
     return [text[a:b - 1] for a, b in zip([0] + ends[:-1], ends)]
 
 
@@ -324,26 +335,28 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root) -> list[bytes]:
     maps and one root per row, giving the list of the rows' codes.
 
     A level's candidates are its darts' (nxt, twin) images interleaved in
-    queue order; the new ones, first occurrences kept in order, are
-    exactly what the queue appends while it works through that level.  A
-    stack runs as the disjoint union of its rows: their searches never
-    meet, so each row's darts keep their own queue order, and a stable
-    sort by row recovers each row's queue.
+    queue order, each given a slot that grows across levels.  With
+    ``np.minimum.at`` each dart keeps its first slot (the roots -1), so the
+    candidates holding their dart's claim are the unseen ones, first
+    occurrences in order: what the queue appends in that level.  A stack
+    runs as the disjoint union of its rows: their searches never meet, so
+    each row's darts keep their own queue order, and a stable sort by row
+    recovers each row's queue.
     """
     count, m = nxt.shape
     nxt, twin = _union(nxt, m), _union(twin, m)
     level = _union(np.asarray(root), m)
-    seen = np.zeros(nxt.size, dtype=bool)
-    seen[level] = True
-    levels = [level]
+    claim = np.full(nxt.size, np.iinfo(np.int64).max)
+    claim[level] = -1
+    levels, base = [level], 0
     while level.size:
         cand = np.empty(2 * level.size, dtype=np.int64)
         cand[0::2] = nxt[level]
         cand[1::2] = twin[level]
-        cand = cand[~seen[cand]]
-        _, first = np.unique(cand, return_index=True)
-        level = cand[np.sort(first)]
-        seen[level] = True
+        slot = np.arange(base, base + cand.size)
+        base += cand.size
+        np.minimum.at(claim, cand, slot)
+        level = cand[claim[cand] == slot]
         levels.append(level)
     order = np.concatenate(levels)
     order = order[_stable_order(order // m)]

@@ -327,7 +327,7 @@ def test_text_kernels_match_join_and_int():
 
 def test_stacked_text_rows_match_single_rows():
     # a stack is written at its widest value's width, with the leading
-    # zeros of each narrower value masked out row by row
+    # zeros of each narrower value deleted row by row
     rng = np.random.default_rng(4)
     rows = np.array([[0, 1, 2], [1000, 5, 99999], [7, 7, 7], [10**9, 0, 10**12]])
     drawn = rng.integers(0, 10**6, (50, 2, 9)) // 10 ** rng.integers(0, 6, (50, 1, 1))
@@ -531,6 +531,44 @@ def test_batch_of_one_matches_stacked_large_maps(n):
         assert np.array_equal(tree[0], back_walks[one])
         assert np.array_equal(tree[1], back_labels[one])
         assert np.array_equal(back_walks[b], walks[b])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_level_rules_match_the_loops_at_every_root_in_one_stack(n):
+    # one call roots every map at every dart and one starts from every
+    # vertex, so darts and vertices are reached twice in a level, and darts
+    # claimed by an earlier level come up again
+    maps = [q.map for q in rooted_quads(n)]
+    m, v = maps[0].n_darts, maps[0].n_vertices
+    twin, nxt, tail = (np.array([getattr(he, f) for he in maps]) for f in ("twin", "nxt", "tail"))
+    roots, origins = np.tile(np.arange(m), len(maps)), np.tile(np.arange(v), len(maps))
+    codes = _rooted_code_arrays(np.repeat(nxt, m, 0), np.repeat(twin, m, 0), roots)
+    dist = _bfs_arrays(np.repeat(twin, v, 0), np.repeat(tail, v, 0), v, origins)
+    assert codes == [reference.rooted_code(he, d) for he in maps for d in range(m)]
+    assert [tuple(row) for row in dist.tolist()] == [
+        reference.bfs_distances(he, w) for he in maps for w in range(v)
+    ]
+
+
+def test_level_rules_match_the_loops_at_benchmark_size():
+    _, q = harness.sample_rooted_pd(2**15, np.random.default_rng([41, 2**15]))
+    he = q.map
+    assert rooted_code(he, q.root) == reference.rooted_code(he, q.root)
+    assert tuple(bfs_distances(he, q.origin).tolist()) == reference.bfs_distances(he, q.origin)
+
+
+def test_text_rows_of_mixed_widths_match_join():
+    rows = np.array(
+        [
+            [0, 0, 0, 0, 0, 0],
+            [1, 2, 3, 5, 8, 9],
+            [9, 10, 99, 100, 999_999, 1_000_000],
+            [10**9 - 1, 10**9, 10**10, 2**32, 10**18 - 1, 2**63 - 1],
+        ]
+    )
+    expected = [",".join(map(str, row)).encode("ascii") for row in rows.tolist()]
+    assert _ascii_ints(rows) == expected
+    assert _ascii_ints(rows[:3]) == expected[:3]  # below ten digits: uint32 arithmetic
 
 
 def _orbit_oracle(n):

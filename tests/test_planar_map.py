@@ -172,6 +172,12 @@ def test_degree_checks_its_vertex(v):
         path_quad((1, 2)).map.degree(v)
 
 
+@pytest.mark.parametrize("d", [-1, 5, 1.0])
+def test_head_checks_its_dart(d):
+    with pytest.raises(ValueError, match="^dart"):
+        HalfEdgeMap.from_rotations([[0], [1]]).head(d)
+
+
 def test_bipartite_coloring_recovers_map():
     # vertices at even distance from the origin are exactly the old ones
     m = link_map()
