@@ -13,12 +13,12 @@ children lists) and of ``Encoding``, the map kernels, and the conversions
 ``map_of_quad``).  The contour layers are timed on one walk of n edges, as
 one replica of the scaling experiment draws it: ``dyck_walk_batch``,
 ``uniform_encoding_arrays`` and ``contour_accumulate`` of i.i.d. label
-increments along a fixed walk.  The level kernels ``_rooted_code_arrays``,
-``_bfs_arrays`` and ``_ascii_ints`` are also timed, whatever the sizes, at
-the shape of the exhaustive battery: one stack of the chord maps of all
-well-labeled trees with 5 edges, each rooted at dart 1 and started from
-vertex 0, and its ``nxt`` rows as text.  The median and the spread of
-``--repeats`` runs are reported.
+increments along a fixed walk.  The code kernels ``_rooted_code_arrays``
+and ``_pointed_code_arrays`` and the level kernel ``_bfs_arrays`` are also
+timed, whatever the sizes, at the shape of the exhaustive battery: one
+stack of the chord maps of all well-labeled trees with 5 edges, each
+rooted at dart 1 and pointed and started at vertex 0.  The median and the
+spread of ``--repeats`` runs are reported.
 """
 from __future__ import annotations
 
@@ -85,7 +85,8 @@ def layers(n: int, seed: int, repeats: int) -> dict:
 
 
 def small_stack(repeats: int) -> dict:
-    """Time the level kernels on the stack of all well-labeled 5-edge quads."""
+    """Time the code and level kernels on the stack of all well-labeled
+    5-edge quads."""
     n = 5
     labels, walks = enumeration._well_labeled_arrays(n)
     twin, nxt, tail = schaeffer._chord_arrays(labels[:, :-1], walks)
@@ -96,8 +97,10 @@ def small_stack(repeats: int) -> dict:
         "_rooted_code_arrays": _timed(
             lambda _: planar_map._rooted_code_arrays(nxt, twin, roots), repeats
         ),
+        "_pointed_code_arrays": _timed(
+            lambda _: planar_map._pointed_code_arrays(nxt, twin, tail, 0), repeats
+        ),
         "_bfs_arrays": _timed(lambda _: planar_map._bfs_arrays(twin, tail, n + 2, origins), repeats),
-        "_ascii_ints": _timed(lambda _: planar_map._ascii_ints(nxt), repeats),
     }
 
 

@@ -11,11 +11,11 @@ timed ones in this process, with stdout captured; each kernel that
 ``quadmap.cli`` calls by module-level name is wrapped with a
 ``perf_counter`` accumulator, and ``other`` is the rest of the command
 (mostly the counting checks).  ``ascii`` times ``planar_map._ascii_ints``
-on 524,288 values as a stack of one row, and the stack's row-end step
-alone, in both of the forms it has had.  ``rss`` reports the peak
-resident memory of this process before and after a part of perfbench's
-``exhaustive`` op (``verify --max-n 5``, then ``orbit_decomposition(5)``
-and ``tv_distance(4)``).  Run it in a fresh process per measurement.
+on one row of 524,288 values, a ``save_map`` line of a 2^18-edge map.
+``rss`` reports the peak resident memory of this process before and after
+a part of perfbench's ``exhaustive`` op (``verify --max-n 5``, then
+``orbit_decomposition(5)`` and ``tv_distance(4)``).  Run it in a fresh
+process per measurement.
 """
 from __future__ import annotations
 
@@ -81,22 +81,8 @@ def stages(max_n: int, repeats: int) -> dict:
 
 def ascii_timings() -> dict:
     values = np.random.default_rng(1).integers(0, 524288, 524288)
-    stacked = values.reshape(1, -1)
-    keep = np.ones((values.size, len(str(int(values.max()))) + 1), dtype=bool)
-
-    def best_ms(fn) -> float:
-        return round(min(timeit.repeat(fn, number=1, repeat=15)) * 1e3, 2)
-
-    return {
-        "stacked_ms": best_ms(lambda: _ascii_ints(stacked)),
-        # the older form, two sums over the digit mask, and the current one
-        "row_ends_two_sums_ms": best_ms(
-            lambda: np.cumsum(keep.sum(axis=1).reshape(stacked.shape).sum(axis=1))
-        ),
-        "row_ends_count_nonzero_ms": best_ms(
-            lambda: np.cumsum(np.count_nonzero(keep.reshape(len(stacked), -1), axis=1))
-        ),
-    }
+    best = min(timeit.repeat(lambda: _ascii_ints(values), number=1, repeat=15))
+    return {"one_row_ms": round(best * 1e3, 2)}
 
 
 def rss(what: str) -> dict:

@@ -14,14 +14,14 @@ and compare and hash by their arrays; BFS helpers allocate their own
 scratch and may be called concurrently.
 
 The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
-as numpy kernels over the arrays at every size.  The BFS, code and text
-kernels take only stacks with a leading batch axis, run as the maps'
-disjoint union, which is how the exhaustive battery handles its tens of
-thousands of small maps in a few calls; a public function over one map is
-their batch of one (``[None]`` in, row ``[0]`` out).  Their loops sort
-nothing: a BFS level dedupes its vertices by scattered slots, the dart BFS
-keeps each dart's first candidate slot, and the text kernel deletes the
-NUL bytes it writes for leading zeros.
+as numpy kernels over the arrays at every size.  The BFS and code kernels
+take only stacks with a leading batch axis, run as the maps' disjoint
+union, which is how the exhaustive battery handles its tens of thousands
+of small maps in a few calls; a public function over one map is their
+batch of one.  Their loops sort nothing: a BFS level dedupes its vertices
+by scattered slots, and the dart BFS keeps each dart's first candidate
+slot.  A code is big-endian uint32 labels, which order as bytes as the
+label sequences do; the text kernel writes one ``save_map`` line.
 """
 from __future__ import annotations
 
@@ -96,6 +96,11 @@ class HalfEdgeMap(_ArrayValue):
 
     def head(self, d: int) -> int:
         return int(self.tail[self.twin[_index(d, "dart", self.n_darts)]])
+
+    @cached_property
+    def _rotation_mins(self) -> np.ndarray:
+        """``_cycle_mins(nxt)``: the cycle check and the map text number vertices by it."""
+        return _cycle_mins(self.nxt)
 
     @cached_property
     def _face_orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +204,7 @@ def _check_arrays(he: HalfEdgeMap) -> None:
         raise ValueError("twin is not a fixed-point-free involution")
     if np.any(tail[nxt] != tail):
         raise ValueError("nxt mixes darts of different vertices")
-    owners = tail[_cycle_mins(nxt) == ids]  # one tail per rotation cycle
+    owners = tail[he._rotation_mins == ids]  # one tail per rotation cycle
     n_vertices = owners.size
     # distinct ids inside 0..V-1 are exactly 0..V-1
     in_range = owners.min() >= 0 and owners.max() < n_vertices
@@ -293,23 +298,20 @@ def _bfs_arrays(twin: np.ndarray, tail: np.ndarray, n_vertices: int, origin) -> 
     return dist.reshape(count, n_vertices)
 
 
-def _ascii_ints(values: np.ndarray) -> list[bytes]:
-    """``",".join(map(str, row))`` in ASCII for each row of a stack of
-    nonnegative int64 values.  Each value is written as ``width`` digits,
-    each ``rest - 10 * (rest // 10)``, and a comma; a leading zero is a
-    NUL byte, and one ``translate`` deletes them all.  A row's text is its
-    nonzero bytes."""
+def _ascii_ints(values: np.ndarray) -> bytes:
+    """``",".join(map(str, values))`` in ASCII for a one-dimensional array
+    of nonnegative int64 values.  Each value is written as ``width``
+    digits, each ``rest - 10 * (rest // 10)``, and a comma; a leading zero
+    is a NUL byte, and one ``translate`` deletes them all."""
     width = len(str(int(values.max())))
-    rest = values.reshape(-1).astype(np.uint32 if width < 10 else np.uint64)
+    rest = values.astype(np.uint32 if width < 10 else np.uint64)
     chars = np.full((rest.size, width + 1), ord(","), dtype=np.uint8)
     for column in range(width - 1, -1, -1):
         quot = rest // 10
         to_ascii = ord("0") if column == width - 1 else np.uint8(ord("0")) * (rest > 0)
         chars[:, column] = rest - 10 * quot + to_ascii
         rest = quot
-    text = chars.tobytes().translate(None, b"\0")
-    ends = np.cumsum(np.count_nonzero(chars.reshape(len(values), -1), axis=1)).tolist()
-    return [text[a:b - 1] for a, b in zip([0] + ends[:-1], ends)]
+    return chars.tobytes().translate(None, b"\0")[:-1]
 
 
 def _parse_ascii_ints(line: str) -> np.ndarray | None:
@@ -332,7 +334,9 @@ def _parse_ascii_ints(line: str) -> np.ndarray | None:
 
 def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root) -> list[bytes]:
     """:func:`rooted_code` by levels of the dart BFS, for (R, m) stacks of
-    maps and one root per row, giving the list of the rows' codes.
+    maps and one root per row, giving the rows' 2m labels as ``8 * m``
+    bytes of big-endian uint32 each.  Four bytes suffice: a map with 2^32
+    darts cannot be held in memory (each int64 field would be 32 GiB).
 
     A level's candidates are its darts' (nxt, twin) images interleaved in
     queue order, each given a slot that grows across levels.  With
@@ -365,7 +369,8 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root) -> list[bytes]:
     parts = np.empty((count, 2 * m), dtype=np.int64)
     parts[:, 0::2] = label[nxt[order]].reshape(count, m)
     parts[:, 1::2] = label[twin[order]].reshape(count, m)
-    return _ascii_ints(parts)
+    codes = parts.astype(">u4").tobytes()
+    return [codes[start:start + 8 * m] for start in range(0, len(codes), 8 * m)]
 
 
 def _origin_rounds(nxt: np.ndarray, twin: np.ndarray, tail: np.ndarray, origin: int):
@@ -508,20 +513,24 @@ def rooted_code(m: HalfEdgeMap, root: int) -> bytes:
     """Canonical code of (m, root); equal iff rooted-isomorphic.
 
     Darts are relabeled breadth-first from the root along the rotation and
-    twin permutations, which is invariant under dart renaming.
+    twin permutations, which is invariant under dart renaming; in that order
+    each dart's nxt and twin labels follow as ``8 * n_darts`` bytes of
+    big-endian uint32, so bytes compare as the label sequences do.
     """
     root = _index(root, "root", m.n_darts)
     return _rooted_code_arrays(m.nxt[None], m.twin[None], [root])[0]
 
 
 def pointed_code(m: HalfEdgeMap, origin: int) -> bytes:
-    """Lexicographic minimum of the rooted codes over darts at the origin."""
+    """Least of the rooted codes over darts at the origin, as bytes, which
+    is the lexicographic minimum of their label sequences."""
     origin = _index(origin, "origin", m.n_vertices)
     return _pointed_code_arrays(m.nxt[None], m.twin[None], m.tail[None], origin)[0]
 
 
 def canonical_code(obj: RootedMap | PointedMap) -> bytes:
-    """Canonical code of a rooted or pointed map (or quadrangulation)."""
+    """Canonical code of a rooted or pointed map (or quadrangulation): the
+    big-endian uint32 labels of :func:`rooted_code` or :func:`pointed_code`."""
     if isinstance(obj, PointedMap):
         return pointed_code(obj.map, obj.origin)
     return rooted_code(obj.map, obj.root)
@@ -579,12 +588,6 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
 # -- serialization -------------------------------------------------------
 
 
-def _canonical_origin_index(m: HalfEdgeMap, origin: int) -> int:
-    """Index of the origin when vertices are numbered by smallest dart."""
-    _, first = np.unique(m.tail, return_index=True)  # smallest dart per vertex
-    return int(np.count_nonzero(first < first[origin]))
-
-
 def save_map(obj) -> str:
     """Serialize a rooted or pointed map (or quadrangulation) as text.
 
@@ -594,11 +597,12 @@ def save_map(obj) -> str:
     so the text round-trips bit-exactly through :func:`load_map`.
     """
     m = obj.map
-    lines = [f"n={m.n_edges}", *(_ascii_ints(a[None])[0].decode("ascii") for a in (m.twin, m.nxt))]
+    lines = [f"n={m.n_edges}", *(_ascii_ints(a).decode("ascii") for a in (m.twin, m.nxt))]
     if isinstance(obj, RootedMap):
         lines.append(str(obj.root))
-    else:
-        lines.append(f"origin={_canonical_origin_index(m, obj.origin)}")
+    else:  # the smallest darts of the rotation cycles, ascending, number the vertices
+        first = np.flatnonzero(m._rotation_mins == np.arange(m.n_darts))
+        lines.append(f"origin={np.searchsorted(first, np.argmax(m.tail == obj.origin))}")
     return "\n".join(lines) + "\n"
 
 
@@ -615,7 +619,12 @@ def load_map(text: str) -> RootedMap | PointedMap:
         raise ValueError("edge count does not match dart arrays")
     if nxt.min() < 0 or nxt.max() >= nxt.size:
         raise ValueError("rotation array entry is not a dart index")
-    he = HalfEdgeMap(twin, nxt, _cycle_numbers(nxt))
+    # vertices are numbered by the smallest darts of their rotation cycles,
+    # handed to the cycle check (which a non-permutation nxt never reaches)
+    low = _cycle_mins(nxt)
+    he = object.__new__(HalfEdgeMap)
+    he.__dict__["_rotation_mins"] = low
+    HalfEdgeMap.__init__(he, twin, nxt, (np.cumsum(low == np.arange(low.size)) - 1)[low])
     if lines[3].startswith("origin="):
         general, quad = PointedMap, PointedQuadrangulation
         mark = _parse_line(lines[3][7:], "origin", int)
@@ -642,13 +651,3 @@ def _parse_line(line: str, name: str, parse):
         raise ValueError(
             f"map text: the {name} line is not made of int64 integers: {line[:40]!r}"
         ) from None
-
-
-def _cycle_numbers(nxt: np.ndarray) -> np.ndarray:
-    """Per dart, the index of its cycle of ``nxt`` (the vertex numbering of
-    the map text: cycles ordered by smallest dart)."""
-    m = nxt.size
-    if np.any(np.bincount(nxt, minlength=m) != 1):
-        return np.zeros(m, dtype=np.int64)  # not a permutation, which the map check reports
-    low = _cycle_mins(nxt)
-    return (np.cumsum(low == np.arange(m)) - 1)[low]

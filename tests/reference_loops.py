@@ -10,6 +10,7 @@ messages in its order.  The contour kernels' earlier array forms (rotation
 by a modular index array, branch sums through edge ids) are kept the same
 way, for ``test_paths.py``, and so is the recursive Dyck-walk listing.
 """
+import struct
 from collections import deque
 
 import numpy as np
@@ -122,7 +123,8 @@ def bfs_distances(he, origin: int) -> tuple[int, ...]:
 
 
 def rooted_code(he, root: int) -> bytes:
-    """Darts relabeled breadth-first from the root along nxt and twin."""
+    """Darts relabeled breadth-first from the root along nxt and twin, each
+    dart's two labels packed in that order as big-endian unsigned 32-bit."""
     nxt, twin = he.nxt.tolist(), he.twin.tolist()
     label = [-1] * len(nxt)
     label[root] = 0
@@ -139,7 +141,7 @@ def rooted_code(he, root: int) -> bytes:
     for d in order:
         parts.append(label[nxt[d]])
         parts.append(label[twin[d]])
-    return bytes(",".join(map(str, parts)), "ascii")
+    return struct.pack(f">{len(parts)}I", *parts)
 
 
 def pointed_code(he, origin: int) -> bytes:

@@ -108,7 +108,7 @@ def check_map_kernels(he: HalfEdgeMap, origin: int, roots) -> None:
         code = reference.rooted_code(he, root)
         assert _rooted_code_arrays(nxt[None], twin[None], [root]) == [code]
         assert rooted_code(ref, root) == code
-    assert _ascii_ints(nxt[None])[0].decode() == ",".join(map(str, nxt.tolist()))
+    assert _ascii_ints(nxt).decode() == ",".join(map(str, nxt.tolist()))
 
 
 def check_chord_arrays(enc, labels: np.ndarray, walk: np.ndarray) -> None:
@@ -315,7 +315,7 @@ def test_text_kernels_match_join_and_int():
     ]
     for values in samples:
         line = ",".join(map(str, values.tolist()))
-        assert _ascii_ints(values[None]) == [line.encode("ascii")]
+        assert _ascii_ints(values) == line.encode("ascii")
         parsed = _parse_ascii_ints(line)
         if values.max() < 10**18:
             assert parsed.tolist() == values.tolist()
@@ -323,16 +323,6 @@ def test_text_kernels_match_join_and_int():
             assert parsed is None  # 19 digits: left to int
     for line in ("", ",", "1,", ",1", "1,,2", "-1,2", " 1", "1_0", "+1", "１", "1 "):
         assert _parse_ascii_ints(line) is None
-
-
-def test_stacked_text_rows_match_single_rows():
-    # a stack is written at its widest value's width, with the leading
-    # zeros of each narrower value deleted row by row
-    rng = np.random.default_rng(4)
-    rows = np.array([[0, 1, 2], [1000, 5, 99999], [7, 7, 7], [10**9, 0, 10**12]])
-    drawn = rng.integers(0, 10**6, (50, 2, 9)) // 10 ** rng.integers(0, 6, (50, 1, 1))
-    for stack in (rows, rows[:, None, :], drawn):
-        assert _ascii_ints(stack) == [_ascii_ints(row.reshape(1, -1))[0] for row in stack]
 
 
 # -- rejection parity ---------------------------------------------------------
@@ -424,6 +414,22 @@ def test_rejections_match_on_both_paths(corrupt):
         )
     messages.append(str(exc.value))
     assert messages == [CORRUPTIONS[corrupt]] * 3
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_nxt_not_permutation, _twin_fixed_point, _twin_not_involution, _two_copies, _genus_one],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_load_map_rejects_with_the_constructor_messages(corrupt):
+    # the text carries twin and nxt only: load_map numbers the vertices by
+    # the rotation cycles it finds, which the constructor's checks then read
+    twin, nxt, tail = _quad_arrays()
+    corrupt(twin, nxt, tail)
+    lines = [f"n={len(twin) // 2}", ",".join(map(str, twin)), ",".join(map(str, nxt)), "0"]
+    with pytest.raises(ValueError) as exc:
+        load_map("\n".join(lines) + "\n")
+    assert str(exc.value) == CORRUPTIONS[corrupt]
 
 
 def test_valid_arrays_pass_both_paths():
@@ -558,17 +564,19 @@ def test_level_rules_match_the_loops_at_benchmark_size():
 
 
 def test_text_rows_of_mixed_widths_match_join():
-    rows = np.array(
-        [
-            [0, 0, 0, 0, 0, 0],
-            [1, 2, 3, 5, 8, 9],
-            [9, 10, 99, 100, 999_999, 1_000_000],
-            [10**9 - 1, 10**9, 10**10, 2**32, 10**18 - 1, 2**63 - 1],
-        ]
-    )
-    expected = [",".join(map(str, row)).encode("ascii") for row in rows.tolist()]
-    assert _ascii_ints(rows) == expected
-    assert _ascii_ints(rows[:3]) == expected[:3]  # below ten digits: uint32 arithmetic
+    # a row is written at its widest value's width, in uint32 arithmetic
+    # below ten digits, with the leading zeros of each narrower value deleted
+    rng = np.random.default_rng(4)
+    rows = [
+        [0, 0, 0, 0, 0, 0],
+        [1, 2, 3, 5, 8, 9],
+        [9, 10, 99, 100, 999_999, 1_000_000],
+        [1000, 5, 99999, 10**9, 0, 10**12],
+        [10**9 - 1, 10**9, 10**10, 2**32, 10**18 - 1, 2**63 - 1],
+    ]
+    rows += (rng.integers(0, 10**6, (50, 18)) // 10 ** rng.integers(0, 6, (50, 1))).tolist()
+    for row in rows:
+        assert _ascii_ints(np.array(row)) == ",".join(map(str, row)).encode("ascii")
 
 
 def _orbit_oracle(n):

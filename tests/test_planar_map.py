@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadmap.enumeration import rooted_quads, well_labeled_trees
+from quadmap.enumeration import plane_trees, rooted_quads, well_labeled_trees
+from quadmap.harness import sample_pointed_ps
 from quadmap.labeled import LabeledTree
 from quadmap.planar_map import (
     HalfEdgeMap,
@@ -202,6 +204,52 @@ def test_canonical_codes():
     assert canonical_code(path_quad((1, 2))) == rooted_code(
         path_quad((1, 2)).map, 1
     )
+
+
+def renamed(he: HalfEdgeMap, new: np.ndarray) -> HalfEdgeMap:
+    """``he`` with each dart d renamed ``new[d]``; vertex ids stay."""
+    twin, nxt, tail = (np.empty_like(he.tail) for _ in range(3))
+    twin[new], nxt[new], tail[new] = new[he.twin], new[he.nxt], he.tail
+    return HalfEdgeMap(twin, nxt, tail)
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_codes_are_invariant_under_dart_renaming(n):
+    rng = np.random.default_rng([53, n])
+    pq = sample_pointed_ps(n, rng)
+    he = pq.map
+    new = rng.permutation(he.n_darts)
+    other = renamed(he, new)
+    assert not np.array_equal(other.nxt, he.nxt)
+    for root in rng.integers(he.n_darts, size=4).tolist():
+        code = rooted_code(he, root)
+        assert len(code) == 4 * 2 * he.n_darts  # two uint32 labels per dart
+        assert rooted_code(other, int(new[root])) == code
+    assert pointed_code(other, pq.origin) == pointed_code(he, pq.origin)
+
+
+def tree_map(walk) -> HalfEdgeMap:
+    """The one-face map of the plane tree with clockwise walk ``walk``: the
+    edge to node u >= 1 has dart 2u - 2 at u and dart 2u - 1 at its parent."""
+    rotations = [[2 * c - 1 for c in kids] for kids in walk_to_tree(Walk(walk)).children]
+    for u in range(1, len(rotations)):
+        rotations[u].insert(0, 2 * u - 2)
+    return HalfEdgeMap.from_rotations(rotations)
+
+
+def test_code_bytes_order_as_label_sequences():
+    # trees sharing a path of 120-135 edges from the root first differ at
+    # labels near 256, where a byte order other than big-endian would
+    # disagree with the order of the label sequences
+    codes = []
+    for depth in range(120, 136):
+        for end in plane_trees(3):
+            steps = end.walk.steps.tolist()
+            walk = [*range(depth + 1), *(depth + s for s in steps[1:]), *range(depth - 1, -1, -1)]
+            codes.append(rooted_code(tree_map(walk), 1))
+    assert len(set(codes)) == len(codes)
+    labels = lambda code: np.frombuffer(code, ">u4").tolist()  # noqa: E731
+    assert sorted(codes) == sorted(codes, key=labels)
 
 
 def test_serialization_bit_exact():
