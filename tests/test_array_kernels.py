@@ -325,6 +325,20 @@ def test_text_kernels_match_join_and_int():
         assert _parse_ascii_ints(line) is None
 
 
+def test_stacked_text_rows_match_single_rows():
+    # a flattened stack is written at its widest value's width, with the
+    # leading zeros of each narrower value deleted, so it reads as its rows
+    # written one at a time and joined by commas
+    rng = np.random.default_rng(4)
+    rows = np.array([[0, 1, 2], [1000, 5, 99999], [7, 7, 7], [10**9, 0, 10**12]])
+    drawn = rng.integers(0, 10**6, (50, 2, 9)) // 10 ** rng.integers(0, 6, (50, 1, 1))
+    for stack in (rows, rows[:, None, :], drawn):
+        single = [_ascii_ints(row.ravel()) for row in stack]
+        assert _ascii_ints(stack.ravel()) == b",".join(single)
+        for row, text in zip(stack, single):
+            assert text == ",".join(map(str, row.ravel().tolist())).encode("ascii")
+
+
 # -- rejection parity ---------------------------------------------------------
 
 
@@ -566,15 +580,12 @@ def test_level_rules_match_the_loops_at_benchmark_size():
 def test_text_rows_of_mixed_widths_match_join():
     # a row is written at its widest value's width, in uint32 arithmetic
     # below ten digits, with the leading zeros of each narrower value deleted
-    rng = np.random.default_rng(4)
     rows = [
         [0, 0, 0, 0, 0, 0],
         [1, 2, 3, 5, 8, 9],
         [9, 10, 99, 100, 999_999, 1_000_000],
-        [1000, 5, 99999, 10**9, 0, 10**12],
         [10**9 - 1, 10**9, 10**10, 2**32, 10**18 - 1, 2**63 - 1],
     ]
-    rows += (rng.integers(0, 10**6, (50, 18)) // 10 ** rng.integers(0, 6, (50, 1))).tolist()
     for row in rows:
         assert _ascii_ints(np.array(row)) == ",".join(map(str, row)).encode("ascii")
 
