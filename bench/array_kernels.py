@@ -88,8 +88,8 @@ def small_stack(repeats: int) -> dict:
     """Time the code and level kernels on the stack of all well-labeled
     5-edge quads."""
     n = 5
-    labels, walks = enumeration._well_labeled_arrays(n)
-    twin, nxt, tail = schaeffer._chord_arrays(labels[:, :-1], walks)
+    labels, walks, shape = enumeration._well_labeled_arrays(n)
+    twin, nxt, tail = schaeffer._chord_arrays(labels[:, :-1], walks[shape])
     roots, origins = np.ones(len(twin), dtype=np.int64), np.zeros(len(twin), dtype=np.int64)
     return {
         "n": n,

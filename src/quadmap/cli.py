@@ -64,11 +64,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    kinds = [args.kind] if args.kind else list(enumeration.FAMILY_KINDS)
-    lines = ["n,kind,count"]
-    for kind in kinds:
-        lines.append(f"{args.n},{kind},{len(enumeration.enumerate_family(args.n, kind))}")
-    _write(args.output, "\n".join(lines) + "\n")
+    counts = enumeration._family_counts(args.n)
+    kinds = [args.kind] if args.kind else enumeration.FAMILY_KINDS
+    rows = "".join(f"{args.n},{kind},{counts[kind]}\n" for kind in kinds)
+    _write(args.output, "n,kind,count\n" + rows)
     return 0
 
 
@@ -169,12 +168,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # bijection suite, on stacks of well-labeled trees
     pointed_counts = {}
     for n in range(1, args.max_n + 1):
-        labels, walks = enumeration._well_labeled_arrays(n)
+        labels, walks, shape = enumeration._well_labeled_arrays(n)
         codes, pointed, round_trip, ok = [], set(), True, True
         pieces = -(-len(labels) * 4 * n // _VERIFY_DARTS)
         for rows in np.array_split(np.arange(len(labels)), pieces):
             slice_codes, slice_round_trip, slice_ok, slice_pointed = _bijection_checks(
-                labels[rows], walks[rows]
+                labels[rows], walks[shape[rows]]
             )
             codes += slice_codes
             round_trip = round_trip and slice_round_trip
@@ -184,15 +183,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         check(f"bijection injective n={n}", distinct == len(labels), f"{distinct} codes")
         check(f"inverse round trip n={n}", round_trip)
         check(f"gluing and metrics n={n}", ok)
+        # Tutte's census: 2 * 3^n * C(2n, n) / ((n + 1)(n + 2)) rooted quadrangulations
+        tutte = len(labels) * (n + 2) == 2 * 3**n * enumeration.catalan(n)
+        check(f"rooted quads closed form n={n}", tutte, f"{len(labels)}")
         pointed_counts[n] = len(pointed)  # read for n <= MAX_LAW_N only
     # counting
     for n in range(1, min(args.max_n, enumeration.MAX_LAW_N) + 1):
-        count = len(enumeration.labeled_trees(n))
-        check(
-            f"labeled count n={n}",
-            count == enumeration.catalan(n) * 3**n,
-            f"{count}",
-        )
+        count = enumeration._family_counts(n)["labeled_trees"]
+        check(f"labeled count n={n}", count == enumeration.catalan(n) * 3**n, f"{count}")
     for n in range(2, 7):
         check(
             f"walkup n={n}",

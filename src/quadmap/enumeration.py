@@ -3,9 +3,9 @@
 Everything here is exact: listings are complete and duplicate-free, laws
 are tables of rationals summing to 1.  Resource bounds keep the whole
 module usable inside a test suite (n <= 6 for listings and orbit
-decompositions, n <= 4 for law tables).  The orbits, the rooted
-quadrangulations and the law tables are computed on stacked arrays, one
-kernel call per size for the whole family.
+decompositions, n <= 4 for law tables).  Counts, orbits and laws come
+from array listings of the walks and label processes, one kernel call per
+size for the whole family; only the listings that return objects build them.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .labeled import Encoding, LabeledTree, _node_labels, is_well_labeled
+from .labeled import Encoding, LabeledTree, _node_labels
 from .paths import (
     _least_keys,
     _reroot_arrays,
@@ -32,7 +32,7 @@ from .planar_map import (
     _rooted_code_arrays,
 )
 from .schaeffer import _chord_arrays
-from .trees import PlaneTree, Walk, _trusted
+from .trees import PlaneTree, Walk, _integer, _trusted
 
 __all__ = [
     "MAX_LISTING_N",
@@ -62,14 +62,17 @@ MAX_LAW_N = 4
 
 
 def catalan(n: int) -> int:
+    n = _integer(n, "n")
     return comb(2 * n, n) // (n + 1)
 
 
-def _check_bound(n: int, bound: int) -> None:
+def _check_bound(n, bound: int) -> int:
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > bound:
         raise ValueError(f"n={n} exceeds the exhaustive bound {bound}")
+    return n
 
 
 def _walks(n: int) -> np.ndarray:
@@ -86,26 +89,28 @@ def _walks(n: int) -> np.ndarray:
 
 def plane_trees(n: int) -> list[PlaneTree]:
     """All C_n plane trees with n edges."""
-    _check_bound(n, MAX_LISTING_N)
-    walks = _walks(n)
+    walks = _walks(_check_bound(n, MAX_LISTING_N))
     return [_trusted(PlaneTree, walk=_trusted(Walk, steps=walk)) for walk in walks]
 
 
 def labeled_trees(n: int) -> list[LabeledTree]:
     """All C_n * 3^n labeled trees with n edges."""
-    _check_bound(n, MAX_LISTING_N)
-    labels, walks, shape = _encoding_arrays(n)
+    return _labeled_tree_list(*_encoding_arrays(_check_bound(n, MAX_LISTING_N)))
+
+
+def well_labeled_trees(n: int) -> list[LabeledTree]:
+    """All well-labeled trees with n edges, in :func:`labeled_trees` order."""
+    return _labeled_tree_list(*_well_labeled_arrays(_check_bound(n, MAX_LISTING_N)))
+
+
+def _labeled_tree_list(labels, walks, shape) -> list[LabeledTree]:
+    """Labeled trees of :func:`_encoding_arrays` rows, sharing plane tree objects."""
     node_labels = _node_labels(labels, walks[shape])
-    trees = plane_trees(n)
+    trees = plane_trees(len(walks[0]) // 2)
     return [
         _trusted(LabeledTree, tree=trees[s], labels=row)
         for s, row in zip(shape.tolist(), node_labels)
     ]
-
-
-def well_labeled_trees(n: int) -> list[LabeledTree]:
-    """All well-labeled trees with n edges."""
-    return [t for t in labeled_trees(n) if is_well_labeled(t)]
 
 
 def _encoding_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,22 +136,21 @@ def _encoding_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return labels, walks, np.repeat(np.arange(len(walks)), len(incs))
 
 
-def _well_labeled_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label processes and contour walks, both (N, 2n+1), of all
-    well-labeled trees with n edges in :func:`well_labeled_trees` order."""
+def _well_labeled_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_encoding_arrays` without the rows whose least label is below
+    1, so of the well-labeled trees only."""
     labels, walks, shape = _encoding_arrays(n)
     keep = labels.min(axis=1) >= 1
-    return labels[keep], walks[shape[keep]]
+    return labels[keep], walks, shape[keep]
 
 
 def rooted_quads(n: int):
     """All rooted quadrangulations with n faces (images of the bijection)."""
-    _check_bound(n, MAX_LISTING_N)
-    labels, walks = _well_labeled_arrays(n)
+    labels, walks, shape = _well_labeled_arrays(_check_bound(n, MAX_LISTING_N))
     # each map copies its rows, so that keeping one map keeps no stack alive
     return [
         _trusted(RootedQuadrangulation, map=_array_map(*(a.copy() for a in arrays)), root=1)
-        for arrays in zip(*_chord_arrays(labels[:, :-1], walks))
+        for arrays in zip(*_chord_arrays(labels[:, :-1], walks[shape]))
     ]
 
 
@@ -165,6 +169,14 @@ def enumerate_family(n: int, kind: str) -> list:
     if kind not in _FAMILIES:
         raise ValueError(f"kind must be one of {sorted(_FAMILIES)}")
     return _FAMILIES[kind](n)
+
+
+def _family_counts(n: int) -> dict[str, int]:
+    """``len(enumerate_family(n, kind))`` by kind, as row counts."""
+    labels, walks, _ = _encoding_arrays(_check_bound(n, MAX_LISTING_N))
+    well = int(np.count_nonzero(labels.min(axis=1) >= 1))  # one quad per well-labeled row
+    kinds = {"labeled_trees": len(labels), "plane_trees": len(walks)}
+    return kinds | {"rooted_quads": well, "well_labeled": well}
 
 
 # -- unrooted counts -------------------------------------------------------
@@ -187,8 +199,7 @@ def _euler_phi(n: int) -> int:
 
 def unrooted_plane_tree_count(n: int) -> int:
     """Number of rerooting classes of plane trees with n edges (exhaustive)."""
-    _check_bound(n, MAX_LISTING_N)
-    walks = _walks(n)
+    walks = _walks(_check_bound(n, MAX_LISTING_N))
     keys = _reroot_keys(np.ones_like(walks), walks, np.arange(len(walks)))
     least = keys[np.arange(len(keys)), _least_keys(keys)]
     return len(np.unique(least, axis=0))
@@ -201,6 +212,7 @@ def walkup_count(n: int) -> int:
     against the single unrooted one-edge tree), so n < 2 is routed to the
     exhaustive oracle instead.
     """
+    n = _integer(n, "n")
     if n < 2:
         return unrooted_plane_tree_count(n)
     total = Fraction(catalan(n), 2 * n)
@@ -244,7 +256,7 @@ class OrbitDecomposition:
 
 def orbit_decomposition(n: int) -> OrbitDecomposition:
     """Rerooting classes of all labeled trees with n edges."""
-    _check_bound(n, MAX_ORBIT_N)
+    n = _check_bound(n, MAX_ORBIT_N)
     labels, walks, shape = _encoding_arrays(n)
     keys = _reroot_keys(labels, walks, shape)
     theta = _least_keys(keys)
@@ -300,7 +312,7 @@ def law_tables(n: int) -> LawTables:
     law under positivize-construct-point.  Rooted side: the law weighting
     each rooted quadrangulation by 2n / (C_n 3^n root-degree).
     """
-    _check_bound(n, MAX_LAW_N)
+    n = _check_bound(n, MAX_LAW_N)
     total = catalan(n) * 3**n
     labels, walks, shape = _encoding_arrays(n)
     # positivize: reroot every tree at its first label minimum
@@ -310,32 +322,27 @@ def law_tables(n: int) -> LawTables:
     origins = np.zeros(len(labels), dtype=np.int64)  # vertex 0, the root dart's tail
     degrees = np.count_nonzero(tail == 0, axis=1).tolist()
     radii = _bfs_arrays(twin, tail, n + 2, origins).max(axis=1).tolist()
-    image_counts: dict[bytes, int] = {}
-    descriptors: dict[bytes, tuple[int, int]] = {}
-    for code, deg, rad in zip(_pointed_code_arrays(nxt, twin, tail, 0), degrees, radii):
-        image_counts[code] = image_counts.get(code, 0) + 1
-        descriptors.setdefault(code, (deg, rad))
-    n_pointed = len(image_counts)
+    pointed = _void(_pointed_code_arrays(nxt, twin, tail, 0))
+    codes, first, counts = np.unique(pointed, return_index=True, return_counts=True)
     pointed_rows = tuple(
-        PointedLaw(
-            code,
-            descriptors[code][0],
-            descriptors[code][1],
-            Fraction(1, n_pointed),
-            Fraction(image_counts[code], total),
-        )
-        for code in sorted(image_counts)
+        PointedLaw(code, degrees[i], radii[i], Fraction(1, len(codes)), Fraction(c, total))
+        for code, i, c in zip(codes.tolist(), first.tolist(), counts.tolist())
     )
     # well-labeled trees are their own positive representatives
     well = np.flatnonzero(body.min(axis=1) >= 1)
-    codes = _rooted_code_arrays(nxt[well], twin[well], np.ones(well.size, dtype=np.int64))
-    rooted_rows_map: dict[bytes, RootedLaw] = {}
-    for code, row in zip(codes, well.tolist()):
-        if code not in rooted_rows_map:
-            deg = degrees[row]
-            rooted_rows_map[code] = RootedLaw(code, deg, Fraction(2 * n, total * deg))
-    rooted_rows = tuple(rooted_rows_map[c] for c in sorted(rooted_rows_map))
+    rooted = _void(_rooted_code_arrays(nxt[well], twin[well], np.ones_like(well)))
+    codes, first = np.unique(rooted, return_index=True)
+    rooted_rows = tuple(
+        RootedLaw(code, degrees[i], Fraction(2 * n, total * degrees[i]))
+        for code, i in zip(codes.tolist(), well[first].tolist())
+    )
     return LawTables(n, pointed_rows, rooted_rows)
+
+
+def _void(codes: list[bytes]) -> np.ndarray:
+    """Equal-length codes as void items, which compare as their bytes and,
+    unlike an ``S`` dtype, keep trailing NUL bytes."""
+    return np.frombuffer(b"".join(codes), dtype=f"V{len(codes[0])}")
 
 
 def tv_distance(n: int) -> Fraction:

@@ -500,7 +500,8 @@ def test_encoding_arrays_list_the_labeled_trees(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_stacked_kernels_match_scalar_on_all_small_quads(n):
     trees = well_labeled_trees(n)
-    labels, walks = _well_labeled_arrays(n)
+    labels, walks, shape = _well_labeled_arrays(n)
+    walks = walks[shape]
     count = len(trees)
     twin, nxt, tail = _chord_arrays(labels[:, :-1], walks)
     roots, origins = np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)

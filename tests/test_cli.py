@@ -19,6 +19,17 @@ def test_enumerate_counts(capsys):
     assert "2,rooted_quads,9" in out
 
 
+def test_enumerate_at_the_listing_bound(capsys):
+    assert main(["enumerate", "--n", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "n,kind,count\n"
+        "6,labeled_trees,96228\n"
+        "6,plane_trees,132\n"
+        "6,rooted_quads,24057\n"
+        "6,well_labeled,24057\n"
+    )
+
+
 def test_sample_labeled(tmp_path):
     path = tmp_path / "trees.txt"
     assert main(
@@ -88,6 +99,17 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+def test_verify_checks_the_rooted_quad_closed_form(capsys):
+    assert main(["verify", "--max-n", "6"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    closed = [words[4:] for words in lines if words[:4] == ["rooted", "quads", "closed", "form"]]
+    assert closed == [
+        [f"n={n}", "PASS", str(count)]
+        for n, count in enumerate([2, 9, 54, 378, 2916, 24057], start=1)
+    ]
+    assert lines[-1] == ["40/40", "checks", "passed"]
 
 
 def _swap_two_darts(rotations):

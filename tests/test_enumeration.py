@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from quadmap.enumeration import (
+    FAMILY_KINDS,
+    _family_counts,
+    _void,
     catalan,
     enumerate_family,
     labeled_trees,
@@ -16,6 +19,7 @@ from quadmap.enumeration import (
     walkup_count,
     well_labeled_trees,
 )
+from quadmap.labeled import is_well_labeled
 from quadmap.planar_map import _pointed_code_arrays, pointed_code
 from quadmap.schaeffer import point
 
@@ -45,6 +49,55 @@ def test_enumerate_family_dispatch():
         enumerate_family(2, "nonsense")
     with pytest.raises(ValueError):
         enumerate_family(7, "plane_trees")  # beyond the exhaustive bound
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_family_counts_are_listing_lengths(n):
+    counts = _family_counts(n)
+    assert sorted(counts) == list(FAMILY_KINDS)
+    for kind in FAMILY_KINDS:
+        assert counts[kind] == len(enumerate_family(n, kind))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_well_labeled_trees_are_the_well_labeled_labeled_trees(n):
+    trees = labeled_trees(n)
+    well = well_labeled_trees(n)
+    assert well == [t for t in trees if is_well_labeled(t)]
+    # one PlaneTree object per shape, as in labeled_trees
+    assert len({id(t.tree) for t in well}) == len({t.tree.walk.steps.tobytes() for t in well})
+
+
+_EXHAUSTIVE = [
+    catalan,
+    plane_trees,
+    labeled_trees,
+    well_labeled_trees,
+    rooted_quads,
+    lambda n: enumerate_family(n, "plane_trees"),
+    unrooted_plane_tree_count,
+    walkup_count,
+    orbit_decomposition,
+    law_tables,
+    tv_distance,
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+@pytest.mark.parametrize("function", _EXHAUSTIVE)
+def test_exhaustive_functions_reject_a_non_integer_n(function, bad):
+    with pytest.raises(ValueError, match="^n: expected an integer"):
+        function(bad)
+
+
+@pytest.mark.parametrize("function", _EXHAUSTIVE)
+def test_exhaustive_functions_take_numpy_integers(function):
+    assert function(np.int64(2)) == function(2)
+
+
+def test_closed_forms_take_large_numpy_integers():
+    assert catalan(np.int64(40)) == catalan(40)
+    assert walkup_count(np.int64(40)) == walkup_count(40)
 
 
 def test_walkup_values():
@@ -79,6 +132,20 @@ def test_orbit_decomposition_identities(n):
         pointed_code(point(q).map, point(q).origin) for q in rooted_quads(n)
     }
     assert dec.n_orbits == len(pointed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_law_table_codes_keep_their_full_length(n):
+    # 4n darts, two big-endian 4-byte labels each
+    tables = law_tables(n)
+    assert {len(row.code) for row in tables.pointed + tables.rooted} == {32 * n}
+
+
+def test_deduped_codes_keep_trailing_nul_bytes():
+    codes = [b"\x00\x01\x00", b"\x00\x01\x01", b"\x00\x00\x00", b"\x00\x01\x00"]
+    distinct, first, counts = np.unique(_void(codes), return_index=True, return_counts=True)
+    assert distinct.tolist() == [b"\x00\x00\x00", b"\x00\x01\x00", b"\x00\x01\x01"]
+    assert first.tolist() == [2, 0, 1] and counts.tolist() == [1, 2, 1]
 
 
 def test_law_tables_n1():
