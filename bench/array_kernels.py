@@ -17,12 +17,19 @@ increments along a fixed walk.  The code kernels ``_rooted_code_arrays``
 and ``_pointed_code_arrays`` and the level kernel ``_bfs_arrays`` are also
 timed, whatever the sizes, at the shape of the exhaustive battery: one
 stack of the chord maps of all well-labeled trees with 5 edges, each
-rooted at dart 1 and pointed and started at vertex 0.  The median and the
-spread of ``--repeats`` runs are reported.
+rooted at dart 1 and pointed and started at vertex 0.  Before all that,
+one replica of each scaling statistic (``radius``, ``profile``,
+``hp_gap``, ``class_diameter``, ``edge_gap``) is timed at n = 2^14, each
+repeat on the stream of its own size index.  The median and the spread
+of ``--repeats`` runs are reported, and beside them the median number of
+minor page faults (``ru_minflt`` of this process alone) that one run
+took: arrays that the allocator hands back to the system are faulted in
+again on the next run.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -35,14 +42,25 @@ import numpy as np
 from quadmap import enumeration, harness, labeled, paths, planar_map, schaeffer, trees
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _timed(fn, repeats: int, setup=lambda: None) -> dict:
-    times = []
+    times, faults = [], []
     for _ in range(repeats):
         arg = setup()
+        before = _minor_faults()
         start = time.perf_counter()
         fn(arg)
         times.append(time.perf_counter() - start)
-    return {"median_s": statistics.median(times), "min_s": min(times), "max_s": max(times)}
+        faults.append(_minor_faults() - before)
+    return {
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "max_s": max(times),
+        "minflt_median": statistics.median(faults),
+    }
 
 
 def layers(n: int, seed: int, repeats: int) -> dict:
@@ -104,6 +122,23 @@ def small_stack(repeats: int) -> dict:
     }
 
 
+def replicas(seed: int, repeats: int) -> dict:
+    """Time one replica of each scaling statistic at size 2^14; repeat k
+    draws on the streams of size index k."""
+    n = 2**14
+    lambdas = np.linspace(0.0, 3.0, 61)  # the profile experiment's grid
+    stats = {
+        "radius": lambda k: harness.radius_samples(n, 1, seed, k),
+        "profile": lambda k: harness.profile_curve(n, 1, seed, lambdas, k),
+        "hp_gap": lambda k: harness.hp_gap_samples(n, 1, seed, k),
+        "class_diameter": lambda k: harness.class_diameter_samples(n, 1, seed, k),
+        "edge_gap": lambda k: harness.edge_gap_samples(n, 1, seed, k),
+    }
+    index = itertools.count()
+    rows = {name: _timed(stat, repeats, lambda: next(index)) for name, stat in stats.items()}
+    return {"n": n, **rows}
+
+
 def machine() -> dict:
     cpu = ""
     try:
@@ -128,6 +163,8 @@ def main() -> None:
     p.add_argument("--out", required=True)
     args = p.parse_args()
     record = {"machine": machine(), "seed": args.seed, "repeats": args.repeats}
+    # replicas first: the large layers would leave the heap grown for them
+    record["replicas"] = replicas(args.seed, args.repeats)
     record["layers"] = {n: layers(n, args.seed, args.repeats) for n in args.sizes}
     record["small_stack"] = small_stack(args.repeats)
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -166,8 +166,8 @@ FAMILY_KINDS = tuple(sorted(_FAMILIES))
 
 def enumerate_family(n: int, kind: str) -> list:
     """Complete duplicate-free listing of one combinatorial family."""
-    if kind not in _FAMILIES:
-        raise ValueError(f"kind must be one of {sorted(_FAMILIES)}")
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ValueError(f"kind must be one of {sorted(_FAMILIES)}, got {kind!r}")
     return _FAMILIES[kind](n)
 
 

@@ -34,7 +34,7 @@ from .paths import (
 )
 from .planar_map import PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point
-from .snake import _path, _representatives, distance, sample_snake_batch
+from .snake import SnakePath, _path, _representatives, distance, sample_snake_batch
 from .trees import _integer
 
 __all__ = [
@@ -311,7 +311,8 @@ def profile_curve(
 
     def stat(n, rng):
         labels, _ = uniform_encoding_arrays(n, rng)
-        body = labels[0, : 2 * n] - labels.min()
+        body = labels[0, : 2 * n]
+        body -= body.min()  # the closing label equals the first, so this is the minimum
         # cum[j] = fraction with centered label < j; level function at integers
         cum = np.concatenate(([0], np.cumsum(np.bincount(body)))) / (2 * n)
         return np.interp(levels, np.arange(cum.size), cum, right=1.0)
@@ -329,12 +330,14 @@ def hp_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.
     """
     def stat(n, rng):
         walk = dyck_walk_batch(n, 1, rng)[0]
-        heights = np.concatenate(([0], walk[1:][np.diff(walk) > 0]))
+        heights = np.concatenate(([0], walk[1:][walk[1:] > walk[:-1]]))
         # height process at half-integer positions j/2, j = 0..2n
         dense = np.empty(2 * n + 1)
         dense[0::2] = heights
-        dense[1::2] = (heights[:-1] + heights[1:]) / 2.0
-        return np.abs(walk - dense).max() / math.sqrt(n)
+        np.add(heights[:-1], heights[1:], out=dense[1::2])
+        dense[1::2] /= 2.0
+        np.subtract(walk, dense, out=dense)
+        return np.abs(dense, out=dense).max() / math.sqrt(n)
 
     return _replicas(stat, n, replicas, seed, size_index)
 
@@ -345,24 +348,35 @@ def class_diameter_samples(
     """Farthest metric distance between a class representative and the
     first-minimum representative of a normalized uniform encoding."""
     def stat(n, rng):
-        labels, walks = uniform_encoding_arrays(n, rng)
-        path = _path((labels[0] - 1.0) / n**0.25, walks[0] / n**0.5)
-        reps = _representatives(path)
+        reps = _representatives(_normalized_uniform(n, rng))
         first = next(reps)
         return max((distance(r, first) for r in reps), default=0.0)
 
     return _replicas(stat, n, replicas, seed, size_index)
 
 
+def _normalized_uniform(n: int, rng: np.random.Generator) -> SnakePath:
+    """A uniform labeled tree with n edges as a grid path pair, scaled as
+    :func:`~quadmap.snake.normalize_encoding` scales its encoding; the
+    integer arrays are dropped on return."""
+    labels, walks = uniform_encoding_arrays(n, rng)
+    head = np.subtract(labels[0], 1.0)
+    head /= n**0.25
+    return _path(head, walks[0] / n**0.5)
+
+
 def edge_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.ndarray:
     """Sup gap between the unit and the length-perturbed chord-tree
     contours, with edge lengths uniform on [0.5, 1.5]."""
     def stat(n, rng):
-        labels, _ = uniform_encoding_arrays(n, rng)
+        labels = uniform_encoding_arrays(n, rng)[0][0, : 2 * n]
         # well-labeled representative: rotate the first minimum to the front
-        body = np.roll(labels[0, : 2 * n], -int(np.argmin(labels[0, : 2 * n])))
-        walk, weighted = _chord_contours(body - body[0] + 1, _EDGE_LENGTHS, rng)
-        return np.abs(weighted - walk).max() / n**0.25
+        body = np.roll(labels, -int(np.argmin(labels)))
+        del labels  # frees the encoding before the chord contours are built
+        body -= body[0] - 1
+        walk, weighted = _chord_contours(body, _EDGE_LENGTHS, rng)
+        np.subtract(weighted, walk, out=weighted)
+        return np.abs(weighted, out=weighted).max() / n**0.25
 
     return _replicas(stat, n, replicas, seed, size_index)
 

@@ -1,19 +1,29 @@
 """Vectorized lattice-path utilities backing the samplers.
 
-Uniform nonnegative walks come from the cycle lemma: a shuffled sequence
-of k up-steps and k+1 down-steps has exactly one rotation whose proper
-prefix sums stay nonnegative, and rotating a uniform shuffle there is
-exactly uniform over the C_k contour walks.  Edge matching pairs each
-up-step with the down-step closing the same tree edge, which lets per-edge
-quantities (label increments, Gaussian displacements, edge lengths) be
-accumulated along the contour without an explicit tree.
+Uniform nonnegative walks come from fair bits and the cycle lemma.  A row
+of 2n+1 fair bits with c ones is balanced to exactly n ones by flipping
+|c - n| copies of its surplus symbol, chosen uniformly without
+replacement; the fair row's law and the choice are both invariant under
+permuting positions, so the balanced row is exactly uniform over the
+C(2n+1, n) arrangements (Devroye, "Non-Uniform Random Variate
+Generation", 1986).  Read as n up-steps and n+1 down-steps, it has exactly
+one rotation whose proper prefix sums stay nonnegative (Dvoretzky and
+Motzkin, 1947), and that rotation is exactly uniform over the C_n contour
+walks.  Edge matching pairs each up-step with the down-step closing the
+same tree edge, which lets per-edge quantities (label increments,
+Gaussian displacements, edge lengths) be accumulated along the contour
+without an explicit tree.
 
 The walk, edge-matching and branch-sum kernels are linear in the walk
-length.  The rotation is one slice of the doubled step row, and the stable
-sort that groups the steps by (row, level) runs as numpy's radix sort
-whenever its keys fit 16 bits (:func:`_stable_order`, which the map
-kernels share): a contour's levels are bounded by its height, typically
-about sqrt(n), so a single walk's keys fit unless it climbs past 65535.
+length and keep their temporaries narrow: bits and steps in 8 bits, prefix
+sums in 32, and sort keys in 16 (or 8) whenever they fit.  The rotation is
+one window of the prefix sums read twice, and the stable sort that groups
+the steps by (row, level) runs as numpy's radix sort whenever its keys fit
+16 bits (:func:`_key_dtype`, which the map kernels share through
+:func:`_stable_order`): a contour's levels are bounded by its height,
+typically about sqrt(n), so a single walk's keys fit unless it climbs past
+65535.  Branch sums are scattered into the result itself and summed in
+place.
 """
 from __future__ import annotations
 
@@ -36,44 +46,129 @@ def dyck_walk(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def dyck_walk_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent uniform contour walks, as a (count, 2n+1) array."""
+    """``count`` independent uniform contour walks, as a (count, 2n+1) array.
+
+    Each row starts as 2n+1 fair bits from ``rng.bytes``.  A row with c
+    ones flips |c - n| copies of its surplus symbol, chosen uniformly
+    without replacement (:func:`_balanced_bits`); since neither the fair
+    bits nor that choice favour any position, the balanced row is exactly
+    uniform over the C(2n+1, n) arrangements (Devroye, "Non-Uniform Random
+    Variate Generation", 1986), read as n up-steps (ones) and n+1
+    down-steps.  The cycle lemma (Dvoretzky and Motzkin, 1947) gives each
+    arrangement exactly one rotation whose first 2n prefix sums stay
+    nonnegative, the one starting right after its first prefix minimum,
+    and every walk with n up-steps is that rotation of exactly 2n+1
+    arrangements, so the walks are exactly uniform over the C_n shapes.
+    The steps are int8 and their prefix sums int32; a walk is the window
+    of 2n prefix sums after its cut, over the row read twice, less the sum
+    at the cut.  The walks are int64.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    steps = np.full((count, 2 * n + 1), -1, dtype=np.int64)
-    steps[:, : n] = 1
-    steps = rng.permuted(steps, axis=1)
-    sums = np.cumsum(steps, axis=1)
-    # first argmin marks the unique rotation staying nonnegative until the end
-    cut = np.argmin(sums, axis=1) + 1
-    doubled = np.concatenate((steps, steps), axis=1)
-    rotated = sliding_window_view(doubled, 2 * n, axis=1)[np.arange(count), cut]
-    walks = np.zeros((count, 2 * n + 1), dtype=np.int64)
-    np.cumsum(rotated, axis=1, out=walks[:, 1:])
+    width = 2 * n + 1
+    steps = _balanced_bits(n, count, rng).view(np.int8)
+    steps *= 2
+    steps -= 1  # a one is an up-step, a zero a down-step
+    # prefix sums over the row read twice: the second pass ends 1 lower
+    sums = np.empty((count, 2 * width - 1), dtype=np.int32)
+    np.cumsum(steps, axis=1, dtype=np.int32, out=sums[:, :width])
+    np.subtract(sums[:, : width - 1], 1, out=sums[:, width:])
+    rows = np.arange(count)
+    cut = np.argmin(sums[:, :width], axis=1) + 1
+    walks = np.zeros((count, width), dtype=np.int64)
+    window = sliding_window_view(sums, 2 * n, axis=1)[rows, cut]
+    np.subtract(window, sums[rows, cut - 1, None], out=walks[:, 1:])
     return walks
+
+
+def _fair_bits(count: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, width) uint8 array of i.i.d. fair bits: the first
+    count * width bits of ``rng.bytes``, row by row, each byte's most
+    significant bit first."""
+    size = count * width
+    raw = np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8)
+    return np.unpackbits(raw, count=size).reshape(count, width)
+
+
+def _balanced_bits(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent rows of 2n+1 bits with exactly n ones each,
+    every row uniform over the C(2n+1, n) arrangements, as a (count, 2n+1)
+    uint8 array (why it is exact: :func:`dyck_walk_batch`).
+
+    A row of fair bits (:func:`_fair_bits`) with c ones flips |c - n|
+    copies of its surplus symbol (one if c > n, zero if c < n), a uniform
+    subset of them, picked for all rows at once: each row draws i.i.d.
+    ranks among its surplus copies, the ranks of every row are
+    deduplicated together, and the rows still short draw again for what
+    they miss.  Only equalities between ranks steer the rounds, so the
+    picked ranks are a uniform subset; ``flatnonzero`` maps them to
+    positions.
+    """
+    width = 2 * n + 1
+    bits = _fair_bits(count, width, rng)
+    ones = bits.sum(axis=1, dtype=np.int32).astype(np.int64)
+    flips = np.abs(ones - n)
+    total = flips.sum()
+    if not total:
+        return bits
+    surplus = (ones > n).view(np.uint8)
+    copies = np.where(ones > n, ones, width - ones)  # surplus copies per row
+    where = np.flatnonzero(bits == surplus[:, None])  # their flat positions, row by row
+    first = np.cumsum(copies) - copies  # each row's first entry of ``where``
+    picked = np.empty(0, dtype=np.int64)
+    short = flips
+    while True:
+        row = np.repeat(np.arange(count), short)
+        ranks = rng.integers(0, copies[row])
+        picked = np.unique(np.concatenate((picked, first[row] + ranks)))
+        if picked.size == total:  # no row can hold more than its flips
+            break
+        short = flips - np.bincount(np.searchsorted(first, picked, "right") - 1, minlength=count)
+    bits.reshape(-1)[where[picked]] ^= 1
+    return bits
+
+
+def _key_dtype(top) -> type:
+    """The narrowest of uint8, uint16 and int64 that holds the nonnegative
+    integer keys up to ``top``; numpy's stable sort of the first two is an
+    O(N) radix sort."""
+    if top < 2**8:
+        return np.uint8
+    if top < 2**16:
+        return np.uint16
+    return np.int64
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for a 1-D array of nonnegative
-    integer keys.  Keys that fit 8 or 16 bits are cast down first, where
-    numpy's stable sort is an O(N) radix sort; wider keys sort as they
-    are."""
-    top = keys.max(initial=0)
-    if top < 2**8:
-        return np.argsort(keys.astype(np.uint8), kind="stable")
-    if top < 2**16:
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    return np.argsort(keys, kind="stable")
+    integer keys, sorted in the dtype of :func:`_key_dtype`."""
+    narrow = keys.astype(_key_dtype(keys.max(initial=0)), copy=False)
+    return np.argsort(narrow, kind="stable")
 
 
-def _edge_order(walks: np.ndarray) -> np.ndarray:
-    """The steps of a (count, 2n+1) stack of contour walks, flat, in
-    (row, level, time) order, a step's level being the higher of its two
-    heights: one stable sort by the single key row * (2n+1) + level
-    (levels are at most n).  Entries 2k and 2k+1 are the up- and
-    down-step of edge k (see :func:`contour_edges`)."""
+def _edge_steps(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The up- and down-step of every edge of a (count, 2n+1) stack of
+    contour walks, as two (count, n) arrays of flat positions in a
+    (count, 2n+1) array: step t of row r sits at r * (2n+1) + t + 1, where
+    it ends.  Entry (r, k) of both is row r's k-th edge in (level, time)
+    order (see :func:`contour_edges`).
+
+    One stable sort by the single key row * (2n+1) + level does it, a
+    step's level being the higher of its two heights, so at least 1 and at
+    most n.  Column 0 is keyed by its row alone, so it heads its row and
+    every row's steps fill the sorted positions of its own columns 1..2n.
+    The key is built in the dtype of :func:`_key_dtype`, uint16 or narrower
+    whenever the stack's keys fit 16 bits.
+    """
     count, width = walks.shape
-    level = np.maximum(walks[:, :-1], walks[:, 1:])
-    return _stable_order((level + width * np.arange(count)[:, None]).ravel())
+    top = (count - 1) * width + walks.max(initial=0)
+    key = np.empty(walks.shape, dtype=_key_dtype(top))
+    key[:, 0] = 0
+    np.maximum(walks[:, :-1], walks[:, 1:], out=key[:, 1:], casting="unsafe")
+    if count > 1:
+        key += (width * np.arange(count)).astype(key.dtype)[:, None]
+    order = np.argsort(key.reshape(-1), kind="stable").reshape(walks.shape)
+    return order[:, 1::2], order[:, 2::2]
 
 
 def _contour_node_array(walks: np.ndarray) -> np.ndarray:
@@ -118,15 +213,18 @@ def contour_edges(walks: np.ndarray) -> np.ndarray:
     ``walks`` has shape (count, 2n+1); the result has shape (count, 2n) with
     ids in [0, count*n).  Within a fixed level the up- and down-steps
     alternate along the contour, starting with an up-step, so in the
-    (row, level, time) order of :func:`_edge_order` each pair of
+    (row, level, time) order of :func:`_edge_steps` each pair of
     consecutive entries is an up-step and the down-step closing the same
     edge.  That sort is a radix sort when its keys fit 16 bits, as a
     single walk's do while its height, not its length, stays below 65536.
+    The result is a view that skips column 0 of a (count, 2n+1) array.
     """
-    order = _edge_order(walks)
-    edge = np.empty(order.size, dtype=np.int64)
-    edge[order] = np.arange(order.size) // 2
-    return edge.reshape(walks.shape[0], walks.shape[1] - 1)
+    ups, downs = _edge_steps(walks)
+    ids = np.arange(ups.size).reshape(ups.shape)
+    edge = np.empty(walks.shape, dtype=np.int64)
+    edge.reshape(-1)[ups] = ids
+    edge.reshape(-1)[downs] = ids
+    return edge[:, 1:]
 
 
 def contour_accumulate(
@@ -138,19 +236,23 @@ def contour_accumulate(
     ``edge_values`` over the edges on the path from the root to the node
     under the walker at time t.  Shapes: walks (count, 2n+1), edge_values
     flat of length count*n, result (count, 2n+1).  Edge k's up-step adds
-    its value and its down-step subtracts it; both steps are placed by one
-    scatter through :func:`_edge_order`.
+    its value and its down-step subtracts it: the values are scattered
+    through :func:`_edge_steps` into the result at the down-steps, negated
+    in place, scattered again at the up-steps and summed in place, with no
+    scratch array of the result's size.
     """
     values = np.asarray(edge_values)
-    pairs = np.empty(2 * values.size, dtype=values.dtype)
-    pairs[0::2] = values
-    np.negative(values, out=pairs[1::2])
-    contrib = np.empty_like(pairs)
-    contrib[_edge_order(walks)] = pairs
-    out = np.empty(walks.shape, dtype=contrib.dtype)
+    ups, downs = _edge_steps(walks)
+    if values.size != ups.size:
+        raise ValueError("edge_values must hold one value per edge of the walks")
+    per_row = values.reshape(ups.shape)
+    out = np.empty(walks.shape, dtype=values.dtype)
+    out.reshape(-1)[downs] = per_row
+    np.negative(out, out=out)
+    out.reshape(-1)[ups] = per_row
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    out[:, 1:] += np.asarray(start, dtype=values.dtype)
     out[:, 0] = start
-    np.cumsum(contrib.reshape(out[:, 1:].shape), axis=1, out=out[:, 1:])
-    out[:, 1:] += np.asarray(start, dtype=contrib.dtype)
     return out
 
 
@@ -202,11 +304,13 @@ def _doddering_rdfw(labs: np.ndarray) -> np.ndarray:
     positive, to start at 1 and to rise by at most 1 per step."""
     non_root = labs.shape[0]  # the tree has N+2 nodes, N+1 of them non-root
     length = 2 * non_root
-    first_visit = 2 * np.arange(1, non_root + 1) - labs
-    steps = np.full(length, -1, dtype=np.int64)
-    steps[first_visit - 1] = 1
-    walk = np.zeros(length + 1, dtype=np.int64)
-    np.cumsum(steps, axis=0, out=walk[1:])
+    first_visit = np.arange(2, length + 1, 2)  # 2l, less labs[l-1] below
+    first_visit -= labs
+    # walk[t] holds the step ending at time t, then the sum of the steps
+    walk = np.full(length + 1, -1, dtype=np.int64)
+    walk[0] = 0
+    walk[first_visit] = 1
+    np.cumsum(walk[1:], out=walk[1:])
     return walk
 
 

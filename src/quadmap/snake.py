@@ -134,9 +134,10 @@ def distance(x: SnakePath, y: SnakePath) -> float:
     """Sup-norm distance: ||head difference|| + ||contour difference||."""
     if x.grid != y.grid:
         raise ValueError("grids must match")
-    return float(
-        np.abs(x.head - y.head).max() + np.abs(x.contour - y.contour).max()
-    )
+    gap = np.subtract(x.head, y.head)
+    head = np.abs(gap, out=gap).max()
+    np.subtract(x.contour, y.contour, out=gap)
+    return float(head + np.abs(gap, out=gap).max())
 
 
 def _theta_index(x: SnakePath, theta: float) -> int:
@@ -158,12 +159,22 @@ def reroot_path(x: SnakePath, theta: float) -> SnakePath:
         return x
     m = x.grid
     f, z = x.head, x.contour
-    f2 = np.concatenate((f[k:], f[1 : k + 1])) - f[k]
-    z2 = np.empty(m + 1)
-    fwd = np.minimum.accumulate(z[k:])
-    z2[: m - k + 1] = z[k:] + z[k] - 2.0 * fwd
-    bwd = np.minimum.accumulate(z[: k + 1][::-1])[::-1]
-    z2[m - k :] = z[: k + 1] + z[k] - 2.0 * bwd
+    # z2 = z + z[k] - 2 * (the minimum of z between k and each time), forward
+    # from k up to m, then backward from k down to 0 (ending at m); the
+    # minima go to f2, which is filled only after that
+    z2, f2 = np.empty(m + 1), np.empty(m + 1)
+    fwd, ahead = f2[: m - k + 1], z2[: m - k + 1]
+    np.minimum.accumulate(z[k:], out=fwd)
+    np.add(z[k:], z[k], out=ahead)
+    fwd *= 2.0
+    ahead -= fwd
+    bwd, behind = f2[: k + 1], z2[m - k :]
+    np.minimum.accumulate(z[k::-1], out=bwd)
+    np.add(z[: k + 1], z[k], out=behind)
+    bwd *= 2.0
+    behind -= bwd[::-1]
+    np.subtract(f[k:], f[k], out=f2[: m - k + 1])
+    np.subtract(f[1 : k + 1], f[k], out=f2[m - k + 1 :])
     # rerooting preserves membership, so skip the per-point re-validation
     return _path(f2, z2, max(x.snake_tol, _SNAKE_TOL_SAMPLED))
 

@@ -16,7 +16,7 @@ from collections import deque
 import numpy as np
 
 from quadmap.labeled import Encoding, LabeledTree, first_min_corner, minima_set
-from quadmap.paths import contour_edges, doddering_rdfw, uniform_encoding_arrays
+from quadmap.paths import _balanced_bits, contour_edges, doddering_rdfw, uniform_encoding_arrays
 from quadmap.planar_map import (
     PointedMap,
     PointedQuadrangulation,
@@ -411,11 +411,10 @@ def glued_rotations(d, tree) -> list[list[int]]:
 
 
 def dyck_walk_batch(n: int, count: int, rng) -> np.ndarray:
-    """``paths.dyck_walk_batch`` rotating each shuffled row at its
-    cycle-lemma cut through a modular index array."""
-    steps = np.full((count, 2 * n + 1), -1, dtype=np.int64)
-    steps[:, :n] = 1
-    steps = rng.permuted(steps, axis=1)
+    """``paths.dyck_walk_batch`` on the same balanced rows, as int64 steps,
+    rotating each row at its cycle-lemma cut through a modular index
+    array and summing the rotated steps."""
+    steps = 2 * _balanced_bits(n, count, rng).astype(np.int64) - 1
     cut = np.argmin(np.cumsum(steps, axis=1), axis=1) + 1
     idx = (cut[:, None] + np.arange(2 * n)) % (2 * n + 1)
     rotated = np.take_along_axis(steps, idx, axis=1)

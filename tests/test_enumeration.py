@@ -51,6 +51,13 @@ def test_enumerate_family_dispatch():
         enumerate_family(7, "plane_trees")  # beyond the exhaustive bound
 
 
+@pytest.mark.parametrize("kind", [["plane_trees"], {"x": 1}, None, 3])
+def test_enumerate_family_rejects_kinds_that_are_not_names(kind):
+    # unhashable kinds once leaked a TypeError from the dict lookup
+    with pytest.raises(ValueError, match="kind"):
+        enumerate_family(2, kind)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_family_counts_are_listing_lengths(n):
     counts = _family_counts(n)

@@ -269,11 +269,11 @@ def test_experiment_csv_deterministic(name):
 # grid_m=16), with the radius experiment's snake rows left out: every
 # discrete row is pinned, so a change to any of them is seen here
 GOLDEN_DISCRETE_CSV = {
-    "radius": "e099b45641c97b743ee18630921f74eeb2af5bfcc7e296a5f9cc9adc212f5a8f",
-    "profile": "572008e16b9fc99d0b8397aaafe6a3ff93c361a9ef77bd0cee7bb3459548d1d0",
-    "hp_gap": "01d6d04ffb3dcc85af3b78a4219d7a947ab55531ed1630465ca818d243bfa26f",
-    "class_diameter": "df5bd08a63c6531714d09d97aa48ba5d88f3c1b4405df51ebaf5efb1937badf0",
-    "edge_gap": "24c54a7a817c2c2edeef313b5d394adb2bf1c0387e98c70a03c263970b2da543",
+    "radius": "489120f29465ea4ed28b389f252afec7ccea8029638b601d24a31f77773566f4",
+    "profile": "8ba551ae6944edfacf8eaa8494123725748e8074d5f89f0cfaf8476e43134891",
+    "hp_gap": "7454a11653dcf5554752a402010f7ad038a56ef73f9dccd1d33a0a3bcff1d276",
+    "class_diameter": "33a3722ca322de634b487eb1c1c32f949bbd0d3609b80c3faac2b4f09792343d",
+    "edge_gap": "7b11d62606527e785492eb27a5c72899d0d5c06e7886301cd65ca74b46507aae",
 }
 
 

@@ -4,6 +4,8 @@ import reference_loops as reference
 
 from quadmap.labeled import Encoding
 from quadmap.paths import (
+    _balanced_bits,
+    _fair_bits,
     _stable_order,
     contour_accumulate,
     contour_edges,
@@ -23,8 +25,17 @@ def test_dyck_walk_is_valid_contour():
         Walk(tuple(int(x) for x in w))  # validates shape and positivity
 
 
+def _surplus_signs(n: int, count: int, seed: int) -> set:
+    """The signs of c - n over the fair rows that a balanced draw of
+    ``count`` rows from ``default_rng(seed)`` starts from (c ones each)."""
+    fair = _fair_bits(count, 2 * n + 1, np.random.default_rng(seed))
+    ones = fair.sum(axis=1, dtype=np.int64)
+    return set(np.sign(ones - n).tolist())
+
+
 def test_dyck_walk_exact_uniformity():
-    # all C_3 = 5 shapes equally likely
+    # all C_3 = 5 shapes equally likely, from one stacked call whose fair
+    # rows had too many ones, too few and exactly n
     rng = np.random.default_rng(2)
     counts = {}
     draws = 25000
@@ -34,6 +45,41 @@ def test_dyck_walk_exact_uniformity():
     expected = draws / 5
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 13.28  # 99% quantile, 4 dof
+    assert _surplus_signs(3, draws, 2) == {-1, 0, 1}
+
+
+def test_balanced_bits_uniform_over_arrangements():
+    # all C(5, 2) = 10 arrangements of 2 ones among 5 places equally
+    # likely, from one stacked call, with both surplus directions flipped
+    draws = 50000
+    bits = _balanced_bits(2, draws, np.random.default_rng(11))
+    counts = np.bincount(bits @ (1 << np.arange(5)), minlength=32)
+    assert np.count_nonzero(counts) == 10
+    expected = draws / 10
+    chi2 = sum((c - expected) ** 2 / expected for c in counts[counts > 0])
+    assert chi2 < 21.67  # 99% quantile, 9 dof
+    assert _surplus_signs(2, draws, 11) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("n, count", [(1, 500), (2, 100), (7, 300), (300, 20), (5000, 3)])
+def test_balanced_bits_have_n_ones(n, count):
+    bits = _balanced_bits(n, count, np.random.default_rng([n, count]))
+    assert bits.shape == (count, 2 * n + 1) and bits.dtype == np.uint8
+    assert set(np.unique(bits).tolist()) <= {0, 1}
+    assert np.array_equal(bits.sum(axis=1), np.full(count, n))
+
+
+def test_balanced_bits_flip_only_surplus_copies():
+    # each row flips exactly |c - n| of its fair bits, all of them copies
+    # of the symbol it has too many of
+    n, count = 40, 300
+    fair = _fair_bits(count, 2 * n + 1, np.random.default_rng(12))
+    bits = _balanced_bits(n, count, np.random.default_rng(12))
+    ones = fair.sum(axis=1, dtype=np.int64)
+    flipped = bits != fair
+    assert np.array_equal(flipped.sum(axis=1), np.abs(ones - n))
+    surplus = np.broadcast_to((ones > n)[:, None], fair.shape)
+    assert np.array_equal(fair[flipped], surplus[flipped])
 
 
 def test_contour_edges_match_stack():
@@ -101,9 +147,11 @@ def test_dyck_walk_batch_matches_modular_rotation(n, count):
 
 
 def test_contour_accumulate_matches_edge_id_reference():
+    # sort keys in uint8, uint16 and, for the spike climbing past 2^16, int64
     rng = np.random.default_rng(9)
-    for count, n in ((1, 1), (1, 300), (7, 50)):
-        walks = dyck_walk_batch(n, count, rng)
+    stacks = [dyck_walk_batch(n, count, rng) for count, n in ((1, 1), (1, 300), (7, 50))]
+    for walks in stacks + [_spike(70000)]:
+        count, n = walks.shape[0], walks.shape[1] // 2
         ints = rng.integers(-1, 2, size=count * n)
         floats = rng.normal(size=count * n)
         floats[::4] = 0.0
