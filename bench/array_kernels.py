@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from quadmap import enumeration, harness, labeled, paths, planar_map, schaeffer, trees
+from quadmap import enumeration, harness, labeled, paths, planar_map, schaeffer, snake, trees
 
 
 def _minor_faults() -> int:
@@ -122,6 +122,32 @@ def small_stack(repeats: int) -> dict:
     }
 
 
+def rerooting(seed: int, repeats: int) -> dict:
+    """Time the rerooting kernel ``paths._reroot`` through its callers: one
+    corner of a 2^14 snake path (``snake.reroot_path`` at its first head
+    minimum), one corner per row through ``paths._reroot_arrays`` on a drawn
+    2^15-edge encoding and on the stack of all labeled trees with 5 edges,
+    each row at its first label minimum, and the exhaustive keys
+    ``paths._reroot_keys`` at n = 5 and 6."""
+    rng = np.random.default_rng([seed, 2**14])
+    path = snake.sample_snake(2**14, rng)
+    theta = snake.first_argmin(path.head)
+    labels, walks = paths.uniform_encoding_arrays(2**15, rng)
+    first = labels[:, :-1].argmin(axis=1)
+    five, six = enumeration._encoding_arrays(5), enumeration._encoding_arrays(6)
+    stack, stack_walks = five[0], five[1][five[2]]
+    stack_first = stack[:, :-1].argmin(axis=1)
+    return {
+        "reroot_path_2^14": _timed(lambda _: snake.reroot_path(path, theta), repeats),
+        "per_row_2^15": _timed(lambda _: paths._reroot_arrays(labels, walks, first), repeats),
+        "per_row_n5_stack": _timed(
+            lambda _: paths._reroot_arrays(stack, stack_walks, stack_first), repeats
+        ),
+        "_reroot_keys_n5": _timed(lambda _: paths._reroot_keys(*five), repeats),
+        "_reroot_keys_n6": _timed(lambda _: paths._reroot_keys(*six), repeats),
+    }
+
+
 def replicas(seed: int, repeats: int) -> dict:
     """Time one replica of each scaling statistic at size 2^14; repeat k
     draws on the streams of size index k."""
@@ -167,6 +193,7 @@ def main() -> None:
     record["replicas"] = replicas(args.seed, args.repeats)
     record["layers"] = {n: layers(n, args.seed, args.repeats) for n in args.sizes}
     record["small_stack"] = small_stack(args.repeats)
+    record["rerooting"] = rerooting(args.seed, args.repeats)
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)

@@ -92,10 +92,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     else:
         cfg = harness.ExperimentConfig(
             name=args.name,
-            sizes=tuple(args.sizes),
-            replicas=args.replicas,
+            sizes=tuple(args.sizes or (1024, 4096)),
+            replicas=200 if args.replicas is None else args.replicas,
             seed=_default_seed(args.seed),
-            grid_m=args.grid_m,
+            grid_m=2**12 if args.grid_m is None else args.grid_m,
             output=args.output,
         )
     text = harness.run_experiment(cfg)
@@ -244,12 +244,12 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("experiment", help="run a scaling experiment")
-    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--config", help="JSON config file, in place of all the other flags")
     p.add_argument("--name", choices=harness.EXPERIMENTS)
-    p.add_argument("--sizes", type=int, nargs="+", default=[1024, 4096])
-    p.add_argument("--replicas", type=int, default=200)
+    p.add_argument("--sizes", type=int, nargs="+", help="default: 1024 4096")
+    p.add_argument("--replicas", type=int, help="default: 200")
     p.add_argument("--seed", type=int)
-    p.add_argument("--grid-m", type=int, default=2**12)
+    p.add_argument("--grid-m", type=int, help="default: 4096")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_experiment)
 
@@ -261,10 +261,17 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_snake)
 
     args = parser.parse_args(argv)
-    if args.command == "experiment" and not args.config and not args.name:
-        parser.error("experiment needs --name or --config")
+    if args.command == "experiment":
+        flags = ("name", "sizes", "replicas", "seed", "grid_m", "output")
+        given = ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is not None]
+        if args.config and given:
+            parser.error(f"--config cannot be combined with {', '.join(given)}")
+        if not args.config and not args.name:
+            parser.error("experiment needs --name or --config")
     if args.command in ("sample", "snake") and args.count < 1:
         parser.error("--count must be >= 1")
+    if args.command == "snake" and args.count > 1 and args.output == "-":
+        parser.error("--output - writes one path to stdout; --count must be 1")
     if args.command == "verify" and not 1 <= args.max_n <= enumeration.MAX_LISTING_N:
         parser.error(
             f"--max-n must be between 1 and {enumeration.MAX_LISTING_N} "

@@ -23,7 +23,7 @@ the steps by (row, level) runs as numpy's radix sort whenever its keys fit
 :func:`_stable_order`): a contour's levels are bounded by its height,
 typically about sqrt(n), so a single walk's keys fit unless it climbs past
 65535.  Branch sums are scattered into the result itself and summed in
-place.
+place.  One kernel, :func:`_reroot`, reroots encodings and snake paths alike.
 """
 from __future__ import annotations
 
@@ -314,40 +314,56 @@ def _doddering_rdfw(labs: np.ndarray) -> np.ndarray:
     return walk
 
 
-def _reroot_arrays(
-    labels: np.ndarray, walk: np.ndarray, theta
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`quadmap.labeled.reroot`.
+def _reroot(values: np.ndarray, contour: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(values, contour) rows of length m+1 and one dtype, one alone or a
+    stack of them, rerooted at one corner ``theta`` in [0, m], or at one
+    corner per row of a (B, m+1) stack.  Each contour row must be >= 0 and
+    0 at both ends, and each values row equal at both ends.  Returns the
+    values rotated to start at the corner less their value there, and the
+    new contour c(s) + c(theta) - 2 min c over the corners from theta to
+    s = theta + t (mod m): forward from theta up to m, then backward from
+    theta down to 0.
 
-    ``labels`` and ``walk`` are label processes and contour walks of
-    length 2n+1, each one alone or a stack along leading axes (the two
-    stacks are rerooted independently and need not match), and ``theta``
-    is a corner in [0, 2n) or one corner per stacked row.  The labels
-    rotate by ``theta`` and shift so the new root is labeled 1.  The new
-    walk at time t is the tree distance from the node at corner ``theta``
-    to the node at corner theta + t (mod 2n): w(j) + w(theta) - 2 min w
-    over the corners between them, read forward from ``theta`` until the
-    contour wraps past corner 0 and backward from ``theta`` after that.
+    One corner takes two slices per row, one running minimum each (float
+    snake paths only ever take this path).  One corner per row takes the
+    window at theta over each row read twice, as :func:`dyck_walk_batch`
+    does; the rotated contour is 0 at t = m - theta, so the larger of its
+    running minima from the left and from the right is the one wanted.
     """
-    two_n = labels.shape[-1] - 1
-    time = np.arange(two_n)
-    theta = np.asarray(theta)[..., None]
-    corner = (theta + time) % two_n
+    theta = np.asarray(theta)
+    m = values.shape[-1] - 1
+    if theta.size != 1:
+        twice = np.empty((2, len(values), 2 * m + 1), dtype=values.dtype)
+        twice[0, :, : m + 1], twice[1, :, : m + 1] = values, contour
+        twice[..., m + 1 :] = twice[..., 1 : m + 1]
+        window = sliding_window_view(twice, m + 1, axis=-1)
+        turned, depth = window[:, np.arange(len(values)), theta]
+        low = np.minimum.accumulate(depth[:, ::-1], axis=1)[:, ::-1]
+        np.maximum(low, np.minimum.accumulate(depth, axis=1), out=low)
+        return turned - turned[:, :1], depth + depth[:, :1] - 2 * low
+    k = theta.item()
+    base, top = values[..., k], contour[..., k]
+    if values.ndim > 1:  # one row keeps them 0-d, which numpy broadcasts faster
+        base, top = base[..., None], top[..., None]
+    new_values, new = np.empty_like(values), np.empty_like(contour)
+    ahead, behind = new[..., : m - k + 1], new[..., m - k :]
+    # forward from k, then backward; the minima go to ``new_values`` before it is filled
+    for out, part, step in ((ahead, contour[..., k:], 1), (behind, contour[..., : k + 1], -1)):
+        low = new_values[..., : part.shape[-1]]
+        np.minimum.accumulate(part[..., ::step], axis=-1, out=low)
+        low += low
+        np.add(part, top, out=out)
+        out -= low[..., ::step]
+    np.subtract(values[..., k:], base, out=new_values[..., : m - k + 1])
+    np.subtract(values[..., 1 : k + 1], base, out=new_values[..., m - k + 1 :])
+    return new_values, new
 
-    def rotate(values: np.ndarray) -> np.ndarray:
-        shape = values.shape[:-1] + (two_n,)
-        return np.take_along_axis(values[..., :two_n], np.broadcast_to(corner, shape), axis=-1)
 
-    turned = rotate(labels)
-    new_labels = np.ones_like(labels)
-    np.subtract(turned, turned[..., :1] - 1, out=new_labels[..., :two_n])
-    depth = rotate(walk)
-    top = depth[..., :1]
-    low = np.minimum.accumulate(depth, axis=-1)
-    backward = np.minimum(np.minimum.accumulate(depth[..., ::-1], axis=-1)[..., ::-1], top)
-    np.copyto(low, backward, where=time > two_n - theta)
-    new_walk = np.zeros_like(walk)
-    new_walk[..., :two_n] = depth + top - 2 * low
+def _reroot_arrays(labels: np.ndarray, walk: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`quadmap.labeled.reroot`: :func:`_reroot` of label
+    processes and walks, with the labels shifted so the new root is labeled 1."""
+    new_labels, new_walk = _reroot(labels, walk, theta)
+    new_labels += 1
     return new_labels, new_walk
 
 
@@ -378,7 +394,7 @@ def _reroot_keys(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray) -> np
         packed = body @ np.roll(label_weights[:two_n], theta, axis=0)
         packed += (1 - body[:, theta, None]) * spread + label_weights[two_n]
         keys[:, theta, :split] = packed
-        _, new_walks = _reroot_arrays(walks, walks, theta)  # only the walks are read
+        _, new_walks = _reroot(walks, walks, theta)  # only the walks are read
         keys[:, theta, split:] = (new_walks @ walk_weights)[shape]
     return keys
 

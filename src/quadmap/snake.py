@@ -5,7 +5,8 @@ nonnegative excursion and ``head`` a function constant on the contour's
 tree classes (times s, s' with contour(s) = contour(s') = min between them
 describe the same tree point, so the head must agree there).  The metric
 is the sum of the two sup-norm distances; rerooting shifts time cyclically
-and rebases both components, forming a group action.
+and rebases both components, forming a group action (the batch of one of
+:func:`quadmap.paths._reroot`, which also reroots the discrete encodings).
 
 The sampler draws the contour as sqrt(2) times a discretized normalized
 excursion (an exactly uniform lattice excursion scaled by 1/sqrt(m)) and,
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labeled import Encoding
-from .paths import contour_accumulate, dyck_walk_batch
+from .paths import _reroot, contour_accumulate, dyck_walk_batch
 from .trees import _trusted
 
 __all__ = [
@@ -157,24 +158,7 @@ def reroot_path(x: SnakePath, theta: float) -> SnakePath:
     k = _theta_index(x, theta)
     if k == 0:
         return x
-    m = x.grid
-    f, z = x.head, x.contour
-    # z2 = z + z[k] - 2 * (the minimum of z between k and each time), forward
-    # from k up to m, then backward from k down to 0 (ending at m); the
-    # minima go to f2, which is filled only after that
-    z2, f2 = np.empty(m + 1), np.empty(m + 1)
-    fwd, ahead = f2[: m - k + 1], z2[: m - k + 1]
-    np.minimum.accumulate(z[k:], out=fwd)
-    np.add(z[k:], z[k], out=ahead)
-    fwd *= 2.0
-    ahead -= fwd
-    bwd, behind = f2[: k + 1], z2[m - k :]
-    np.minimum.accumulate(z[k::-1], out=bwd)
-    np.add(z[: k + 1], z[k], out=behind)
-    bwd *= 2.0
-    behind -= bwd[::-1]
-    np.subtract(f[k:], f[k], out=f2[: m - k + 1])
-    np.subtract(f[1 : k + 1], f[k], out=f2[m - k + 1 :])
+    f2, z2 = _reroot(x.head, x.contour, k)
     # rerooting preserves membership, so skip the per-point re-validation
     return _path(f2, z2, max(x.snake_tol, _SNAKE_TOL_SAMPLED))
 

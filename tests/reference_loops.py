@@ -7,8 +7,9 @@ and ``test_array_kernels.py`` and ``test_tree_arrays.py`` compare each
 kernel and public function with them.  They read maps through their arrays
 only, so no reference calls a kernel, and they raise the constructor's
 messages in its order.  The contour kernels' earlier array forms (rotation
-by a modular index array, branch sums through edge ids) are kept the same
-way, for ``test_paths.py``, and so is the recursive Dyck-walk listing.
+by a modular index array, branch sums through edge ids, the snake's
+rerooting slices) are kept the same way, for ``test_paths.py``, and so is
+the recursive Dyck-walk listing.
 """
 import struct
 from collections import deque
@@ -466,6 +467,29 @@ def reroot(enc, theta: int):
         new_walk[j + two_n - th] = w[j] + w[th] - 2 * run_min
     walk = _trusted(Walk, steps=np.array(new_walk))
     return _trusted(Encoding, labels=np.array(new_labels), walk=walk)
+
+
+def reroot_path(f: np.ndarray, z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``snake.reroot_path``'s (head, contour) at grid point k in [0, m),
+    by the slices it took before it called ``paths._reroot``: the new
+    contour is z + z[k] - 2 * (the minimum of z between k and each time),
+    forward from k up to m, then backward from k down to 0 (ending at m);
+    the minima go to the new head, which is filled only after that."""
+    m = len(z) - 1
+    z2, f2 = np.empty(m + 1), np.empty(m + 1)
+    fwd, ahead = f2[: m - k + 1], z2[: m - k + 1]
+    np.minimum.accumulate(z[k:], out=fwd)
+    np.add(z[k:], z[k], out=ahead)
+    fwd *= 2.0
+    ahead -= fwd
+    bwd, behind = f2[: k + 1], z2[m - k :]
+    np.minimum.accumulate(z[k::-1], out=bwd)
+    np.add(z[: k + 1], z[k], out=behind)
+    bwd *= 2.0
+    behind -= bwd[::-1]
+    np.subtract(f[k:], f[k], out=f2[: m - k + 1])
+    np.subtract(f[1 : k + 1], f[k], out=f2[m - k + 1 :])
+    return f2, z2
 
 
 # -- samplers -----------------------------------------------------------------

@@ -279,3 +279,32 @@ def test_malformed_config_files_are_usage_errors(config, field, tmp_path, capsys
 def test_experiment_requires_name():
     with pytest.raises(SystemExit):
         main(["experiment"])
+
+
+def test_experiment_config_excludes_the_other_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "c.json"
+    path.write_text('{"name": "hp_gap", "sizes": [16], "replicas": 2, "seed": 1}')
+    argv = ["experiment", "--config", str(path), "-o", "out.csv", "--seed", "5", "--replicas", "9"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--config cannot be combined with --replicas, --seed, --output" in err and out == ""
+    assert list(tmp_path.iterdir()) == [path]
+    assert main(["experiment", "--config", str(path)]) == 0
+    alone = capsys.readouterr().out
+    flags = ["--name", "hp_gap", "--sizes", "16", "--replicas", "2", "--seed", "1"]
+    assert main(["experiment", *flags]) == 0
+    assert alone == capsys.readouterr().out
+    assert "# experiment=hp_gap" in alone and "replicas=2" in alone
+
+
+def test_snake_count_above_one_to_stdout_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["snake", "--m", "4", "--count", "2", "-o", "-"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--count must be 1" in err and out == ""
+    assert list(tmp_path.iterdir()) == []

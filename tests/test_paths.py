@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import reference_loops as reference
 
+from quadmap.enumeration import _encoding_arrays
 from quadmap.labeled import Encoding
 from quadmap.paths import (
     _balanced_bits,
     _fair_bits,
+    _reroot_arrays,
     _stable_order,
     contour_accumulate,
     contour_edges,
@@ -15,6 +17,7 @@ from quadmap.paths import (
     uniform_encoding_arrays,
 )
 from quadmap.schaeffer import doddering
+from quadmap.snake import reroot_path, sample_snake
 from quadmap.trees import Walk, dfw
 
 
@@ -204,3 +207,38 @@ def test_dyck_walk_rejects_bad_sizes():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
         dyck_walk(0, rng)
+
+
+@pytest.mark.parametrize("m", [2, 4, 64, 2**12])
+def test_reroot_path_matches_slice_reference(m):
+    x = sample_snake(m, np.random.default_rng([41, m]))
+    for k in range(m) if m <= 64 else (1, m // 2, m - 1):
+        y = reroot_path(x, k / m)
+        head, contour = reference.reroot_path(x.head, x.contour, k)
+        assert y.head.tobytes() == head.tobytes()
+        assert y.contour.tobytes() == contour.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reroot_per_row_matches_one_corner_and_reference(n):
+    # the rotated contour's inner 0, at t = 2n - theta, falls on the last
+    # position of the row for theta = 0 and right after the first for 2n - 1
+    labels, walks, shape = _encoding_arrays(n)
+    walks = walks[shape]
+    for theta in range(2 * n):
+        per_row = _reroot_arrays(labels, walks, np.full(len(labels), theta))
+        one = _reroot_arrays(labels, walks, theta)
+        rows = [reference.reroot(Encoding(lab, Walk(w)), theta) for lab, w in zip(labels, walks)]
+        expected = (np.array([e.labels for e in rows]), np.array([e.walk.steps for e in rows]))
+        for got, again, want in zip(per_row, one, expected):
+            assert got.dtype == again.dtype == np.int64
+            assert np.array_equal(got, want) and np.array_equal(again, want)
+
+
+def test_reroot_takes_one_corner_in_any_integer_form():
+    labels, walks = uniform_encoding_arrays(6, np.random.default_rng(43))
+    for row in ((labels[0], walks[0]), (labels, walks)):
+        results = [_reroot_arrays(*row, theta) for theta in (5, np.int64(5), np.array([5]))]
+        for new_labels, new_walk in results[1:]:
+            assert np.array_equal(new_labels, results[0][0])
+            assert np.array_equal(new_walk, results[0][1])
