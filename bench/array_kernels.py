@@ -24,7 +24,12 @@ repeat on the stream of its own size index.  The median and the spread
 of ``--repeats`` runs are reported, and beside them the median number of
 minor page faults (``ru_minflt`` of this process alone) that one run
 took: arrays that the allocator hands back to the system are faulted in
-again on the next run.
+again on the next run.  The speed of a shared machine drifts by tens of
+percent within seconds, so each row also reports its median in
+perfbench's reference seconds (``median_ref_s``): perfbench's calibration
+loop runs once before and once after the row's repeats, and the median is
+scaled by the mean of the two (``perfbench/run.py``, ``calibrate`` and
+``reference``).
 """
 from __future__ import annotations
 
@@ -35,11 +40,16 @@ import os
 import platform
 import resource
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from quadmap import enumeration, harness, labeled, paths, planar_map, schaeffer, snake, trees
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.run import calibrate, reference  # noqa: E402
 
 
 def _minor_faults() -> int:
@@ -48,6 +58,7 @@ def _minor_faults() -> int:
 
 def _timed(fn, repeats: int, setup=lambda: None) -> dict:
     times, faults = [], []
+    cals = [calibrate()]
     for _ in range(repeats):
         arg = setup()
         before = _minor_faults()
@@ -55,7 +66,10 @@ def _timed(fn, repeats: int, setup=lambda: None) -> dict:
         fn(arg)
         times.append(time.perf_counter() - start)
         faults.append(_minor_faults() - before)
+    cals.append(calibrate())
     return {
+        "median_ref_s": reference(statistics.median(times), statistics.mean(cals)),
+        "cal_s": cals,
         "median_s": statistics.median(times),
         "min_s": min(times),
         "max_s": max(times),
@@ -127,8 +141,11 @@ def rerooting(seed: int, repeats: int) -> dict:
     corner of a 2^14 snake path (``snake.reroot_path`` at its first head
     minimum), one corner per row through ``paths._reroot_arrays`` on a drawn
     2^15-edge encoding and on the stack of all labeled trees with 5 edges,
-    each row at its first label minimum, and the exhaustive keys
-    ``paths._reroot_keys`` at n = 5 and 6."""
+    each row at its first label minimum, the exhaustive keys
+    ``paths._reroot_keys`` at n = 5 and 6, and the public functions built on
+    them: ``orbit_decomposition(5)``, ``law_tables(4)``,
+    ``unrooted_plane_tree_count(6)`` and ``stabilizer_size`` of a drawn
+    labeled tree with 2^10 edges."""
     rng = np.random.default_rng([seed, 2**14])
     path = snake.sample_snake(2**14, rng)
     theta = snake.first_argmin(path.head)
@@ -137,6 +154,7 @@ def rerooting(seed: int, repeats: int) -> dict:
     five, six = enumeration._encoding_arrays(5), enumeration._encoding_arrays(6)
     stack, stack_walks = five[0], five[1][five[2]]
     stack_first = stack[:, :-1].argmin(axis=1)
+    tree = harness.sample_labeled_uniform(2**10, rng)
     return {
         "reroot_path_2^14": _timed(lambda _: snake.reroot_path(path, theta), repeats),
         "per_row_2^15": _timed(lambda _: paths._reroot_arrays(labels, walks, first), repeats),
@@ -145,6 +163,12 @@ def rerooting(seed: int, repeats: int) -> dict:
         ),
         "_reroot_keys_n5": _timed(lambda _: paths._reroot_keys(*five), repeats),
         "_reroot_keys_n6": _timed(lambda _: paths._reroot_keys(*six), repeats),
+        "orbit_decomposition_5": _timed(lambda _: enumeration.orbit_decomposition(5), repeats),
+        "law_tables_4": _timed(lambda _: enumeration.law_tables(4), repeats),
+        "unrooted_plane_tree_count_6": _timed(
+            lambda _: enumeration.unrooted_plane_tree_count(6), repeats
+        ),
+        "stabilizer_size_2^10": _timed(lambda _: labeled.stabilizer_size(tree), repeats),
     }
 
 

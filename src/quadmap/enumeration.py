@@ -17,13 +17,7 @@ from math import comb
 import numpy as np
 
 from .labeled import Encoding, LabeledTree, _node_labels
-from .paths import (
-    _least_keys,
-    _reroot_arrays,
-    _reroot_keys,
-    contour_accumulate,
-    contour_edges,
-)
+from .paths import _reroot_arrays, _reroot_keys, contour_accumulate, contour_edges
 from .planar_map import (
     RootedQuadrangulation,
     _array_map,
@@ -201,8 +195,7 @@ def unrooted_plane_tree_count(n: int) -> int:
     """Number of rerooting classes of plane trees with n edges (exhaustive)."""
     walks = _walks(_check_bound(n, MAX_LISTING_N))
     keys = _reroot_keys(np.ones_like(walks), walks, np.arange(len(walks)))
-    least = keys[np.arange(len(keys)), _least_keys(keys)]
-    return len(np.unique(least, axis=0))
+    return len(np.unique(keys.min(axis=1)))
 
 
 def walkup_count(n: int) -> int:
@@ -259,11 +252,11 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
     n = _check_bound(n, MAX_ORBIT_N)
     labels, walks, shape = _encoding_arrays(n)
     keys = _reroot_keys(labels, walks, shape)
-    theta = _least_keys(keys)
+    theta = keys.argmin(axis=1)
     # one tree per orbit, the orbits in order of their least key
-    _, first = np.unique(keys[np.arange(len(keys)), theta], axis=0, return_index=True)
+    _, first = np.unique(keys[np.arange(len(keys)), theta], return_index=True)
     keys, theta = keys[first], theta[first]
-    stabilizers = np.count_nonzero(np.all(keys == keys[:, :1], axis=2), axis=1)
+    stabilizers = np.count_nonzero(keys == keys[:, :1], axis=1)
     sizes = 2 * n // stabilizers
     reps = _reroot_arrays(labels[first], walks[shape[first]], theta)
     orbits = tuple(

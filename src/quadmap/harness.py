@@ -254,6 +254,9 @@ def ks_statistic(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     b = np.sort(np.asarray(sample_b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be nonempty")
+    for name, sample in (("sample_a", a), ("sample_b", b)):
+        if np.isnan(sample[-1]):  # a sort puts NaNs last
+            raise ValueError(f"{name} holds a NaN")
     grid = np.concatenate((a, b))
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import _reroot_arrays, _reroot_keys
+from .paths import _reroot_arrays
 from .trees import PlaneTree, Walk, _ArrayValue, _int64, _integer, _trusted, contour_nodes
 
 __all__ = [
@@ -184,10 +184,16 @@ def to_positive(tree: LabeledTree) -> LabeledTree:
 
 
 def stabilizer_size(tree: LabeledTree) -> int:
-    """Number of corners theta in [0, 2n-1] whose rerooting fixes the tree."""
-    enc = encode(tree)
-    keys = _reroot_keys(enc.labels[None], enc.walk.steps[None], np.zeros(1, int))[0]
-    return int(np.count_nonzero(np.all(keys == keys[0], axis=1)))
+    """Number of corners theta in [0, 2n-1] whose rerooting fixes the tree.
+
+    These corners form a subgroup of the cyclic group of order 2n, so they
+    are the multiples of the least of them, p, a divisor of 2n: the least
+    divisor of 2n whose rerooting fixes the encoding is p, and the answer
+    is 2n / p.
+    """
+    enc, two_n = encode(tree), 2 * tree.n
+    divisors = (p for p in range(1, two_n + 1) if two_n % p == 0)
+    return two_n // next(p for p in divisors if reroot(enc, p) == enc)
 
 
 def to_marked(tree: LabeledTree) -> MarkedTree:

@@ -23,9 +23,14 @@ the steps by (row, level) runs as numpy's radix sort whenever its keys fit
 :func:`_stable_order`): a contour's levels are bounded by its height,
 typically about sqrt(n), so a single walk's keys fit unless it climbs past
 65535.  Branch sums are scattered into the result itself and summed in
-place.  One kernel, :func:`_reroot`, reroots encodings and snake paths alike.
+place.  One kernel, :func:`_reroot`, reroots encodings and snake paths alike,
+by one path at one corner, which a stack rerooted at one corner per row
+takes once per distinct corner.  :func:`_reroot_keys` gives every rerooting
+of an encoding one int64 key, which orders as the rerooted encodings do.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +43,18 @@ __all__ = [
     "uniform_encoding_arrays",
     "doddering_rdfw",
 ]
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer (numpy integers included),
+    else a ``ValueError`` naming ``name``: bools, floats and strings are
+    not silently converted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 def dyck_walk(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,8 +80,11 @@ def dyck_walk_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     of 2n prefix sums after its cut, over the row read twice, less the sum
     at the cut.  The walks are int64.
     """
+    n, count = _integer(n, "n"), _integer(count, "count")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     width = 2 * n + 1
     steps = _balanced_bits(n, count, rng).view(np.int8)
     steps *= 2
@@ -325,22 +345,17 @@ def _reroot(values: np.ndarray, contour: np.ndarray, theta) -> tuple[np.ndarray,
     theta down to 0.
 
     One corner takes two slices per row, one running minimum each (float
-    snake paths only ever take this path).  One corner per row takes the
-    window at theta over each row read twice, as :func:`dyck_walk_batch`
-    does; the rotated contour is 0 at t = m - theta, so the larger of its
-    running minima from the left and from the right is the one wanted.
+    snake paths only ever take this path).  One corner per row takes that
+    path once per distinct corner, on the rows rerooted there.
     """
     theta = np.asarray(theta)
     m = values.shape[-1] - 1
     if theta.size != 1:
-        twice = np.empty((2, len(values), 2 * m + 1), dtype=values.dtype)
-        twice[0, :, : m + 1], twice[1, :, : m + 1] = values, contour
-        twice[..., m + 1 :] = twice[..., 1 : m + 1]
-        window = sliding_window_view(twice, m + 1, axis=-1)
-        turned, depth = window[:, np.arange(len(values)), theta]
-        low = np.minimum.accumulate(depth[:, ::-1], axis=1)[:, ::-1]
-        np.maximum(low, np.minimum.accumulate(depth, axis=1), out=low)
-        return turned - turned[:, :1], depth + depth[:, :1] - 2 * low
+        new_values, new = np.empty_like(values), np.empty_like(contour)
+        for k in np.unique(theta).tolist():
+            rows = theta == k
+            new_values[rows], new[rows] = _reroot(values[rows], contour[rows], k)
+        return new_values, new
     k = theta.item()
     base, top = values[..., k], contour[..., k]
     if values.ndim > 1:  # one row keeps them 0-d, which numpy broadcasts faster
@@ -368,59 +383,30 @@ def _reroot_arrays(labels: np.ndarray, walk: np.ndarray, theta) -> tuple[np.ndar
 
 
 def _reroot_keys(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray) -> np.ndarray:
-    """Packed keys of every rerooting of every encoding, as an (N, 2n, c)
-    int64 array.
+    """One int64 key per rerooting of every encoding, as an (N, 2n) array.
 
     Encoding i has the label process ``labels[i]`` (an (N, 2n+1) stack)
-    and the contour walk ``walks[shape[i]]``, so each rerooted walk is
-    computed once per distinct walk.  Entry (i, theta) holds encoding i
-    rerooted at corner theta as c int64 columns that compare
-    lexicographically as the encodings' (labels, walk) tuples do, so equal
-    keys mean equal encodings: the rerooted labels, which lie in
-    [1 - n, 1 + n], packed in base 2n+1 and the walk in base n+1 (n <= 6
-    gives c = 2).  The rerooted labels, body[(theta + t) % 2n] - body[theta]
-    + 1 and then 1, are packed without being formed: the body times the
-    packing weights rotated by theta, plus the shift's share.
+    and the contour walk ``walks[shape[i]]``.  Entry (i, theta) is the key
+    of encoding i rerooted at corner theta; keys order as the rerooted
+    encodings' (labels, walk) tuples do, so equal keys mean equal
+    encodings.  The label steps, shifted to {0, 1, 2}, are the digits of a
+    base-3 number X, most significant first, and rerooting at theta
+    rotates them, so the rerooted labels read (X mod 3^(2n-theta)) 3^theta
+    + X div 3^(2n-theta).  The key is that number shifted left by 2n bits
+    plus the rerooted walk's up-steps as 2n bits, most significant first,
+    computed corner by corner on the distinct walks only.  Keys are exact
+    while 6^(2n) < 2^63, that is for n <= 12.
     """
     two_n = labels.shape[1] - 1
-    n = two_n // 2
-    label_weights = _digit_weights(two_n + 1, 2 * n + 1)
-    walk_weights = _digit_weights(two_n + 1, n + 1)
-    spread = label_weights[:two_n].sum(axis=0)
-    body = labels[:, :two_n]
-    split = label_weights.shape[1]
-    keys = np.empty((len(labels), two_n, split + walk_weights.shape[1]), dtype=np.int64)
+    power = 3 ** np.arange(two_n, dtype=np.int64)  # 3^theta
+    rest = 3 * power[::-1]  # 3^(2n - theta)
+    number = (np.diff(labels, axis=1) + 1) @ power[::-1]
+    keys = number[:, None] % rest * power + number[:, None] // rest
+    keys <<= two_n
+    bits = 1 << np.arange(two_n - 1, -1, -1, dtype=np.int64)
+    ups = np.empty((len(walks), two_n), dtype=np.int64)
     for theta in range(two_n):
-        packed = body @ np.roll(label_weights[:two_n], theta, axis=0)
-        packed += (1 - body[:, theta, None]) * spread + label_weights[two_n]
-        keys[:, theta, :split] = packed
         _, new_walks = _reroot(walks, walks, theta)  # only the walks are read
-        keys[:, theta, split:] = (new_walks @ walk_weights)[shape]
+        ups[:, theta] = (new_walks[:, 1:] > new_walks[:, :-1]) @ bits
+    keys += ups[shape]
     return keys
-
-
-def _least_keys(keys: np.ndarray) -> np.ndarray:
-    """Per row of an (N, K, c) key array, the index of its lexicographically
-    least key."""
-    least = np.ones(keys.shape[:2], dtype=bool)
-    for column in np.moveaxis(keys, 2, 0):
-        column = np.where(least, column, np.iinfo(np.int64).max)
-        least &= column == column.min(axis=1, keepdims=True)
-    return least.argmax(axis=1)
-
-
-def _digit_weights(width: int, base: int) -> np.ndarray:
-    """The (width, c) int64 matrix that packs rows of ``width`` digits, all
-    within one run of ``base`` consecutive integers, into c columns:
-    ``digits @ weights`` holds as many digits per column, most significant
-    first, as keep a column exact in int64 with a factor ``base`` to spare
-    for digits of either sign, so comparing the columns lexicographically
-    compares the digit rows."""
-    per = 1
-    while base ** (per + 2) < 2**63:
-        per += 1
-    t = np.arange(width)
-    first = t // per * per  # the first digit of each digit's column
-    weights = np.zeros((width, -(-width // per)), dtype=np.int64)
-    weights[t, t // per] = base ** (np.minimum(first + per, width) - 1 - t)
-    return weights

@@ -33,7 +33,7 @@ import numpy as np
 
 from .labeled import Encoding
 from .paths import _reroot, contour_accumulate, dyck_walk_batch
-from .trees import _trusted
+from .trees import _integer, _trusted
 
 __all__ = [
     "SnakePath",
@@ -97,13 +97,26 @@ class SnakePath:
 
     @classmethod
     def from_csv(cls, text: str) -> "SnakePath":
-        rows = text.strip().splitlines()[1:]
+        """Inverse of :meth:`to_csv`: the header ``s,f,zeta``, then rows
+        k = 0..m whose ``s`` is the grid point k/m, within 1e-9 as
+        :func:`reroot_path` reads a time.  A ``ValueError`` names the
+        header or the first row that breaks this."""
+        header, *rows = text.strip().splitlines() or [""]
+        if header != "s,f,zeta":
+            raise ValueError(f"snake CSV header must be 's,f,zeta', got {header!r}")
+        m = len(rows) - 1
         f = []
         z = []
-        for row in rows:
-            _, fv, zv = row.split(",")
-            f.append(float(fv))
-            z.append(float(zv))
+        for k, row in enumerate(rows):
+            where = f"snake CSV row {k} ({row!r})"
+            try:
+                s, fv, zv = map(float, row.split(","))
+            except ValueError:
+                raise ValueError(f"{where}: expected three numbers s,f,zeta") from None
+            if not abs(s * m - k) <= 1e-9:  # NaN fails too
+                raise ValueError(f"{where}: s must be the grid point {k}/{m}")
+            f.append(fv)
+            z.append(zv)
         return cls(np.array(f), np.array(z), snake_tol=_SNAKE_TOL_SAMPLED)
 
 
@@ -224,6 +237,7 @@ def sample_snake_batch(
     m = 2n this is (2/3) / sqrt(n), the variance of a normalized labeled
     tree's increments, hence the coefficient 2/3.
     """
+    m = _integer(m, "m")
     if m < 2 or m % 2:
         raise ValueError("grid size m must be even and >= 2")
     half = m // 2

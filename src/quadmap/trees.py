@@ -13,13 +13,12 @@ list in reversed order; its walk is the clockwise walk read backwards.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .paths import _contour_node_array, _doddering_rdfw, _stable_order, _steps_to_end
+from .paths import _contour_node_array, _doddering_rdfw, _integer, _stable_order, _steps_to_end
 
 __all__ = [
     "PlaneTree",
@@ -53,18 +52,6 @@ def _trusted(cls, **values):
             value.flags.writeable = False
     obj.__dict__.update(values)
     return obj
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int if it is an integer (numpy integers included),
-    else a ``ValueError`` naming ``name``: bools, floats and strings are
-    not silently converted."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 def _index(value, name: str, size: int) -> int:

@@ -629,7 +629,7 @@ def _stabilizer_oracle(tree):
 
 
 def test_stabilizer_size_matches_per_corner_loop():
-    # keys of n >= 8 span several int64 columns
+    # trees past the listing bounds, with few and with many symmetries
     star = PlaneTree(((tuple(range(1, 13)),) + ((),) * 12))
     symmetric = [LabeledTree(star, (1,) * 13), LabeledTree(star, (1,) + (2, 1, 0) * 4)]
     assert [stabilizer_size(t) for t in symmetric] == [12, 4]
@@ -640,6 +640,21 @@ def test_stabilizer_size_matches_per_corner_loop():
         trees += [decode(Encoding(a, Walk(w))) for a, w in zip(labels, walks)]
     for tree in trees:
         assert stabilizer_size(tree) == _stabilizer_oracle(tree)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_stabilizer_size_of_a_large_symmetric_tree(k):
+    # k copies of one seeded branch hung from the root by edges of label
+    # increment 0: rerooting at every 2n/k-th corner turns the root by one
+    # branch and fixes the tree; every other symmetry commutes with that
+    # turn, so it fixes the root too and is one of these k
+    branch = 2000 // k - 1
+    labels, walks = uniform_encoding_arrays(branch, np.random.default_rng([59, k]))
+    labels = np.concatenate([[1]] + [np.append(labels[0], 1)] * k)
+    walk = np.concatenate([[0]] + [np.append(walks[0] + 1, 0)] * k)
+    tree = decode(Encoding(labels, Walk(walk)))
+    assert tree.n == k * (branch + 1)
+    assert stabilizer_size(tree) == k
 
 
 def _law_oracle(n):

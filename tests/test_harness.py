@@ -211,6 +211,20 @@ def test_ks_statistic_cases():
         ks_statistic([], [1.0])
 
 
+@pytest.mark.parametrize(
+    "a, b, name",
+    [
+        ([math.nan] * 3, [math.nan], "sample_a"),
+        ([math.nan], [1.0], "sample_a"),
+        ([0.5, 1.0], [2.0, math.nan, 0.0], "sample_b"),
+    ],
+)
+def test_ks_statistic_rejects_nan(a, b, name):
+    # before, the first read 0.0 and the second 1.0
+    with pytest.raises(ValueError, match=f"{name} holds a NaN"):
+        ks_statistic(a, b)
+
+
 def test_replica_rng_streams_differ():
     a = replica_rng(1, 0, 0).random(4)
     b = replica_rng(1, 0, 1).random(4)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import reference_loops as reference
 
-from quadmap.enumeration import _encoding_arrays
+from quadmap.enumeration import MAX_LISTING_N, MAX_ORBIT_N, _encoding_arrays
+from quadmap.harness import sample_labeled_uniform, sample_pointed_ps, sample_rooted_pd
 from quadmap.labeled import Encoding
 from quadmap.paths import (
     _balanced_bits,
@@ -17,7 +18,7 @@ from quadmap.paths import (
     uniform_encoding_arrays,
 )
 from quadmap.schaeffer import doddering
-from quadmap.snake import reroot_path, sample_snake
+from quadmap.snake import reroot_path, sample_snake, sample_snake_batch
 from quadmap.trees import Walk, dfw
 
 
@@ -209,6 +210,27 @@ def test_dyck_walk_rejects_bad_sizes():
         dyck_walk(0, rng)
 
 
+@pytest.mark.parametrize(
+    "draw, name",
+    [
+        (lambda rng: sample_rooted_pd(2.5, rng), "n"),
+        (lambda rng: sample_pointed_ps(2.0, rng), "n"),
+        (lambda rng: sample_labeled_uniform(True, rng), "n"),
+        (lambda rng: dyck_walk(3.0, rng), "n"),
+        (lambda rng: dyck_walk(True, rng), "n"),
+        (lambda rng: dyck_walk_batch(3, "2", rng), "count"),
+        (lambda rng: dyck_walk_batch(3, -1, rng), "count"),
+        (lambda rng: uniform_encoding_arrays(2, rng, 2.0), "count"),
+        (lambda rng: sample_snake_batch(8.0, 2, rng), "m"),
+        (lambda rng: sample_snake(True, rng), "m"),
+    ],
+)
+def test_samplers_reject_sizes_that_are_not_integers(draw, name):
+    # bools and floats are not read as sizes: True once drew a one-edge tree
+    with pytest.raises(ValueError, match=f"^{name}"):
+        draw(np.random.default_rng(7))
+
+
 @pytest.mark.parametrize("m", [2, 4, 64, 2**12])
 def test_reroot_path_matches_slice_reference(m):
     x = sample_snake(m, np.random.default_rng([41, m]))
@@ -233,6 +255,34 @@ def test_reroot_per_row_matches_one_corner_and_reference(n):
         for got, again, want in zip(per_row, one, expected):
             assert got.dtype == again.dtype == np.int64
             assert np.array_equal(got, want) and np.array_equal(again, want)
+
+
+def _random_corners_match_one_corner(labels, walks, rng):
+    theta = rng.integers(0, labels.shape[1], len(labels))  # 2n included
+    new_labels, new_walks = _reroot_arrays(labels, walks, theta)
+    for b in range(len(labels)):
+        one_labels, one_walk = _reroot_arrays(labels[b], walks[b], int(theta[b]))
+        assert np.array_equal(new_labels[b], one_labels)
+        assert np.array_equal(new_walks[b], one_walk)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reroot_random_corner_per_row_matches_one_corner(n):
+    labels, walks, shape = _encoding_arrays(n)
+    _random_corners_match_one_corner(labels, walks[shape], np.random.default_rng([47, n]))
+
+
+def test_reroot_random_corner_per_row_matches_one_corner_large():
+    rng = np.random.default_rng(53)
+    labels, walks = uniform_encoding_arrays(2**11, rng, count=3)
+    assert labels.shape == (3, 2**12 + 1)
+    _random_corners_match_one_corner(labels, walks, rng)
+
+
+def test_reroot_keys_are_exact_at_the_listing_bounds():
+    # paths._reroot_keys packs 2n base-3 label digits and 2n walk bits into
+    # one int64, exact while 6^(2n) < 2^63
+    assert 6 ** (2 * max(MAX_ORBIT_N, MAX_LISTING_N)) < 2**63
 
 
 def test_reroot_takes_one_corner_in_any_integer_form():

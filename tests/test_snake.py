@@ -203,6 +203,28 @@ def test_snake_csv_round_trip():
     assert distance(x, y) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s,f,zeta\nx,0.0,0.0\n7,0.0,1.0\nbanana,0.0,0.0\n", "row 0 .*three numbers"),
+        ("wrong header\n0.0,0.0,0.0\n0.5,0.0,1.0\n1.0,0.0,0.0\n", "header"),
+        ("0.0,0.0,0.0\n0.5,0.0,1.0\n1.0,0.0,0.0\n", "header"),
+        ("s,f,zeta\n1.0,0.0,0.0\n0.5,0.0,1.0\n0.0,0.0,0.0\n", "row 0 .*grid point 0/2"),
+        ("s,f,zeta\n0.0,0.0,0.0\n0.5,0.0,1.0\n7,0.0,0.0\n", "row 2 .*grid point 2/2"),
+        ("s,f,zeta\n0.0,0.0,0.0\nnan,0.0,1.0\n1.0,0.0,0.0\n", "row 1 .*grid point 1/2"),
+    ],
+)
+def test_snake_csv_checks_the_header_and_the_grid(text, message):
+    # before, the header and the s column were read and dropped
+    with pytest.raises(ValueError, match=message):
+        SnakePath.from_csv(text)
+
+
+def test_snake_csv_reads_s_within_the_grid_tolerance():
+    text = "s,f,zeta\n0.0,0.0,0.0\n0.3333333333333333,0.0,1.0\n0.6666666666666666,0.0,1.0\n1,0,0\n"
+    assert SnakePath.from_csv(text).grid == 3
+
+
 _CSV_FIELD = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["nan", "inf", "-inf", "", " ", "x", "1e999"]),
