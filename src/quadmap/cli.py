@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -199,6 +200,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for n in range(1, min(args.max_n, enumeration.MAX_LAW_N) + 1):
         dec = enumeration.orbit_decomposition(n)
         check(f"orbits = pointed quads n={n}", dec.n_orbits == pointed_counts[n])
+        stabilizers = Counter(orbit.stabilizer for orbit in dec.orbits)
+        check(f"stabilizer counts n={n}", enumeration._stabilizer_counts(n, 3) == stabilizers)
     for n in range(1, min(args.max_n, 3) + 1):
         tables = enumeration.law_tables(n)
         check(
@@ -207,6 +210,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             and sum(r.p_d for r in tables.rooted) == 1
             and sum(r.p_u for r in tables.pointed) == 1,
         )
+        tv = sum(abs(r.p_u - r.p_s) for r in tables.pointed) / 2
+        check(f"tv formula n={n}", enumeration.tv_distance(n) == tv, f"{tv}")
     width = max(len(name) for name, _, _ in checks)
     failures = 0
     for name, ok, detail in checks:

@@ -6,13 +6,15 @@ module usable inside a test suite (n <= 6 for listings and orbit
 decompositions, n <= 4 for law tables).  Counts, orbits and laws come
 from array listings of the walks and label processes, one kernel call per
 size for the whole family; only the listings that return objects build them.
+The pointed laws' tv distance and Walkup's count list nothing: they count
+the trees each rerooting fixes, at every n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -176,21 +178,6 @@ def _family_counts(n: int) -> dict[str, int]:
 # -- unrooted counts -------------------------------------------------------
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 def unrooted_plane_tree_count(n: int) -> int:
     """Number of rerooting classes of plane trees with n edges (exhaustive)."""
     walks = _walks(_check_bound(n, MAX_LISTING_N))
@@ -199,25 +186,32 @@ def unrooted_plane_tree_count(n: int) -> int:
 
 
 def walkup_count(n: int) -> int:
-    """Closed-form count of unrooted plane trees with n edges.
+    """Closed-form count of unrooted plane trees with n edges: the
+    rerooting orbits of :func:`_stabilizer_counts` with one color."""
+    return sum(_stabilizer_counts(n, 1).values())
 
-    The formula is exact for n >= 2; at n = 1 it overcounts (it gives 2
-    against the single unrooted one-edge tree), so n < 2 is routed to the
-    exhaustive oracle instead.
-    """
+
+def _stabilizer_counts(n: int, colors: int) -> dict[int, int]:
+    """Rerooting orbits of the C_n colors^n plane trees with n edges and
+    ``colors`` labels per edge, by stabilizer order k | 2n (orders with no
+    orbit left out).  The rotation of order d fixes C_n colors^n trees at
+    d = 1, C(2s, s) colors^s for d | n with s = n/d, C(n, s) colors^s with
+    s = (n-1)/2 at d = 2 for odd n, and none otherwise (Walkup 1972,
+    Liskovets 1981).  Removing from fix(k) the trees of the stabilizers
+    above k, largest first, is the Moebius inversion over k | d | 2n."""
     n = _integer(n, "n")
-    if n < 2:
-        return unrooted_plane_tree_count(n)
-    total = Fraction(catalan(n), 2 * n)
-    if n % 2 == 1:
-        total += Fraction(comb(n + 1, (n + 1) // 2), 4 * n)
-    total += Fraction(_euler_phi(n), n)
-    for s in range(2, n):
-        if n % s == 0:
-            total += Fraction(_euler_phi(n // s) * comb(2 * s, s), 2 * n)
-    if total.denominator != 1:
-        raise ArithmeticError("count did not come out integral")
-    return int(total)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    small = [d for d in range(1, isqrt(2 * n) + 1) if 2 * n % d == 0]
+    divisors = sorted({*small, *(2 * n // d for d in small)})
+    fixed = {d: comb(2 * (n // d), n // d) * colors ** (n // d) for d in divisors[1:] if n % d == 0}
+    fixed[1] = catalan(n) * colors**n
+    if n % 2:  # the half-turn about a middle edge
+        fixed[2] = comb(n, n // 2) * colors ** (n // 2)
+    exact: dict[int, int] = {}  # trees by their stabilizer order
+    for k in reversed(divisors):
+        exact[k] = fixed.get(k, 0) - sum(e for d, e in exact.items() if d % k == 0)
+    return {k: e * k // (2 * n) for k, e in sorted(exact.items()) if e}  # orbits of 2n/k trees
 
 
 # -- rerooting orbits ------------------------------------------------------
@@ -339,6 +333,11 @@ def _void(codes: list[bytes]) -> np.ndarray:
 
 
 def tv_distance(n: int) -> Fraction:
-    """Total-variation distance between the two pointed laws at size n."""
-    tables = law_tables(n)
-    return sum((abs(row.p_u - row.p_s) for row in tables.pointed), Fraction(0)) / 2
+    """Total-variation distance between the two pointed laws at size n >= 1:
+    an orbit of :func:`_stabilizer_counts` is one pointed map, of uniform
+    mass 1/N and tree-image mass 2n / (k C_n 3^n) at stabilizer order k."""
+    orbits = _stabilizer_counts(n, 3)
+    n, count, total = int(n), sum(orbits.values()), catalan(n) * 3**n
+    # over the common denominator 4n N C_n 3^n: a_k orbits of 2n/k trees
+    gaps = sum(a * (2 * n // k) * abs(k * total - 2 * n * count) for k, a in orbits.items())
+    return Fraction(gaps, 4 * n * count * total)

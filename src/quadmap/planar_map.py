@@ -11,7 +11,8 @@ relation V - E + F = 2, and the maps this library derives from valid
 values (``quad_of_map``, ``map_of_quad``, the chord bijection) satisfy
 them by construction, so they skip the check.  Instances are immutable
 and compare and hash by their arrays; BFS helpers allocate their own
-scratch and may be called concurrently.
+scratch and may be called concurrently, and a map keeps the distances
+from its last BFS origin.
 
 The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
 as numpy kernels over the arrays at every size.  The BFS and code kernels
@@ -436,11 +437,16 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
 
 def _face_array(twin: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """The faces of (B, m) stacks of quadrangulations as a (B, F, 4) stack
-    of darts in each map's ``faces`` order and own dart numbers: the
-    orbits of their disjoint union come map after map, as they are listed
-    by smallest dart.  (One map's faces are its cached ``_face_orbits``.)"""
+    of darts in each map's ``faces`` order and own dart numbers: each face
+    is a 4-cycle (d, f(d), f^2(d), f^3(d)) of f = nxt o twin from the dart d
+    below the other three, in increasing order of d over the union."""
     count, m = twin.shape
-    darts = _orbit_arrays(_union(nxt, m)[_union(twin, m)])[0].reshape(count, -1, 4)
+    f = _union(nxt, m)[_union(twin, m)]
+    f2 = f[f]
+    f3 = f[f2]
+    ids = np.arange(f.size)
+    first = np.flatnonzero((ids < f) & (ids < f2) & (ids < f3))
+    darts = np.stack((first, f[first], f2[first], f3[first]), axis=1).reshape(count, -1, 4)
     return darts - m * np.arange(count)[:, None, None]
 
 
@@ -479,11 +485,16 @@ class PointedQuadrangulation(PointedMap):
 
 def bfs_distances(m: HalfEdgeMap, origin: int) -> np.ndarray:
     """Graph distance from ``origin`` to every vertex, as a read-only int64
-    array indexed by vertex id."""
+    array indexed by vertex id.  The map keeps the last origin's array, so
+    asking again for that origin runs no BFS."""
     origin = _index(origin, "origin", m.n_vertices)
-    dist = _bfs_arrays(m.twin[None], m.tail[None], m.n_vertices, [origin])[0]
-    dist.flags.writeable = False
-    return dist
+    cached = m.__dict__.get("_origin_distances")
+    if cached is None or cached[0] != origin:
+        dist = _bfs_arrays(m.twin[None], m.tail[None], m.n_vertices, [origin])[0]
+        dist.flags.writeable = False
+        cached = (origin, dist)
+        object.__setattr__(m, "_origin_distances", cached)  # not a field: == ignores it
+    return cached[1]
 
 
 def radius(q: RootedMap | PointedMap) -> int:

@@ -39,10 +39,11 @@ from .planar_map import (
     PointedQuadrangulation,
     RootedQuadrangulation,
     _array_map,
-    _bfs_arrays,
     _csr_rotation_arrays,
+    _face_array,
     _origin_rounds,
     _union,
+    bfs_distances,
 )
 from .trees import PlaneTree, Walk, _ArrayValue, _int64, _trusted, visit_order, walk_to_tree
 
@@ -277,8 +278,7 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     """
     he = q.map
     twin, nxt, tail = he.twin[None], he.nxt[None], he.tail[None]
-    dist = _bfs_arrays(twin, tail, he.n_vertices, [q.origin])
-    faces = he._face_orbits[0].reshape(1, -1, 4)  # the map's cached face orbits
+    dist, faces = bfs_distances(he, q.origin)[None], _face_array(twin, nxt)
     walks, node_labels = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, [q.root])
     return _labeled_tree_of_arrays(walks[0], node_labels[0])
 

@@ -9,7 +9,8 @@ against a limit that the exact laws themselves do not reach:
   orbit sizes (4,4,4,2,2,2) and the 6 pointed maps of criterion 2 force
   tv(2) = tv(1), so the check asserts that tie through its cause, a
   strict decrease over n = 2, 3, 4, and agreement with the orbit-size
-  formula 1/2 sum |1/N - size/(C_n 3^n)|.
+  formula 1/2 sum |1/N - size/(C_n 3^n)|.  ``tv_distance`` counts rotation-
+  fixed trees, so the strict decrease is also checked up to n = 64.
 * criterion 5a (radius): the exact laws of range / n^(1/4) at 2^12 and
   2^14 are 0.184 apart in KS (strip recursion, ``exact_radius_cdf``), so
   a two-sample bound of 0.05 between the sizes cannot hold.  Each pool is
@@ -177,8 +178,11 @@ def test_criterion_3_tv_strictly_decreasing():
     ) == 6
     tie = values[0] == values[1] == Fraction(1, 6)
     strict = values[1] > values[2] > values[3]
+    # the counting formula beyond the law tables
+    longer = [tv_distance(n) for n in range(2, 65)]
+    assert all(0 < after < before for before, after in zip(longer, longer[1:]))
     assert _verdict(
-        "criterion 3 (tv: tie at n = 1, 2; strictly decreasing over 2..4)",
+        "criterion 3 (tv: tie at n = 1, 2; strictly decreasing over 2..64)",
         tie and strict,
         "exact values " + ", ".join(str(v) for v in values)
         + "; orbit-size formula agrees",

@@ -554,6 +554,32 @@ def test_batch_of_one_matches_stacked_large_maps(n):
         assert np.array_equal(back_walks[b], walks[b])
 
 
+def _face_orbit_stack(twin, nxt):
+    """Each map's faces by the generic route: ``_orbit_arrays`` of its face
+    permutation, which ranks every cycle from its smallest dart."""
+    return np.stack([_orbit_arrays(row_nxt[row_twin])[0] for row_twin, row_nxt in zip(twin, nxt)])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_face_array_lists_the_face_orbits_of_all_small_quads(n):
+    labels, walks, shape = _well_labeled_arrays(n)
+    twin, nxt, _ = _chord_arrays(labels[:, :-1], walks[shape])
+    faces = _face_array(twin, nxt)
+    assert faces.shape == (len(twin), n, 4)
+    assert faces.tobytes() == _face_orbit_stack(twin, nxt).tobytes()
+
+
+def test_face_array_lists_the_face_orbits_of_sampled_maps():
+    rng = np.random.default_rng([43, 2**10])
+    maps = [harness.sample_rooted_pd(2**10, rng)[1].map for _ in range(3)]
+    twin, nxt = np.stack([m.twin for m in maps]), np.stack([m.nxt for m in maps])
+    faces = _face_array(twin, nxt)
+    assert faces.tobytes() == _face_orbit_stack(twin, nxt).tobytes()
+    for b, m in enumerate(maps):
+        assert faces[b].ravel().tobytes() == m._face_orbits[0].tobytes()
+        assert np.array_equal(_face_array(twin[b : b + 1], nxt[b : b + 1]), faces[b : b + 1])
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_level_rules_match_the_loops_at_every_root_in_one_stack(n):
     # one call roots every map at every dart and one starts from every

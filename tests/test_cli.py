@@ -109,7 +109,7 @@ def test_verify_checks_the_rooted_quad_closed_form(capsys):
         [f"n={n}", "PASS", str(count)]
         for n, count in enumerate([2, 9, 54, 378, 2916, 24057], start=1)
     ]
-    assert lines[-1] == ["40/40", "checks", "passed"]
+    assert lines[-1] == ["47/47", "checks", "passed"]
 
 
 def _swap_two_darts(rotations):

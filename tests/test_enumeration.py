@@ -1,3 +1,5 @@
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from quadmap.enumeration import (
     FAMILY_KINDS,
     _family_counts,
+    _stabilizer_counts,
     _void,
     catalan,
     enumerate_family,
@@ -117,7 +120,8 @@ def test_walkup_matches_orbit_oracle(n):
 
 
 def test_walkup_n1_routed_to_oracle():
-    # the closed form gives 2 at n = 1; the true count is 1
+    # the one-edge tree is fixed by both rerootings, so its single orbit
+    # has stabilizer order 2 and the Burnside count needs no special case
     assert walkup_count(1) == 1
     assert unrooted_plane_tree_count(1) == 1
 
@@ -184,6 +188,38 @@ def test_degree_weighted_law_formula(n):
     )
 
 
+def _tv_by_tables(n: int) -> Fraction:
+    """The tv distance read off ``law_tables``, row by row."""
+    tables = law_tables(n)
+    return sum((abs(row.p_u - row.p_s) for row in tables.pointed), Fraction(0)) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tv_formula_matches_the_law_tables(n):
+    assert tv_distance(n) == _tv_by_tables(n)
+
+
+def _stabilizers(dec) -> Counter:
+    return Counter(orbit.stabilizer for orbit in dec.orbits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stabilizer_counts_match_the_orbit_decomposition(n):
+    assert _stabilizer_counts(n, 3) == _stabilizers(orbit_decomposition(n))
+
+
+def test_tv_distance_beyond_the_law_tables():
+    assert tv_distance(5) == Fraction(6403, 585144)
+    assert tv_distance(6) == Fraction(19925, 2942973)
+    start = time.perf_counter()
+    tv = tv_distance(2**14)
+    elapsed = time.perf_counter() - start
+    assert isinstance(tv, Fraction) and 0 < tv
+    # about 10^-8836, far below a float's range
+    assert tv.denominator.bit_length() - tv.numerator.bit_length() > 29000
+    assert elapsed < 1.0
+
+
 def test_tv_distance_values():
     assert tv_distance(1) == Fraction(1, 6)
     # sizes 1 and 2 tie exactly; the drop only happens at size 3
@@ -202,3 +238,4 @@ def test_orbit_decomposition_n6():
     stack = [np.stack([getattr(q.map, name) for q in quads]) for name in ("nxt", "twin", "tail")]
     pointed = set(_pointed_code_arrays(*stack, 0))
     assert dec.n_orbits == len(pointed) == 8074
+    assert _stabilizer_counts(6, 3) == _stabilizers(dec) == {1: 7970, 2: 89, 3: 12, 6: 3}

@@ -243,8 +243,8 @@ def test_reroot_path_matches_slice_reference(m):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reroot_per_row_matches_one_corner_and_reference(n):
-    # the rotated contour's inner 0, at t = 2n - theta, falls on the last
-    # position of the row for theta = 0 and right after the first for 2n - 1
+    # theta = 0 and 2n - 1 are the ends of _reroot's two slices: at 0 the
+    # backward slice is corner 0 alone, at 2n - 1 the forward one is the last step
     labels, walks, shape = _encoding_arrays(n)
     walks = walks[shape]
     for theta in range(2 * n):

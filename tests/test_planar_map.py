@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadmap.enumeration import plane_trees, rooted_quads, well_labeled_trees
-from quadmap.harness import sample_pointed_ps
+from quadmap import planar_map
+from quadmap.harness import sample_pointed_ps, sample_rooted_pd
 from quadmap.labeled import LabeledTree
 from quadmap.planar_map import (
     HalfEdgeMap,
@@ -23,7 +24,7 @@ from quadmap.planar_map import (
     save_map,
     validate_quadrangulation,
 )
-from quadmap.schaeffer import point, quad_of_tree
+from quadmap.schaeffer import point, quad_of_tree, tree_of_quad
 from quadmap.trees import Walk, walk_to_tree
 
 
@@ -88,6 +89,31 @@ def test_bfs_radius_profile_hand_cases():
     assert radius(q_center) == 1
     assert profile(q_end) == [0.5, 1.0]
     assert profile(q_center) == [1.0]
+
+
+def test_bfs_distances_keep_the_last_origin_on_the_map(monkeypatch):
+    tree, q = sample_rooted_pd(64, np.random.default_rng(17))
+    he = q.map
+    fresh = HalfEdgeMap(he.twin, he.nxt, he.tail)  # validated, so it ran a BFS: made first
+    origins = []
+
+    def counted(twin, tail, n_vertices, origin):
+        origins.append(list(origin))
+        return real(twin, tail, n_vertices, origin)
+
+    real = planar_map._bfs_arrays
+    monkeypatch.setattr(planar_map, "_bfs_arrays", counted)
+    assert tree_of_quad(q) == tree
+    dist = bfs_distances(he, q.origin)
+    assert origins == [[q.origin]]  # the second ask reads tree_of_quad's BFS
+    assert dist is bfs_distances(he, q.origin) and not dist.flags.writeable
+    assert dist.tolist() == [0, *tree.labels.tolist()]
+    other = bfs_distances(he, 5)
+    assert bfs_distances(he, q.origin).tolist() == dist.tolist()
+    assert origins == [[q.origin], [5], [q.origin]]  # one entry: the last origin only
+    assert other[q.origin] == dist[5]
+    # the cache is no field: equality and hashing ignore it
+    assert he == fresh and hash(he) == hash(fresh)
 
 
 def test_profile_of_maps_that_are_not_bipartite():
