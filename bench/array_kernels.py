@@ -8,16 +8,21 @@ Run from the repository root against the ``quadmap`` on ``PYTHONPATH``:
 Each tree and map layer is timed with ``perf_counter`` on the same seeded
 draw per size (``harness.sample_rooted_pd(n, default_rng([seed, n]))``):
 ``encode``, ``decode``, the public validation of ``PlaneTree`` (from the
-children lists) and of ``Encoding``, the map kernels, and the conversions
-``map_of_quad`` (of the drawn quadrangulation) and ``quad_of_map`` (of its
-``map_of_quad``).  The contour layers are timed on one walk of n edges, as
+children lists) and of ``Encoding``, the chord kernels ``_predecessor_array``
+and ``_chord_arrays`` of the drawn encoding, the map kernels, the checks
+``HalfEdgeMap(...)`` and ``validate_quadrangulation`` of a fresh map, and the
+conversions ``map_of_quad`` (of the drawn quadrangulation) and
+``quad_of_map`` (of its ``map_of_quad``).  The contour layers are timed on one walk of n edges, as
 one replica of the scaling experiment draws it: ``dyck_walk_batch``,
 ``uniform_encoding_arrays`` and ``contour_accumulate`` of i.i.d. label
 increments along a fixed walk.  The code kernels ``_rooted_code_arrays``
 and ``_pointed_code_arrays`` and the level kernel ``_bfs_arrays`` are also
 timed, whatever the sizes, at the shape of the exhaustive battery: one
 stack of the chord maps of all well-labeled trees with 5 edges, each
-rooted at dart 1 and pointed and started at vertex 0.  Before all that,
+rooted at dart 1 and pointed and started at vertex 0, as is
+``_predecessor_array`` of their label bodies.  The packed sort
+``paths._stable_order`` is timed on the ``tail`` of a 2^15-face map
+(2^17 darts), the size of perfbench's ``bijection`` op.  Before all that,
 one replica of each scaling statistic (``radius``, ``profile``,
 ``hp_gap``, ``class_diameter``, ``edge_gap``) is timed at n = 2^14, each
 repeat on the stream of its own size index.  The median and the spread
@@ -83,6 +88,7 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     an earlier one cached on the map."""
     tree, quad = harness.sample_rooted_pd(n, np.random.default_rng([seed, n]))
     enc = labeled.encode(tree)
+    body, walk = enc.labels[None, :-1], enc.walk.steps[None]
     children = tree.tree.children
     text = planar_map.save_map(quad)
     fresh = lambda: schaeffer.quad_of_tree(tree)  # noqa: E731
@@ -100,6 +106,8 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         "decode": _timed(lambda _: labeled.decode(enc), repeats),
         "PlaneTree_validation": _timed(lambda _: trees.PlaneTree(children), repeats),
         "Encoding_validation": _timed(lambda _: labeled.Encoding(enc.labels, enc.walk), repeats),
+        "_predecessor_array": _timed(lambda _: schaeffer._predecessor_array(body), repeats),
+        "_chord_arrays": _timed(lambda _: schaeffer._chord_arrays(body, walk), repeats),
         "quad_of_tree": _timed(lambda _: schaeffer.quad_of_tree(tree), repeats),
         "tree_of_quad": _timed(schaeffer.tree_of_quad, repeats, fresh),
         "bfs_distances": _timed(lambda q: planar_map.bfs_distances(q.map, q.origin), repeats, fresh),
@@ -112,6 +120,9 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         "load_map": _timed(lambda _: planar_map.load_map(text), repeats),
         "HalfEdgeMap_validation": _timed(
             lambda q: planar_map.HalfEdgeMap(q.map.twin, q.map.nxt, q.map.tail), repeats, fresh
+        ),
+        "validate_quadrangulation": _timed(
+            lambda q: planar_map.validate_quadrangulation(q.map), repeats, fresh
         ),
     }
 
@@ -133,7 +144,16 @@ def small_stack(repeats: int) -> dict:
             lambda _: planar_map._pointed_code_arrays(nxt, twin, tail, 0), repeats
         ),
         "_bfs_arrays": _timed(lambda _: planar_map._bfs_arrays(twin, tail, n + 2, origins), repeats),
+        "_predecessor_array": _timed(
+            lambda _: schaeffer._predecessor_array(labels[:, :-1]), repeats
+        ),
     }
+
+
+def packed_sort(seed: int, repeats: int) -> dict:
+    """Time ``paths._stable_order`` on the ``tail`` of a 2^15-face map."""
+    tail = harness.sample_rooted_pd(2**15, np.random.default_rng([seed, 2**15]))[1].map.tail
+    return {"darts": tail.size, "_stable_order": _timed(lambda _: paths._stable_order(tail), repeats)}
 
 
 def rerooting(seed: int, repeats: int) -> dict:
@@ -218,6 +238,7 @@ def main() -> None:
     record["layers"] = {n: layers(n, args.seed, args.repeats) for n in args.sizes}
     record["small_stack"] = small_stack(args.repeats)
     record["rerooting"] = rerooting(args.seed, args.repeats)
+    record["packed_sort"] = packed_sort(args.seed, args.repeats)
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)

@@ -19,13 +19,13 @@ length and keep their temporaries narrow: bits and steps in 8 bits, prefix
 sums in 32, and sort keys in 16 (or 8) whenever they fit.  The rotation is
 one window of the prefix sums read twice, and the stable sort that groups
 the steps by (row, level) runs as numpy's radix sort whenever its keys fit
-16 bits (:func:`_key_dtype`, which the map kernels share through
-:func:`_stable_order`): a contour's levels are bounded by its height,
+16 bits (:func:`_key_dtype`): a contour's levels are bounded by its height,
 typically about sqrt(n), so a single walk's keys fit unless it climbs past
-65535.  Branch sums are scattered into the result itself and summed in
-place.  One kernel, :func:`_reroot`, reroots encodings and snake paths alike,
-by one path at one corner, which a stack rerooted at one corner per row
-takes once per distinct corner.  :func:`_reroot_keys` gives every rerooting
+65535.  Every other grouping is :func:`_stable_order`, one sort of the keys
+packed with their indices into 32 or 64 bits.  Branch sums are scattered
+into the result itself and summed in place.  One kernel, :func:`_reroot`,
+reroots encodings and snake paths alike, by one path at one corner, which
+a stack rerooted at one corner per row takes once per distinct corner.  :func:`_reroot_keys` gives every rerooting
 of an encoding one int64 key, which orders as the rerooted encodings do.
 """
 from __future__ import annotations
@@ -151,7 +151,8 @@ def _balanced_bits(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def _key_dtype(top) -> type:
     """The narrowest of uint8, uint16 and int64 that holds the nonnegative
     integer keys up to ``top``; numpy's stable sort of the first two is an
-    O(N) radix sort."""
+    O(N) radix sort.  Only :func:`_edge_steps` sorts this way: it is the
+    scaling experiment's hot path, where the radix sort beats a packed one."""
     if top < 2**8:
         return np.uint8
     if top < 2**16:
@@ -161,9 +162,17 @@ def _key_dtype(top) -> type:
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for a 1-D array of nonnegative
-    integer keys, sorted in the dtype of :func:`_key_dtype`."""
-    narrow = keys.astype(_key_dtype(keys.max(initial=0)), copy=False)
-    return np.argsort(narrow, kind="stable")
+    integer keys: numpy's default sort of the distinct packed keys ``key <<
+    b | index``, in uint32 if they fit and else in uint64, whose low b bits
+    are the order.  Keys whose packed form passes 64 bits take the stable
+    argsort."""
+    shift = (keys.size - 1).bit_length()
+    top = int(keys.max(initial=0)) << shift | keys.size - 1
+    if top >= 2**64:
+        return np.argsort(keys, kind="stable")
+    dtype = np.uint32 if top < 2**32 else np.uint64
+    packed = np.sort(keys.astype(dtype) << shift | np.arange(keys.size, dtype=dtype))
+    return (packed & (1 << shift) - 1).astype(np.intp)
 
 
 def _edge_steps(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,12 @@ are stored once, as read-only one-dimensional int64 arrays copied from the
 values given.  Faces are the orbits of d -> nxt[twin[d]].  Every
 ``HalfEdgeMap`` is a connected genus-0 map: the public constructor,
 ``from_rotations`` and ``load_map`` enforce connectivity and the Euler
-relation V - E + F = 2, and the maps this library derives from valid
-values (``quad_of_map``, ``map_of_quad``, the chord bijection) satisfy
-them by construction, so they skip the check.  Instances are immutable
-and compare and hash by their arrays; BFS helpers allocate their own
-scratch and may be called concurrently, and a map keeps the distances
-from its last BFS origin.
+relation V - E + F = 2, counting the faces without listing them, and the
+maps this library derives from valid values (``quad_of_map``,
+``map_of_quad``, the chord bijection) satisfy them by construction, so
+they skip the check.  Instances are immutable and compare and hash by
+their arrays; BFS helpers allocate their own scratch and may be called
+concurrently, and a map keeps the distances from its last BFS origin.
 
 The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
 as numpy kernels over the arrays at every size.  The BFS and code kernels
@@ -91,9 +91,11 @@ class HalfEdgeMap(_ArrayValue):
     def n_vertices(self) -> int:
         return int(self.tail.max()) + 1
 
-    @property
+    @cached_property
     def n_faces(self) -> int:
-        return len(self._face_orbits[1]) - 1
+        """The faces, counted by their smallest darts, not listed."""
+        f = self.nxt[self.twin]
+        return int(np.count_nonzero(_cycle_mins(f) == np.arange(f.size)))
 
     def head(self, d: int) -> int:
         return int(self.tail[self.twin[_index(d, "dart", self.n_darts)]])
@@ -105,7 +107,7 @@ class HalfEdgeMap(_ArrayValue):
 
     @cached_property
     def _face_orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_orbit_arrays`` of the face permutation."""
+        """``_orbit_arrays`` of the face permutation (the checks do without)."""
         return _orbit_arrays(self.nxt[self.twin])
 
     # -- orbits -------------------------------------------------------
@@ -323,10 +325,10 @@ def _parse_ascii_ints(line: str) -> np.ndarray | None:
         raw = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
-    comma = raw == ord(",")
-    if np.any(((raw < ord("0")) & ~comma) | (raw > ord("9"))):
+    other = np.flatnonzero(raw - ord("0") > 9)  # uint8: bytes below "0" wrap past 9
+    if np.any(raw[other] != ord(",")):
         return None
-    sizes = np.diff(np.flatnonzero(comma), prepend=-1, append=raw.size) - 1
+    sizes = np.diff(other, prepend=-1, append=raw.size) - 1
     if sizes.min() < 1 or sizes.max() > 18:
         return None
     # digits and commas only, every token 1-18 digits: numpy's own reader is exact
@@ -364,7 +366,8 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root) -> list[bytes]:
         level = cand[claim[cand] == slot]
         levels.append(level)
     order = np.concatenate(levels)
-    order = order[_stable_order(order // m)]
+    if count > 1:
+        order = order[_stable_order(order // m)]
     label = np.empty(nxt.size, dtype=np.int64)
     label[order] = np.tile(np.arange(m), count)  # a connected row reaches all m darts
     parts = np.empty((count, 2 * m), dtype=np.int64)
@@ -428,11 +431,15 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
     """True iff every face has degree 4.
 
     Connectivity and genus 0 already hold for any ``HalfEdgeMap``.
-    Multiple edges are allowed.
+    Multiple edges are allowed.  For f = nxt o twin, f^4 fixes the darts
+    of a face of degree L iff L divides 4, and f^2 iff L divides 2.
     """
     # a genus-0 map whose faces all have even degree is bipartite, so it has
     # no loop; and 4F = 2E darts give E = 2F, so Euler gives V = F + 2
-    return bool(np.all(np.diff(m._face_orbits[1]) == 4))
+    f = m.nxt[m.twin]
+    f2 = f[f]
+    ids = np.arange(f.size)
+    return bool(np.array_equal(f2[f2], ids) and not np.any(f2 == ids))
 
 
 def _face_array(twin: np.ndarray, nxt: np.ndarray) -> np.ndarray:

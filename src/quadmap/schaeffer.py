@@ -79,19 +79,22 @@ def predecessor_table(labels) -> PredecessorTable:
 
 def _predecessor_array(labs: np.ndarray) -> np.ndarray:
     """Predecessor tables of a (B, N) stack of positive label processes,
-    each row on its own, with -1 for the origin corner.  Corners sorted by
-    (row, label, time) hold each label's corners of a row in time order,
-    and a ``searchsorted`` for (row, label - 1, i) lands just after the
-    row's latest corner with label - 1 before i; labels are at least 1, so
-    (row, label - 1) never reaches into the previous row."""
-    size = labs.shape[1]
-    group = labs + (labs.max() + 1) * np.arange(len(labs))[:, None]
-    time = np.arange(size)
-    keys = np.sort((group * size + time).ravel())
-    below = np.searchsorted(keys, ((group - 1) * size + time).ravel()) - 1
-    cand = keys[np.maximum(below, 0)]
-    found = (below >= 0) & (cand // size == (group - 1).ravel())
-    return np.where(found, cand % size, -1).reshape(labs.shape)
+    each row on its own, with -1 for the origin corner, by a monotone
+    merge.  The sorted int64 keys ``group << b | time`` (group row * span
+    + label, b the bit length of N) less ``1 << b`` are the increasing
+    needles (group - 1, time), and the key before each needle's place
+    answers it if its group is group - 1.  Labels are at least 1, so group
+    - 1 never reaches into the previous row; the first needle reads the
+    last key, never of a smaller group."""
+    count, size = labs.shape
+    shift, span = size.bit_length(), labs.max() + 1
+    group = labs + span * np.arange(count)[:, None]
+    keys = np.sort((group << shift | np.arange(size)).ravel())
+    cand = keys[np.searchsorted(keys, keys - (1 << shift)) - 1]
+    high, mask = keys >> shift, (1 << shift) - 1
+    pred = np.empty(labs.shape, dtype=np.int64)
+    pred[high // span, keys & mask] = np.where(cand >> shift == high - 1, cand & mask, -1)
+    return pred
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +170,7 @@ def _chord_arrays(bodies: np.ndarray, walks: np.ndarray):
     tail = np.empty((count, 2 * size), dtype=np.int64)
     tail[:, 0::2] = nodes + 1
     tail[:, 1::2] = np.where(at_origin, 0, np.take_along_axis(nodes, source, 1) + 1)
-    order = np.argsort(key.ravel())
+    order = _stable_order(key.ravel())
     vertex = _union(tail, size // 2 + 2)[order]
     first = np.flatnonzero(np.concatenate(([True], vertex[1:] != vertex[:-1])))
     nxt = np.empty(order.size, dtype=np.int64)
@@ -289,7 +292,9 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
     map, run as their disjoint union: the face patterns are read over the
     face array, the diagonals are spliced in one scatter, and the blue
     tree's contour is the cycle of d -> next blue dart after twin(d),
-    ranked by pointer jumping from the root's first blue dart.  Returns
+    ranked by pointer jumping from the root's first blue dart.  The next
+    blue darts are found by walks along ``nxt``; a rotation with none,
+    which only faulty distances give, raises ``RuntimeError``.  Returns
     the trees' (B, 2F+1) contour walks and (B, F+1) node labels in
     first-visit order.
     """
@@ -320,23 +325,23 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
     blue[side] = True
     blue[twin[side]] = True
     blue[m:] = True
-    # first blue dart at or after each dart in rotation order; the origins
-    # carry no blue dart and are left alone
-    ids = np.arange(nxt.size)
-    origin = np.zeros(count * n_vertices, dtype=bool)
-    origin[tail[root]] = True
-    jump = np.where(blue | origin[tail], ids, nxt)
-    for _ in range(nxt.size.bit_length()):
-        ahead = jump[jump]
-        if np.array_equal(ahead, jump):
-            break
-        jump = ahead
     darts = np.flatnonzero(blue)
+    # the first blue dart at or after nxt(twin(d)) in rotation order, for
+    # every blue dart d and the roots: a step moves only the walks short of one
+    at = nxt[twin[np.concatenate((darts, root))]]
+    short = np.flatnonzero(~blue[at])
+    for _ in range(nxt.size):
+        if not short.size:
+            break
+        at[short] = nxt[at[short]]
+        short = short[~blue[at[short]]]
+    else:
+        raise RuntimeError("tree_of_quad: a rotation holds no selected dart")
     index = np.empty(nxt.size, dtype=np.int64)
     index[darts] = np.arange(darts.size)
-    succ = index[jump[nxt[twin[darts]]]]
+    succ = index[at[:-count]]
     start = np.zeros(darts.size, dtype=bool)
-    start[index[jump[nxt[twin[root]]]]] = True
+    start[index[at[-count:]]] = True
     per = darts.size // count  # 2F blue darts per map
     position = (tail[darts] // n_vertices + 1) * per - 1 - _steps_to_end(succ, start[succ])
     contour = np.empty(darts.size, dtype=np.int64)

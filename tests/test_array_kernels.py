@@ -166,6 +166,21 @@ def test_kernels_match_python_on_all_small_quads(n):
             assert reroot(enc, theta) == again
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 2**11 + 1])
+def test_predecessor_array_matches_the_loop_on_stacks(n):
+    # rows of 2n corners, a power of two at n = 4 only: every well-labeled
+    # tree at n = 3, 4, 5, and three draws at 2n = 2^12 + 2, with rows of
+    # different label spans
+    if n <= 5:
+        bodies = _well_labeled_arrays(n)[0][:, :-1]
+    else:
+        rng = np.random.default_rng(n)
+        bodies = np.array([encode(harness.sample_rooted_pd(n, rng)[0]).labels[:-1] for _ in range(3)])
+    assert len(set(bodies.max(axis=1).tolist())) > 1
+    got = _predecessor_array(bodies)
+    assert [tuple(row) for row in got.tolist()] == [reference.predecessors(b) for b in bodies.tolist()]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernels_match_python_on_all_small_maps(n, rooted_maps_by_size):
     for rm in rooted_maps_by_size[n].values():

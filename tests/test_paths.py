@@ -141,6 +141,42 @@ def test_stable_order_matches_stable_argsort(top):
         assert np.array_equal(_stable_order(k), np.argsort(k, kind="stable"))
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 100, 2**10 + 1, 2**17])
+def test_stable_order_of_packed_keys_matches_stable_argsort(size):
+    rng = np.random.default_rng(size)
+    for top in (1, size, 2**20):
+        keys = rng.integers(0, top, size=size, endpoint=True)
+        assert np.array_equal(_stable_order(keys), np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize(
+    "key, count, at, fallback",
+    [
+        (2**28 - 1, 16, 15, False),  # the largest packed key is 2^32 - 1: uint32
+        (2**28, 16, 0, False),  # 2^32: uint64
+        (2**61 - 1, 8, 7, False),  # 2^64 - 1: uint64
+        (2**61, 8, 0, True),  # 2^64: past 64 bits, the stable argsort
+        (2**62, 5, 4, True),
+        (2**62, 8, 7, True),
+    ],
+)
+def test_stable_order_at_the_packing_bounds(key, count, at, fallback, monkeypatch):
+    # ties below ``key`` at index ``at``, whose packed key is the largest
+    keys = np.resize(np.array([key // 2, 0, 1, key // 2]), count)
+    keys[at] = key
+    want = np.argsort(keys, kind="stable")
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
+    assert np.array_equal(_stable_order(keys), want)
+    assert calls == ([{"kind": "stable"}] if fallback else [])
+
+
+def test_stable_order_of_no_keys_and_one_key():
+    assert _stable_order(np.zeros(0, dtype=np.int64)).tolist() == []
+    assert _stable_order(np.array([2**62])).tolist() == [0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 200])
 @pytest.mark.parametrize("count", [1, 5])
 def test_dyck_walk_batch_matches_modular_rotation(n, count):

@@ -313,6 +313,21 @@ def reference_orbits(perm):
     return cycles
 
 
+def test_counted_faces_match_the_face_listing(rooted_maps_by_size):
+    # f^4 = id and f^2 fixed-point-free must read "every face has degree 4"
+    # on faces of degree 1, 2, 3, 4 and 8 (the one face of a 4-edge tree)
+    maps = [loop_map().map, link_map().map, triangle_map(), tree_map((0, 1, 0, 1, 0, 1, 0, 1, 0))]
+    for by_code in rooted_maps_by_size.values():
+        for rm in by_code.values():
+            maps += [rm.map, quad_of_map(rm).map]
+    degrees = set()
+    for m in maps:
+        assert m.n_faces == len(m.faces)
+        assert validate_quadrangulation(m) == all(len(face) == 4 for face in m.faces)
+        degrees.update(map(len, m.faces))
+    assert {1, 2, 3, 4, 8} <= degrees
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_walk_matches_reference_loop(n, rooted_maps_by_size):
     for rm in rooted_maps_by_size[n].values():

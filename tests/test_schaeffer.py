@@ -4,11 +4,12 @@ import pytest
 from quadmap.enumeration import well_labeled_trees
 from quadmap.harness import sample_rooted_pd
 from quadmap.labeled import LabeledTree, decode, encode, minima_set, reroot, stabilizer_size
-from quadmap.planar_map import bfs_distances, pointed_code, radius, rooted_code
+from quadmap.planar_map import _face_array, bfs_distances, pointed_code, radius, rooted_code
 from quadmap.schaeffer import (
     DodderingTree,
     _glued_arrays,
     _predecessor_array,
+    _tree_of_quad_arrays,
     assemble,
     doddering,
     fiber,
@@ -155,6 +156,20 @@ def test_assemble_rejects_bad_assignments():
     d2 = doddering((1, 2, 2, 1))
     with pytest.raises(ValueError):
         assemble(d2, walk_to_tree(Walk((0, 1, 0, 1, 0))))
+
+
+def test_tree_of_quad_arrays_raise_on_a_rotation_without_a_selected_dart():
+    # distances (0, 0, 2) in place of (0, 1, 1): the one face reads labels
+    # (0, 0, 2, 0), so only the side from vertex 2 to the origin is
+    # selected, and the walk from the root's head, vertex 1, finds no end
+    q = quad_of_tree(LabeledTree(EDGE, (1, 1)))
+    he = q.map
+    assert bfs_distances(he, q.origin).tolist() == [0, 1, 1] and he.head(q.root) == 1
+    faces = _face_array(he.twin[None], he.nxt[None])
+    with pytest.raises(RuntimeError, match="no selected dart"):
+        _tree_of_quad_arrays(
+            he.twin[None], he.nxt[None], he.tail[None], faces, np.array([[0, 0, 2]]), [q.root]
+        )
 
 
 def test_assemble_rejects_a_gluing_across_depths():
