@@ -2,23 +2,23 @@
 alternating fresh processes, written as JSON.
 
     python3 bench/ab_src.py /path/to/parent/src src --workload bijection \\
-        --pairs 4 --iterations 4 --seed 1 --out ab.json
+        --pairs 4 --seconds 20 --seed 1 --out ab.json
 
-Each process imports ``quadmap`` from one of the two trees and perfbench's
-workload from ``perfbench.workloads`` (unchanged), runs one warm-up
-iteration and then ``--iterations`` timed ones, checks every output with
-the workload's own ``check`` and reports its per-op times and digests.  A
-pair runs one process per side, the parent first in even pairs and the
-change first in odd ones, so that a drift of the machine's speed favours
-neither side.  Every step of an iteration is timed as perfbench times it
-(``perfbench/run.py``, ``StepClock``): scaled to reference seconds by the
-mean of the calibrations on either side of it.  Fresh processes and medians
-over several of them keep the heap layout of one process, which moves
-perfbench's ``bijection`` figures by a few percent, out of the comparison.
+Each process imports ``quadmap`` from one of the two trees, builds the
+workload from ``perfbench/workloads.py``, runs one warm-up iteration and
+then perfbench's own closed loop (``perfbench/run.py``, ``measure``) for
+``--seconds``: every step scaled to reference seconds by the calibrations
+on either side of it, every output checked by the workload.  A pair runs
+one process per side, the parent first in even pairs and the change first
+in odd ones, so that a drift of the machine's speed favours neither side.
+Fresh processes and medians over several of them keep the heap layout of
+one process, which moves perfbench's ``bijection`` figures by a few
+percent, out of the comparison.
 
 Printed per side: the median op time in reference seconds with its
-quartiles, the op rate, and the pairs the change won; the outputs of the
-two sides must digest alike.  ``--tiny`` runs perfbench's smoke-test sizes.
+quartiles, the op rate, and the pairs the change won; every iteration
+that both sides ran must digest alike.  ``--tiny`` runs perfbench's
+smoke-test sizes, and ``--seconds 0`` one timed iteration per process.
 """
 from __future__ import annotations
 
@@ -30,39 +30,33 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "perfbench")]  # run.py imports ``workloads``
+from perfbench.run import quartiles  # noqa: E402
 
 
-def child(src: str, workload: str, seed: int, iterations: int, tiny: bool) -> dict:
-    """Time ``iterations`` iterations of the workload on ``src`` in this process."""
-    sys.path[:0] = [str(Path(src).resolve()), str(ROOT)]
+def child(src: str, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
+    """Run perfbench's loop on the workload for ``seconds`` against ``src``."""
+    sys.path.insert(0, str(Path(src).resolve()))
     import quadmap
-    from perfbench.run import StepClock, calibrate
-    from perfbench.workloads import WORKLOADS
+    from perfbench.run import measure
+    from workloads import WORKLOADS
 
     if not Path(quadmap.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"quadmap imported from {quadmap.__file__}, not from {src}")
-
     wl = WORKLOADS[workload](seed, tiny)
-    rows = []
-    calibrate()  # the first run after start-up reads slow
-    cal = calibrate()
-    for k in range(-1, iterations):
-        clock = StepClock(k, cal, None)
-        output = wl.run(k, clock.pause)
-        clock.stop()
-        checked = wl.check(output)
-        del output
-        cal = clock.cals[-1]
-        if k >= 0:
-            rows.append({"k": k, "reference_s": clock.ref, "wall_s": clock.wall,
-                         "failed": checked.failed, "digests": checked.digests})
+    measure(wl, 0)  # warm-up: one iteration
+    rows = [
+        {"k": r["k"], "reference_s": r["reference_s"], "wall_s": r["seconds"],
+         "failed": r["checked"].failed, "digests": r["checked"].digests}
+        for r in measure(wl, seconds)
+    ]
     return {"quadmap": quadmap.__file__, "ops_per_iteration": wl.ops_per_iteration, "rows": rows}
 
 
 def run_side(src: str, args: argparse.Namespace) -> dict:
     # a child times the tree given as its first argument
     cmd = [sys.executable, __file__, src, src, "--child", "--workload", args.workload,
-           "--seed", str(args.seed), "--iterations", str(args.iterations)]
+           "--seed", str(args.seed), "--seconds", str(args.seconds)]
     if args.tiny:
         cmd.append("--tiny")
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
@@ -75,10 +69,9 @@ def op_seconds(runs: list[dict]) -> list[float]:
 
 def summary(runs: list[dict]) -> dict:
     ops = op_seconds(runs)
-    quartiles = statistics.quantiles(ops, n=4) if len(ops) > 1 else ops * 3
     return {
         "median_ref_s": statistics.median(ops),
-        "quartiles_ref_s": quartiles,
+        "quartiles_ref_s": quartiles(ops),
         "ops_per_ref_s": len(ops) / sum(ops),
         "process_medians_ref_s": [statistics.median(op_seconds([run])) for run in runs],
         "failed": sum(r["failed"] for run in runs for r in run["rows"]),
@@ -93,15 +86,15 @@ def main(argv: list[str]) -> int:
     p.add_argument("--workload", default="bijection", choices=names)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--pairs", type=int, default=4)
-    p.add_argument("--iterations", type=int, default=4, help="timed iterations per process")
+    p.add_argument("--seconds", type=float, default=20.0, help="timed loop per process")
     p.add_argument("--tiny", action="store_true", help="perfbench's smoke-test sizes")
     p.add_argument("--out")
     p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.pairs < 1 or args.iterations < 1:
-        p.error("--pairs and --iterations must be >= 1")
+    if args.pairs < 1 or args.seconds < 0:
+        p.error("--pairs must be >= 1 and --seconds >= 0")
     if args.child:
-        print(json.dumps(child(args.parent, args.workload, args.seed, args.iterations, args.tiny)))
+        print(json.dumps(child(args.parent, args.workload, args.seed, args.seconds, args.tiny)))
         return 0
     sides = {"parent": [], "change": []}
     for pair in range(args.pairs):
@@ -112,16 +105,18 @@ def main(argv: list[str]) -> int:
         statistics.median(op_seconds([c])) < statistics.median(op_seconds([q]))
         for q, c in zip(sides["parent"], sides["change"])
     )
-    digests = {name: [r["digests"] for run in runs for r in run["rows"]] for name, runs in sides.items()}
+    digests = {}  # the digests of each iteration k, over every process that ran it
+    for r in (r for runs in sides.values() for run in runs for r in run["rows"]):
+        digests.setdefault(r["k"], set()).add(tuple(r["digests"]))
     record.update(
         {
             "workload": args.workload,
             "seed": args.seed,
             "tiny": args.tiny,
             "pairs": args.pairs,
-            "iterations": args.iterations,
+            "seconds": args.seconds,
             "change_won_pairs": won,
-            "digests_equal": digests["parent"] == digests["change"],
+            "digests_equal": all(len(d) == 1 for d in digests.values()),
             "runs": sides,
         }
     )

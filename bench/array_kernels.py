@@ -12,10 +12,12 @@ children lists) and of ``Encoding``, the chord kernels ``_predecessor_array``
 and ``_chord_arrays`` of the drawn encoding, the map kernels, the checks
 ``HalfEdgeMap(...)`` and ``validate_quadrangulation`` of a fresh map, and the
 conversions ``map_of_quad`` (of the drawn quadrangulation) and
-``quad_of_map`` (of its ``map_of_quad``).  The contour layers are timed on one walk of n edges, as
-one replica of the scaling experiment draws it: ``dyck_walk_batch``,
-``uniform_encoding_arrays`` and ``contour_accumulate`` of i.i.d. label
-increments along a fixed walk.  The code kernels ``_rooted_code_arrays``
+``quad_of_map`` (of its ``map_of_quad``), and ``tree_of_quad`` once more
+on the map of the path labeled (1, 2, ..., 2), whose root vertex holds
+2n darts and one tree edge (``tree_of_quad_high_degree``).  The contour
+layers are timed on one walk of n edges, as one replica of the scaling
+experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
+``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The code kernels ``_rooted_code_arrays``
 and ``_pointed_code_arrays`` and the level kernel ``_bfs_arrays`` are also
 timed, whatever the sizes, at the shape of the exhaustive battery: one
 stack of the chord maps of all well-labeled trees with 5 edges, each
@@ -92,6 +94,8 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     children = tree.tree.children
     text = planar_map.save_map(quad)
     fresh = lambda: schaeffer.quad_of_tree(tree)  # noqa: E731
+    steps = np.concatenate((np.arange(n + 1), np.arange(n - 1, -1, -1)))
+    path = labeled.LabeledTree(trees.walk_to_tree(trees.Walk(steps)), [1] + [2] * n)
     rng = np.random.default_rng([seed, n, 1])
     walks = paths.dyck_walk_batch(n, 1, rng)
     incs = rng.integers(-1, 2, size=n, dtype=np.int64)
@@ -110,6 +114,9 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         "_chord_arrays": _timed(lambda _: schaeffer._chord_arrays(body, walk), repeats),
         "quad_of_tree": _timed(lambda _: schaeffer.quad_of_tree(tree), repeats),
         "tree_of_quad": _timed(schaeffer.tree_of_quad, repeats, fresh),
+        "tree_of_quad_high_degree": _timed(
+            schaeffer.tree_of_quad, repeats, lambda: schaeffer.quad_of_tree(path)
+        ),
         "bfs_distances": _timed(lambda q: planar_map.bfs_distances(q.map, q.origin), repeats, fresh),
         "rooted_code": _timed(lambda q: planar_map.rooted_code(q.map, q.root), repeats, fresh),
         "map_of_quad": _timed(planar_map.map_of_quad, repeats, fresh),

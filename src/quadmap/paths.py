@@ -25,8 +25,9 @@ typically about sqrt(n), so a single walk's keys fit unless it climbs past
 packed with their indices into 32 or 64 bits.  Branch sums are scattered
 into the result itself and summed in place.  One kernel, :func:`_reroot`,
 reroots encodings and snake paths alike, by one path at one corner, which
-a stack rerooted at one corner per row takes once per distinct corner.  :func:`_reroot_keys` gives every rerooting
-of an encoding one int64 key, which orders as the rerooted encodings do.
+a stack rerooted at one corner per row takes once per distinct corner.
+:func:`_reroot_keys` gives every rerooting of an encoding one int64 key,
+which orders as the rerooted encodings do.
 """
 from __future__ import annotations
 

@@ -161,16 +161,16 @@ def _chord_arrays(bodies: np.ndarray, walks: np.ndarray):
     rank = rank.reshape(count, size)
     at_origin = pred < 0
     source = np.maximum(pred, 0)
-    source_key = size - 1 - np.arange(size)
     key = np.empty((count, 2 * size), dtype=np.int64)
-    key[:, 0::2] = 2 * rank * size + source_key
-    pred_rank = np.where(at_origin, 0, np.take_along_axis(rank, source, 1))
-    key[:, 1::2] = (2 * pred_rank + 1) * size + source_key
-    key += (2 * size + 2) * size * row
+    key[:, 0::2] = 2 * rank
+    key[:, 1::2] = 2 * np.where(at_origin, 0, np.take_along_axis(rank, source, 1)) + 1
+    key += (2 * size + 2) * row
     tail = np.empty((count, 2 * size), dtype=np.int64)
     tail[:, 0::2] = nodes + 1
     tail[:, 1::2] = np.where(at_origin, 0, np.take_along_axis(nodes, source, 1) + 1)
-    order = _stable_order(key.ravel())
+    # a corner's incoming chords tie; the reversed stable order takes them
+    # by decreasing dart, that is by decreasing source
+    order = key.size - 1 - _stable_order(key.ravel()[::-1])
     vertex = _union(tail, size // 2 + 2)[order]
     first = np.flatnonzero(np.concatenate(([True], vertex[1:] != vertex[:-1])))
     nxt = np.empty(order.size, dtype=np.int64)
@@ -293,8 +293,10 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
     face array, the diagonals are spliced in one scatter, and the blue
     tree's contour is the cycle of d -> next blue dart after twin(d),
     ranked by pointer jumping from the root's first blue dart.  The next
-    blue darts are found by walks along ``nxt``; a rotation with none,
-    which only faulty distances give, raises ``RuntimeError``.  Returns
+    blue darts are found by walks along ``nxt``, and by pointer jumping
+    over the rotations whose walks outlast log2 of the dart count; a
+    rotation with none, which only faulty distances give, raises
+    ``RuntimeError``.  Returns
     the trees' (B, 2F+1) contour walks and (B, F+1) node labels in
     first-visit order.
     """
@@ -327,16 +329,25 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
     blue[m:] = True
     darts = np.flatnonzero(blue)
     # the first blue dart at or after nxt(twin(d)) in rotation order, for
-    # every blue dart d and the roots: a step moves only the walks short of one
+    # every blue dart d and the roots: a step moves only the walks short of
+    # one, for as many steps as pointer jumping takes passes
     at = nxt[twin[np.concatenate((darts, root))]]
     short = np.flatnonzero(~blue[at])
-    for _ in range(nxt.size):
+    for _ in range(nxt.size.bit_length()):
         if not short.size:
             break
         at[short] = nxt[at[short]]
         short = short[~blue[at[short]]]
-    else:
-        raise RuntimeError("tree_of_quad: a rotation holds no selected dart")
+    if short.size:  # long gaps, as at a vertex of high degree: pointer
+        live = np.zeros(count * n_vertices, dtype=bool)  # jumping over their rotations
+        live[tail[at[short]]] = True
+        sub = np.flatnonzero(live[tail])
+        jump = np.where(blue, np.arange(nxt.size), nxt)
+        for _ in range(sub.size.bit_length()):
+            jump[sub] = jump[jump[sub]]
+        at[short] = jump[at[short]]
+        if not blue[at[short]].all():
+            raise RuntimeError("tree_of_quad: a rotation holds no selected dart")
     index = np.empty(nxt.size, dtype=np.int64)
     index[darts] = np.arange(darts.size)
     succ = index[at[:-count]]

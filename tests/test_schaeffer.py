@@ -172,6 +172,19 @@ def test_tree_of_quad_arrays_raise_on_a_rotation_without_a_selected_dart():
         )
 
 
+@pytest.mark.parametrize("n", [2, 64])
+def test_inverse_round_trip_at_a_vertex_of_high_degree(n):
+    # the path labeled (1, 2, ..., 2): each of the 2n - 1 corners labeled 2
+    # sends its chord to the root's one corner, so the root's vertex holds
+    # 2n darts and one tree edge; at n = 64 the walks there outlast the
+    # bit length of the dart count and finish by pointer jumping
+    steps = np.concatenate((np.arange(n + 1), np.arange(n - 1, -1, -1)))
+    tree = LabeledTree(walk_to_tree(Walk(steps)), (1,) + (2,) * n)
+    q = quad_of_tree(tree)
+    assert np.bincount(q.map.tail)[1] == 2 * n
+    assert tree_of_quad(q) == tree
+
+
 def test_assemble_rejects_a_gluing_across_depths():
     # the doddering tree of a path's labels (1, 2, 3, 2) glued along a
     # cherry: corners 0 and 2 share the root node, but the nodes tagged 0
