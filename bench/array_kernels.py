@@ -17,9 +17,10 @@ on the map of the path labeled (1, 2, ..., 2), whose root vertex holds
 2n darts and one tree edge (``tree_of_quad_high_degree``).  The contour
 layers are timed on one walk of n edges, as one replica of the scaling
 experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
-``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The code kernels ``_rooted_code_arrays``
-and ``_pointed_code_arrays`` and the level kernel ``_bfs_arrays`` are also
-timed, whatever the sizes, at the shape of the exhaustive battery: one
+``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The
+code kernels ``_rooted_code_arrays`` and ``_pointed_code_arrays`` and the
+level kernel ``_bfs_arrays`` are also timed, whatever the sizes, at the
+shape of the exhaustive battery: one
 stack of the chord maps of all well-labeled trees with 5 edges, each
 rooted at dart 1 and pointed and started at vertex 0, as is
 ``_predecessor_array`` of their label bodies.  The packed sort
