@@ -12,9 +12,11 @@ children lists) and of ``Encoding``, the chord kernels ``_predecessor_array``
 and ``_chord_arrays`` of the drawn encoding, the map kernels, the checks
 ``HalfEdgeMap(...)`` and ``validate_quadrangulation`` of a fresh map, and the
 conversions ``map_of_quad`` (of the drawn quadrangulation) and
-``quad_of_map`` (of its ``map_of_quad``), and ``tree_of_quad`` once more
-on the map of the path labeled (1, 2, ..., 2), whose root vertex holds
-2n darts and one tree edge (``tree_of_quad_high_degree``).  The contour
+``quad_of_map`` (of its ``map_of_quad``), ``fiber`` of a pointed draw
+(``harness.sample_pointed_ps(n, default_rng([seed, n, 2]))``), and
+``tree_of_quad`` once more on the map of the path labeled (1, 2, ..., 2),
+whose root vertex holds 2n darts and one tree edge
+(``tree_of_quad_high_degree``).  The contour
 layers are timed on one walk of n edges, as one replica of the scaling
 experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
 ``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The
@@ -95,6 +97,7 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     children = tree.tree.children
     text = planar_map.save_map(quad)
     fresh = lambda: schaeffer.quad_of_tree(tree)  # noqa: E731
+    pointed = lambda: harness.sample_pointed_ps(n, np.random.default_rng([seed, n, 2]))  # noqa: E731
     steps = np.concatenate((np.arange(n + 1), np.arange(n - 1, -1, -1)))
     path = labeled.LabeledTree(trees.walk_to_tree(trees.Walk(steps)), [1] + [2] * n)
     rng = np.random.default_rng([seed, n, 1])
@@ -124,6 +127,7 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         "quad_of_map": _timed(
             planar_map.quad_of_map, repeats, lambda: planar_map.map_of_quad(fresh())
         ),
+        "fiber": _timed(schaeffer.fiber, repeats, pointed),
         "save_map": _timed(planar_map.save_map, repeats, fresh),
         "load_map": _timed(lambda _: planar_map.load_map(text), repeats),
         "HalfEdgeMap_validation": _timed(

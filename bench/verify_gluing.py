@@ -36,7 +36,6 @@ STAGES = {
     "_chord_arrays": "chord",
     "_rooted_code_arrays": "rooted_codes",
     "_bfs_arrays": "bfs",
-    "_face_array": "inverse",
     "_tree_of_quad_arrays": "inverse",
     "_pointed_code_arrays": "pointed_codes",
     "_gluing_check": "gluing_check",

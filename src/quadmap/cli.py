@@ -22,7 +22,6 @@ from .labeled import _node_labels, encode
 from .planar_map import (
     _bfs_arrays,
     _csr_rotation_arrays,
-    _face_array,
     _pointed_code_arrays,
     _rooted_code_arrays,
     save_map,
@@ -121,9 +120,7 @@ def _bijection_checks(labels: np.ndarray, walks: np.ndarray):
     roots, origins = np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
     codes = _rooted_code_arrays(nxt, twin, roots)
     dist = _bfs_arrays(twin, tail, n + 2, origins)
-    back_walks, back_labels = _tree_of_quad_arrays(
-        twin, nxt, tail, _face_array(twin, nxt), dist, roots
-    )
+    back_walks, back_labels = _tree_of_quad_arrays(twin, nxt, tail, dist, roots)
     node_labels = _node_labels(labels, walks)
     round_trip = np.array_equal(back_walks, walks) and np.array_equal(back_labels, node_labels)
     body = labels[:, :-1]

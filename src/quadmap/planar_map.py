@@ -10,9 +10,11 @@ values given.  Faces are the orbits of d -> nxt[twin[d]].  Every
 relation V - E + F = 2, counting the faces without listing them, and the
 maps this library derives from valid values (``quad_of_map``,
 ``map_of_quad``, the chord bijection) satisfy them by construction, so
-they skip the check.  Instances are immutable and compare and hash by
-their arrays; BFS helpers allocate their own scratch and may be called
-concurrently, and a map keeps the distances from its last BFS origin.
+they skip the check; the first two compose nxt, twin and nxt o twin and
+list no orbit.  Instances are immutable, compare and hash by their arrays
+and cache only what their checks compute; BFS helpers allocate their own
+scratch and may be called concurrently, and a map keeps the distances
+from its last BFS origin.
 
 The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
 as numpy kernels over the arrays at every size.  The BFS and code kernels
@@ -26,7 +28,6 @@ label sequences do; the text kernel writes one ``save_map`` line.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .paths import _stable_order, _steps_to_end
-from .trees import _ArrayValue, _index, _int64, _trusted
+from .trees import _ArrayValue, _index, _int64, _int64_lists, _trusted
 
 __all__ = [
     "HalfEdgeMap",
@@ -105,33 +106,19 @@ class HalfEdgeMap(_ArrayValue):
         """``_cycle_mins(nxt)``: the cycle check and the map text number vertices by it."""
         return _cycle_mins(self.nxt)
 
-    @cached_property
-    def _face_orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_orbit_arrays`` of the face permutation (the checks do without)."""
-        return _orbit_arrays(self.nxt[self.twin])
-
     # -- orbits -------------------------------------------------------
 
     @cached_property
-    def _vertex_darts(self) -> np.ndarray:
-        """The darts of ``vertex_cycles``, vertex after vertex (read-only):
-        the rotation cycles, each from its smallest dart, stably sorted by
-        tail."""
+    def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Rotation cycle (dart list) per vertex from its smallest dart, indexed by vertex id."""
         darts = _orbit_arrays(self.nxt)[0]
         darts = darts[_stable_order(self.tail[darts])]
-        darts.flags.writeable = False
-        return darts
-
-    @cached_property
-    def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Rotation cycle (dart list) per vertex, indexed by vertex id."""
-        starts = np.append(0, np.cumsum(np.bincount(self.tail)))
-        return tuple(_split(self._vertex_darts, starts))
+        return tuple(_split(darts, np.append(0, np.cumsum(np.bincount(self.tail)))))
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the face permutation d -> nxt[twin[d]]."""
-        return tuple(_split(*self._face_orbits))
+        return tuple(_split(*_orbit_arrays(self.nxt[self.twin])))
 
     def degree(self, v: int) -> int:
         return int(np.count_nonzero(self.tail == _index(v, "vertex", self.n_vertices)))
@@ -146,9 +133,6 @@ class HalfEdgeMap(_ArrayValue):
 
         With ``twin`` omitted, dart 2e and 2e+1 are the two sides of edge e.
         """
-        darts = sorted(d for cyc in rotations for d in cyc)
-        if darts != list(range(len(darts))):
-            raise ValueError("rotations must list every dart 0..m-1 exactly once")
         nxt, tail = _rotation_arrays(rotations)
         return cls(np.arange(nxt.size) ^ 1 if twin is None else twin, nxt, tail)
 
@@ -227,9 +211,11 @@ def _check_arrays(he: HalfEdgeMap) -> None:
 
 
 def _rotation_arrays(rotations) -> tuple[np.ndarray, np.ndarray]:
-    """(nxt, tail) of per-vertex dart lists in rotation order."""
-    sizes = np.fromiter(map(len, rotations), dtype=np.int64, count=len(rotations))
-    flat = np.fromiter(itertools.chain.from_iterable(rotations), dtype=np.int64, count=sizes.sum())
+    """(nxt, tail) of per-vertex dart lists in rotation order, which must
+    list every dart 0..m-1 once."""
+    flat, sizes = _int64_lists(rotations, "rotations")
+    if not np.array_equal(np.sort(flat), np.arange(flat.size)):
+        raise ValueError("rotations must list every dart 0..m-1 exactly once")
     return _csr_rotation_arrays(flat, sizes)
 
 
@@ -442,19 +428,16 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
     return bool(np.array_equal(f2[f2], ids) and not np.any(f2 == ids))
 
 
-def _face_array(twin: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """The faces of (B, m) stacks of quadrangulations as a (B, F, 4) stack
-    of darts in each map's ``faces`` order and own dart numbers: each face
-    is a 4-cycle (d, f(d), f^2(d), f^3(d)) of f = nxt o twin from the dart d
-    below the other three, in increasing order of d over the union."""
-    count, m = twin.shape
-    f = _union(nxt, m)[_union(twin, m)]
+def _quad_faces(f: np.ndarray) -> np.ndarray:
+    """The faces of a quadrangulation, or of a stack's disjoint union, from
+    its face permutation f = nxt o twin, as an (F, 4) array: each face the
+    4-cycle (d, f(d), f^2(d), f^3(d)) from its least dart d, in increasing
+    order of d, which is the ``faces`` order."""
     f2 = f[f]
     f3 = f[f2]
     ids = np.arange(f.size)
     first = np.flatnonzero((ids < f) & (ids < f2) & (ids < f3))
-    darts = np.stack((first, f[first], f2[first], f3[first]), axis=1).reshape(count, -1, 4)
-    return darts - m * np.arange(count)[:, None, None]
+    return np.stack((first, f[first], f2[first], f3[first]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -468,8 +451,8 @@ class RootedQuadrangulation(RootedMap):
 
     @property
     def n(self) -> int:
-        """Face count."""
-        return self.map.n_faces
+        """Face count: E = 2F on a quadrangulation."""
+        return self.map.n_edges // 2
 
 
 @dataclass(frozen=True)
@@ -483,8 +466,8 @@ class PointedQuadrangulation(PointedMap):
 
     @property
     def n(self) -> int:
-        """Face count."""
-        return self.map.n_faces
+        """Face count: E = 2F on a quadrangulation."""
+        return self.map.n_edges // 2
 
 
 # -- metrics -----------------------------------------------------------
@@ -563,16 +546,17 @@ def quad_of_map(m: RootedMap | PointedMap):
     Every map with n edges yields a quadrangulation with n faces: a new
     vertex is placed in each face of ``m`` and joined to each of its
     corners; the original edges are dropped.  Vertex ids keep the original
-    vertices first, then one vertex per face of ``m``.
+    vertices first, then one vertex per face of ``m`` by least dart.
     """
     he = m.map
-    # the new face vertices sit inside the old faces, so their rotation runs
-    # against the boundary orientation: each face's darts reversed
-    darts, starts = he._face_orbits
-    sizes = np.diff(starts)
-    reversed_faces = darts[np.repeat(starts[:-1] + starts[1:] - 1, sizes) - np.arange(darts.size)]
-    flat = np.concatenate((2 * he._vertex_darts, 2 * reversed_faces + 1))
-    nxt, tail = _csr_rotation_arrays(flat, np.concatenate((np.bincount(he.tail), sizes)))
+    # dart d becomes 2d at its vertex and 2d+1 at its face's vertex, whose
+    # rotation runs against the boundary; faces are numbered by least dart
+    f = he.nxt[he.twin]
+    low = _cycle_mins(f)
+    nxt = np.empty(2 * he.n_darts, dtype=np.int64)
+    nxt[0::2], nxt[2 * f + 1] = 2 * he.nxt, 2 * np.arange(he.n_darts) + 1
+    face = he.n_vertices - 1 + np.cumsum(low == np.arange(low.size))[low]
+    tail = np.stack((he.tail, face), axis=1).ravel()
     quad = _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
     if isinstance(m, RootedMap):
         return _trusted(RootedQuadrangulation, map=quad, root=2 * m.root)
@@ -589,13 +573,13 @@ def map_of_quad(q: RootedQuadrangulation | PointedQuadrangulation):
         raise TypeError("map_of_quad needs a rooted or pointed quadrangulation")
     he = q.map
     even = bfs_distances(he, q.origin) % 2 == 0
-    # face f's two even corners, in face order, become the darts 2f and 2f+1
-    darts = he._face_orbits[0]
-    attach = np.full(he.n_darts, -1, dtype=np.int64)
-    attach[darts[even[he.tail[darts]]]] = np.arange(he.n_darts // 2)
-    # each even vertex keeps its diagonals in rotation order
-    kept = he._vertex_darts[even[he.tail[he._vertex_darts]]]
-    nxt, tail = _csr_rotation_arrays(attach[kept], np.bincount(he.tail)[even])
+    # face k's two even corners, in face order, host the darts 2k and 2k+1;
+    # corners alternate in parity, so every dart at an even vertex hosts one
+    darts = _quad_faces(he.nxt[he.twin]).ravel()
+    host = darts[even[he.tail[darts]]]
+    attach = np.empty(he.n_darts, dtype=np.int64)
+    attach[host] = np.arange(host.size)
+    nxt, tail = attach[he.nxt[host]], (np.cumsum(even) - 1)[he.tail[host]]
     out = _array_map(np.arange(nxt.size) ^ 1, nxt, tail)
     if isinstance(q, RootedMap):
         # root on the diagonal of the face on the far side of the root dart

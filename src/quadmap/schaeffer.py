@@ -40,8 +40,8 @@ from .planar_map import (
     RootedQuadrangulation,
     _array_map,
     _csr_rotation_arrays,
-    _face_array,
     _origin_rounds,
+    _quad_faces,
     _union,
     bfs_distances,
 )
@@ -281,16 +281,16 @@ def tree_of_quad(q: RootedQuadrangulation) -> LabeledTree:
     """
     he = q.map
     twin, nxt, tail = he.twin[None], he.nxt[None], he.tail[None]
-    dist, faces = bfs_distances(he, q.origin)[None], _face_array(twin, nxt)
-    walks, node_labels = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, [q.root])
+    dist = bfs_distances(he, q.origin)[None]
+    walks, node_labels = _tree_of_quad_arrays(twin, nxt, tail, dist, [q.root])
     return _labeled_tree_of_arrays(walks[0], node_labels[0])
 
 
-def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
+def _tree_of_quad_arrays(twin, nxt, tail, dist, root):
     """:func:`tree_of_quad` on (B, m) stacks of quadrangulations with F
-    faces each, their (B, F, 4) faces, (B, F+2) distances and one root per
-    map, run as their disjoint union: the face patterns are read over the
-    face array, the diagonals are spliced in one scatter, and the blue
+    faces each, their (B, F+2) distances and one root per map, run as
+    their disjoint union: the face patterns are read over the union's
+    ``_quad_faces``, the diagonals are spliced in one scatter, and the blue
     tree's contour is the cycle of d -> next blue dart after twin(d),
     ranked by pointer jumping from the root's first blue dart.  The next
     blue darts are found by walks along ``nxt``, and by pointer jumping
@@ -302,9 +302,10 @@ def _tree_of_quad_arrays(twin, nxt, tail, faces, dist, root):
     """
     count, m = twin.shape
     n_vertices = dist.shape[1]
-    twin, nxt, faces, root = (_union(a, m) for a in (twin, nxt, faces, np.asarray(root)))
+    twin, nxt, root = (_union(a, m) for a in (twin, nxt, np.asarray(root)))
     tail, dist = _union(tail, n_vertices), dist.ravel()
     m = twin.size
+    faces = _quad_faces(nxt[twin])
     lab = dist[tail[faces]]
     lo = lab.min(axis=1)
     three = lab.max(axis=1) - lo == 2
@@ -391,8 +392,10 @@ def fiber(pq: PointedQuadrangulation) -> list[RootedQuadrangulation]:
     he = pq.map
     rounds = _origin_rounds(he.nxt[None], he.twin[None], he.tail[None], pq.origin)
     code_of = {int(darts[0]): codes[0] for _, darts, codes in rounds}
+    at_origin = np.flatnonzero(he.tail == pq.origin)
+    succ = np.searchsorted(at_origin, he.nxt[at_origin])  # nxt restricted to them
     seen = {}
-    at_origin = he._vertex_darts[he.tail[he._vertex_darts] == pq.origin]  # rotation order
-    for d in at_origin.tolist():
+    # in rotation order from the least dart: list ranking along succ
+    for d in at_origin[np.argsort(-_steps_to_end(succ, succ == 0))].tolist():
         seen.setdefault(code_of[d], d)
     return [_trusted(RootedQuadrangulation, map=he, root=seen[c]) for c in sorted(seen)]

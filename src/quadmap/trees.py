@@ -90,6 +90,16 @@ def _int64(values, name: str) -> np.ndarray:
     return _read_only(array.astype(np.int64))
 
 
+def _int64_lists(lists, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nested integer lists from outside as their entries, list after list,
+    read by :func:`_int64`, and the lists' sizes; a ValueError names ``name``."""
+    try:
+        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integer sequences") from None
+    return _int64(list(itertools.chain.from_iterable(lists)), name), sizes
+
+
 class _ArrayValue:
     """Equality and hashing by field values for frozen dataclasses declared
     with ``eq=False``: array fields compare entry by entry and hash by their
@@ -166,8 +176,7 @@ class PlaneTree(_ArrayValue):
     def __post_init__(self, children) -> None:
         # __init__ hands the children over as a dataclass InitVar would, so
         # that this check is timed and counted with the other constructors'
-        sizes = np.fromiter(map(len, children), dtype=np.int64, count=len(children))
-        kids = _int64(list(itertools.chain.from_iterable(children)), "children")
+        kids, sizes = _int64_lists(children, "children")
         if sizes.size < 2:
             raise ValueError("a plane tree needs at least one edge")
         ids = np.arange(sizes.size)

@@ -8,6 +8,7 @@ corrupted map arrays must be rejected by the constructor, the reference
 validator and the validation kernel with the same message.
 """
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,14 +49,15 @@ from quadmap.planar_map import (
     _ascii_ints,
     _bfs_arrays,
     _check_arrays,
-    _face_array,
     _orbit_arrays,
     _parse_ascii_ints,
     _pointed_code_arrays,
+    _quad_faces,
     _rooted_code_arrays,
     _rotation_arrays,
     _split,
     _steps_to_end,
+    _union,
     bfs_distances,
     load_map,
     map_of_quad,
@@ -125,13 +127,14 @@ def check_chord_arrays(enc, labels: np.ndarray, walk: np.ndarray) -> None:
 
 
 def check_inverse(q, tree) -> None:
-    """``_tree_of_quad_arrays`` on the reference faces and distances, and
-    public ``tree_of_quad``, equal the reference inverse and ``tree``."""
+    """``_quad_faces`` equals the reference faces, and
+    ``_tree_of_quad_arrays`` on the reference distances and public
+    ``tree_of_quad`` equal the reference inverse and ``tree``."""
     he = q.map
+    assert _quad_faces(he.nxt[he.twin]).tolist() == [list(f) for f in reference.faces(he)]
     dist = np.array(reference.bfs_distances(he, q.origin))
-    faces = np.array(reference.faces(he))
     walks, node_labels = _tree_of_quad_arrays(
-        he.twin[None], he.nxt[None], he.tail[None], faces[None], dist[None], [q.root]
+        he.twin[None], he.nxt[None], he.tail[None], dist[None], [q.root]
     )
     built = _labeled_tree_of_arrays(walks[0], node_labels[0])
     assert built == tree_of_quad(q) == reference.tree_of_quad(q) == tree
@@ -281,7 +284,6 @@ def check_conversions(m) -> None:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_map_conversions_match_the_loops_on_all_small_maps(n, rooted_maps_by_size):
     for rm in rooted_maps_by_size[n].values():
-        assert not rm.map._vertex_darts.flags.writeable
         check_conversions(rm)
         for origin in range(rm.map.n_vertices):
             check_conversions(PointedMap(rm.map, origin))
@@ -523,8 +525,8 @@ def test_stacked_kernels_match_scalar_on_all_small_quads(n):
     codes = _rooted_code_arrays(nxt, twin, roots)
     pointed = _pointed_code_arrays(nxt, twin, tail, 0)
     dist = _bfs_arrays(twin, tail, n + 2, origins)
-    faces = _face_array(twin, nxt)
-    back = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, roots)
+    faces = stack_faces(twin, nxt)
+    back = _tree_of_quad_arrays(twin, nxt, tail, dist, roots)
     assert rooted_quads(n) == [quad_of_tree(t) for t in trees]
     for b, tree in enumerate(trees):
         q = quad_of_tree(tree)
@@ -554,45 +556,58 @@ def test_batch_of_one_matches_stacked_large_maps(n):
     roots, origins = np.array([1, 5, 9]), np.zeros(3, dtype=np.int64)
     codes = _rooted_code_arrays(nxt, twin, roots)
     dist = _bfs_arrays(twin, tail, n + 2, origins)
-    faces = _face_array(twin, nxt)
-    back_walks, back_labels = _tree_of_quad_arrays(twin, nxt, tail, faces, dist, np.ones(3, int))
+    faces = stack_faces(twin, nxt)
+    back_walks, back_labels = _tree_of_quad_arrays(twin, nxt, tail, dist, np.ones(3, int))
     for b in range(3):
         one = slice(b, b + 1)  # the stack of one holding row b
         chord = _chord_arrays(labels[one, :-1], walks[one])
         assert all(np.array_equal(a[one], c) for a, c in zip((twin, nxt, tail), chord))
         assert codes[b] == _rooted_code_arrays(nxt[one], twin[one], roots[one])[0]
         assert np.array_equal(dist[one], _bfs_arrays(twin[one], tail[one], n + 2, [0]))
-        assert np.array_equal(faces[one], _face_array(twin[one], nxt[one]))
-        tree = _tree_of_quad_arrays(twin[one], nxt[one], tail[one], faces[one], dist[one], [1])
+        assert np.array_equal(faces[one], stack_faces(twin[one], nxt[one]))
+        tree = _tree_of_quad_arrays(twin[one], nxt[one], tail[one], dist[one], [1])
         assert np.array_equal(tree[0], back_walks[one])
         assert np.array_equal(tree[1], back_labels[one])
         assert np.array_equal(back_walks[b], walks[b])
 
 
-def _face_orbit_stack(twin, nxt):
-    """Each map's faces by the generic route: ``_orbit_arrays`` of its face
-    permutation, which ranks every cycle from its smallest dart."""
-    return np.stack([_orbit_arrays(row_nxt[row_twin])[0] for row_twin, row_nxt in zip(twin, nxt)])
+def stack_faces(twin: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """``_quad_faces`` of the disjoint union of (B, m) stacks, as a
+    (B, F, 4) stack in each map's own darts."""
+    count, m = twin.shape
+    faces = _quad_faces(_union(nxt, m)[_union(twin, m)]).reshape(count, -1, 4)
+    return faces - m * np.arange(count)[:, None, None]
+
+
+def check_quad_faces(twin: np.ndarray, nxt: np.ndarray) -> None:
+    """``_quad_faces`` of the disjoint union of (B, m) stacks equals the
+    generic route, ``_orbit_arrays`` of the face permutation (which ranks
+    every cycle from its smallest dart), and the reference loop's faces."""
+    count, m = twin.shape
+    union = SimpleNamespace(twin=_union(twin, m), nxt=_union(nxt, m))
+    f = union.nxt[union.twin]
+    faces = _quad_faces(f)
+    assert faces.tobytes() == _orbit_arrays(f)[0].reshape(-1, 4).tobytes()
+    assert faces.tolist() == [list(face) for face in reference.faces(union)]
+    assert stack_faces(twin, nxt).shape == (count, m // 4, 4)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_face_array_lists_the_face_orbits_of_all_small_quads(n):
     labels, walks, shape = _well_labeled_arrays(n)
     twin, nxt, _ = _chord_arrays(labels[:, :-1], walks[shape])
-    faces = _face_array(twin, nxt)
-    assert faces.shape == (len(twin), n, 4)
-    assert faces.tobytes() == _face_orbit_stack(twin, nxt).tobytes()
+    check_quad_faces(twin, nxt)
 
 
 def test_face_array_lists_the_face_orbits_of_sampled_maps():
     rng = np.random.default_rng([43, 2**10])
     maps = [harness.sample_rooted_pd(2**10, rng)[1].map for _ in range(3)]
     twin, nxt = np.stack([m.twin for m in maps]), np.stack([m.nxt for m in maps])
-    faces = _face_array(twin, nxt)
-    assert faces.tobytes() == _face_orbit_stack(twin, nxt).tobytes()
+    check_quad_faces(twin, nxt)
+    faces = stack_faces(twin, nxt)
     for b, m in enumerate(maps):
-        assert faces[b].ravel().tobytes() == m._face_orbits[0].tobytes()
-        assert np.array_equal(_face_array(twin[b : b + 1], nxt[b : b + 1]), faces[b : b + 1])
+        assert faces[b].ravel().tobytes() == _orbit_arrays(m.nxt[m.twin])[0].tobytes()
+        assert np.array_equal(stack_faces(twin[b : b + 1], nxt[b : b + 1]), faces[b : b + 1])
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_loops as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from quadmap.labeled import LabeledTree
 from quadmap.planar_map import (
     HalfEdgeMap,
     PointedMap,
+    PointedQuadrangulation,
     RootedMap,
     RootedQuadrangulation,
     bfs_distances,
@@ -24,7 +26,7 @@ from quadmap.planar_map import (
     save_map,
     validate_quadrangulation,
 )
-from quadmap.schaeffer import point, quad_of_tree, tree_of_quad
+from quadmap.schaeffer import fiber, point, quad_of_tree, tree_of_quad
 from quadmap.trees import Walk, walk_to_tree
 
 
@@ -298,6 +300,14 @@ def test_serialization_bit_exact():
     assert save_map(load_map(save_map(m))) == save_map(m)
 
 
+@pytest.mark.parametrize(
+    "rotations", [[[0, "1"]], [[0, None]], [0, 1], [[0, True]], [[0, 1.0]], [[0], 1]]
+)
+def test_from_rotations_rejects_rotations_that_are_not_integer_lists(rotations):
+    with pytest.raises(ValueError, match="rotations"):
+        HalfEdgeMap.from_rotations(rotations)
+
+
 def reference_orbits(perm):
     """Cycles of perm found by scanning darts in increasing order."""
     seen = [False] * len(perm)
@@ -413,3 +423,31 @@ def test_load_map_dart_line_beyond_int64(line, token):
     text = "\n".join((head, ",".join(darts["twin"]), ",".join(darts["rotation"]), root)) + "\n"
     with pytest.raises(ValueError, match=line):
         load_map(text)
+
+
+def test_conversions_and_fibers_match_the_loops_on_thin_maps():
+    # faces of degree 1, 2, 3 and 8, and the quadrangulation of the path
+    # labeled (1, 2, ..., 2) at n = 64, whose root vertex holds 2n darts,
+    # with its map: quad_of_map, map_of_quad and fiber compose nxt, twin
+    # and the face permutation, which these maps stretch
+    n = 64
+    steps = np.concatenate((np.arange(n + 1), np.arange(n - 1, -1, -1)))
+    path = quad_of_tree(LabeledTree(walk_to_tree(Walk(steps)), (1,) + (2,) * n))
+    star = tree_map((0, 1, 0, 1, 0, 1, 0, 1, 0))
+    maps = [loop_map().map, link_map().map, triangle_map(), star, path.map, map_of_quad(path).map]
+    assert sorted({len(face) for he in maps[:4] for face in he.faces}) == [1, 2, 3, 8]
+    assert np.bincount(path.map.tail).max() == 2 * n
+    for he in maps:
+        marked = [RootedMap(he, root) for root in range(he.n_darts)]
+        marked += [PointedMap(he, origin) for origin in range(he.n_vertices)]
+        for m in marked:
+            q = quad_of_map(m)
+            assert q == reference.quad_of_map(m)
+            assert map_of_quad(q) == reference.map_of_quad(q)
+            if isinstance(q, PointedQuadrangulation):
+                assert fiber(q) == reference.fiber(q)
+        if validate_quadrangulation(he):
+            for origin in range(he.n_vertices):
+                pq = PointedQuadrangulation(he, origin)
+                assert map_of_quad(pq) == reference.map_of_quad(pq)
+                assert fiber(pq) == reference.fiber(pq)

@@ -4,7 +4,7 @@ import pytest
 from quadmap.enumeration import well_labeled_trees
 from quadmap.harness import sample_rooted_pd
 from quadmap.labeled import LabeledTree, decode, encode, minima_set, reroot, stabilizer_size
-from quadmap.planar_map import _face_array, bfs_distances, pointed_code, radius, rooted_code
+from quadmap.planar_map import bfs_distances, pointed_code, radius, rooted_code
 from quadmap.schaeffer import (
     DodderingTree,
     _glued_arrays,
@@ -165,10 +165,9 @@ def test_tree_of_quad_arrays_raise_on_a_rotation_without_a_selected_dart():
     q = quad_of_tree(LabeledTree(EDGE, (1, 1)))
     he = q.map
     assert bfs_distances(he, q.origin).tolist() == [0, 1, 1] and he.head(q.root) == 1
-    faces = _face_array(he.twin[None], he.nxt[None])
     with pytest.raises(RuntimeError, match="no selected dart"):
         _tree_of_quad_arrays(
-            he.twin[None], he.nxt[None], he.tail[None], faces, np.array([[0, 0, 2]]), [q.root]
+            he.twin[None], he.nxt[None], he.tail[None], np.array([[0, 0, 2]]), [q.root]
         )
 
 

@@ -57,6 +57,12 @@ def test_plane_tree_rejects_bad_ids():
         PlaneTree(((),))  # n = 0
 
 
+@pytest.mark.parametrize("children", [[1, 2], [[1], None]])
+def test_plane_tree_rejects_children_that_are_not_integer_lists(children):
+    with pytest.raises(ValueError, match="children"):
+        PlaneTree(children)
+
+
 def test_height_process_hand_cases():
     assert height_process(tree_from_children((1,), ())).tolist() == [0, 1]
     cherry = tree_from_children((1, 2), (), ())
