@@ -16,7 +16,11 @@ conversions ``map_of_quad`` (of the drawn quadrangulation) and
 (``harness.sample_pointed_ps(n, default_rng([seed, n, 2]))``), and
 ``tree_of_quad`` once more on the map of the path labeled (1, 2, ..., 2),
 whose root vertex holds 2n darts and one tree edge
-(``tree_of_quad_high_degree``).  The contour
+(``tree_of_quad_high_degree``), and the checks ``HalfEdgeMap(...)`` and
+``load_map`` once more on the map of the path labeled (1, 2, ..., n+1),
+whose radius is n+1 (``HalfEdgeMap_validation_high_diameter``,
+``load_map_high_diameter``): a check that walks the map level by level
+takes O(n) numpy calls there.  The contour
 layers are timed on one walk of n edges, as one replica of the scaling
 experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
 ``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The
@@ -100,6 +104,8 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     pointed = lambda: harness.sample_pointed_ps(n, np.random.default_rng([seed, n, 2]))  # noqa: E731
     steps = np.concatenate((np.arange(n + 1), np.arange(n - 1, -1, -1)))
     path = labeled.LabeledTree(trees.walk_to_tree(trees.Walk(steps)), [1] + [2] * n)
+    far = schaeffer.quad_of_tree(labeled.LabeledTree(path.tree, np.arange(1, n + 2)))
+    far_text = planar_map.save_map(far)
     rng = np.random.default_rng([seed, n, 1])
     walks = paths.dyck_walk_batch(n, 1, rng)
     incs = rng.integers(-1, 2, size=n, dtype=np.int64)
@@ -136,6 +142,10 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         "validate_quadrangulation": _timed(
             lambda q: planar_map.validate_quadrangulation(q.map), repeats, fresh
         ),
+        "HalfEdgeMap_validation_high_diameter": _timed(
+            lambda _: planar_map.HalfEdgeMap(far.map.twin, far.map.nxt, far.map.tail), repeats
+        ),
+        "load_map_high_diameter": _timed(lambda _: planar_map.load_map(far_text), repeats),
     }
 
 

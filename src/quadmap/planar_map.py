@@ -7,14 +7,14 @@ are stored once, as read-only one-dimensional int64 arrays copied from the
 values given.  Faces are the orbits of d -> nxt[twin[d]].  Every
 ``HalfEdgeMap`` is a connected genus-0 map: the public constructor,
 ``from_rotations`` and ``load_map`` enforce connectivity and the Euler
-relation V - E + F = 2, counting the faces without listing them, and the
-maps this library derives from valid values (``quad_of_map``,
-``map_of_quad``, the chord bijection) satisfy them by construction, so
-they skip the check; the first two compose nxt, twin and nxt o twin and
-list no orbit.  Instances are immutable, compare and hash by their arrays
-and cache only what their checks compute; BFS helpers allocate their own
-scratch and may be called concurrently, and a map keeps the distances
-from its last BFS origin.
+relation V - E + F = 2 (stars hooked, no BFS; faces counted, not listed,
+a quadrangulation's by its cached f^4 check), and the maps this library
+derives from valid values (``quad_of_map``, ``map_of_quad``, the chord
+bijection) satisfy them by construction, so they skip the check; the
+first two compose nxt, twin and nxt o twin and list no orbit.  Instances
+are immutable, compare and hash by their arrays and cache only what their
+checks compute; BFS helpers allocate their own scratch and may be called
+concurrently, and a map keeps the distances from its last BFS origin.
 
 The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
 as numpy kernels over the arrays at every size.  The BFS and code kernels
@@ -94,9 +94,20 @@ class HalfEdgeMap(_ArrayValue):
 
     @cached_property
     def n_faces(self) -> int:
-        """The faces, counted by their smallest darts, not listed."""
+        """n_darts / 4 on a quadrangulation, else counted by smallest darts."""
+        if self._quadrangular:
+            return self.n_darts // 4
         f = self.nxt[self.twin]
         return int(np.count_nonzero(_cycle_mins(f) == np.arange(f.size)))
+
+    @cached_property
+    def _quadrangular(self) -> bool:
+        """Every face of degree 4: for f = nxt o twin, f^4 fixes the darts
+        of a face of degree L iff L divides 4, and f^2 iff L divides 2."""
+        f = self.nxt[self.twin]
+        f2 = f[f]
+        ids = np.arange(f.size)
+        return bool(np.array_equal(f2[f2], ids) and not np.any(f2 == ids))
 
     def head(self, d: int) -> int:
         return int(self.tail[self.twin[_index(d, "dart", self.n_darts)]])
@@ -181,7 +192,7 @@ def _check_arrays(he: HalfEdgeMap) -> None:
     """``HalfEdgeMap``'s checks after the length check, in this order:
     nxt a permutation, twin a fixed-point-free involution, nxt keeping each
     dart's vertex, one rotation cycle per vertex, vertex ids 0..V-1,
-    connectivity, genus 0."""
+    connectivity (``_connected``, no BFS), genus 0."""
     twin, nxt, tail = he.twin, he.nxt, he.tail
     m = twin.size
     ids = np.arange(m)
@@ -204,10 +215,30 @@ def _check_arrays(he: HalfEdgeMap) -> None:
     if not in_range:
         raise ValueError("vertex ids must be 0..V-1")
     # each vertex is one rotation cycle, so darts connect iff vertices do
-    if np.any(_bfs_arrays(twin[None], tail[None], n_vertices, tail[:1]) < 0):
+    edges = np.flatnonzero(twin > ids)
+    if not _connected(tail[edges], tail[twin[edges]], n_vertices):
         raise ValueError("map is not connected")
     if n_vertices - m // 2 + he.n_faces != 2:
         raise ValueError("map is not of genus 0")
+
+
+def _connected(u: np.ndarray, v: np.ndarray, n_vertices: int) -> bool:
+    """Whether the edges {u[i], v[i]} connect the vertices 0..n_vertices-1.
+    A round hooks each star's root to the least root across its edges and
+    compresses the trees to stars (Shiloach and Vishkin 1982): O(log V)
+    rounds in practice, whatever the diameter.  A root stays the least
+    vertex of its star, so the graph is connected iff every root ends at 0."""
+    root = np.arange(n_vertices)
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            return not root.any()
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def _rotation_arrays(rotations) -> tuple[np.ndarray, np.ndarray]:
@@ -417,15 +448,12 @@ def validate_quadrangulation(m: HalfEdgeMap) -> bool:
     """True iff every face has degree 4.
 
     Connectivity and genus 0 already hold for any ``HalfEdgeMap``.
-    Multiple edges are allowed.  For f = nxt o twin, f^4 fixes the darts
-    of a face of degree L iff L divides 4, and f^2 iff L divides 2.
+    Multiple edges are allowed.  The map caches the f^4 check, which
+    ``n_faces`` shares, so a checked map runs it once.
     """
     # a genus-0 map whose faces all have even degree is bipartite, so it has
     # no loop; and 4F = 2E darts give E = 2F, so Euler gives V = F + 2
-    f = m.nxt[m.twin]
-    f2 = f[f]
-    ids = np.arange(f.size)
-    return bool(np.array_equal(f2[f2], ids) and not np.any(f2 == ids))
+    return m._quadrangular
 
 
 def _quad_faces(f: np.ndarray) -> np.ndarray:

@@ -294,11 +294,10 @@ def _tree_of_quad_arrays(twin, nxt, tail, dist, root):
     tree's contour is the cycle of d -> next blue dart after twin(d),
     ranked by pointer jumping from the root's first blue dart.  The next
     blue darts are found by walks along ``nxt``, and by pointer jumping
-    over the rotations whose walks outlast log2 of the dart count; a
-    rotation with none, which only faulty distances give, raises
-    ``RuntimeError``.  Returns
-    the trees' (B, 2F+1) contour walks and (B, F+1) node labels in
-    first-visit order.
+    over the rotations whose walks outlast log2 of the dart count.  Faulty
+    distances raise ``RuntimeError`` when a rotation holds no blue dart or
+    the blue darts do not form one contour per map.  Returns the trees'
+    (B, 2F+1) contour walks and (B, F+1) node labels in first-visit order.
     """
     count, m = twin.shape
     n_vertices = dist.shape[1]
@@ -355,7 +354,10 @@ def _tree_of_quad_arrays(twin, nxt, tail, dist, root):
     start = np.zeros(darts.size, dtype=bool)
     start[index[at[-count:]]] = True
     per = darts.size // count  # 2F blue darts per map
-    position = (tail[darts] // n_vertices + 1) * per - 1 - _steps_to_end(succ, start[succ])
+    steps = _steps_to_end(succ, start[succ])
+    position = (tail[darts] // n_vertices + 1) * per - 1 - steps
+    if steps.max() >= per or np.any(np.bincount(position, minlength=darts.size) != 1):
+        raise RuntimeError("tree_of_quad: the distances are not the map's BFS distances")
     contour = np.empty(darts.size, dtype=np.int64)
     contour[position] = darts
     down = np.arange(darts.size) < position[index[twin[contour]]]

@@ -49,6 +49,7 @@ from quadmap.planar_map import (
     _ascii_ints,
     _bfs_arrays,
     _check_arrays,
+    _connected,
     _orbit_arrays,
     _parse_ascii_ints,
     _pointed_code_arrays,
@@ -469,6 +470,61 @@ def test_valid_arrays_pass_both_paths():
     assert len(reference.orbits([nxt[t] for t in twin])) == 2**10
     he = HalfEdgeMap(twin, nxt, tail)
     assert he.n_faces == 2**10
+
+
+def _edge_ends(twin: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two end vertices of every edge, as ``_check_arrays`` reads them."""
+    darts = np.flatnonzero(twin > np.arange(twin.size))
+    return tail[darts], tail[twin[darts]]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_connected_matches_the_bfs_on_chord_maps_and_their_unions(n):
+    labels, walks, shape = _well_labeled_arrays(n)
+    twin, nxt, tail = _chord_arrays(labels[:, :-1], walks[shape])
+    m, v = twin.shape[1], n + 2
+    # each map alone, consecutive pairs, and the whole stack as one union
+    groups = [[b] for b in range(len(twin))] + [[b, b + 1] for b in range(len(twin) - 1)]
+    for rows in groups + [list(range(len(twin)))]:
+        union_twin, union_tail = _union(twin[rows], m), _union(tail[rows], v)
+        reached = _bfs_arrays(union_twin[None], union_tail[None], len(rows) * v, [0])
+        connected = _connected(*_edge_ends(union_twin, union_tail), len(rows) * v)
+        assert connected == bool(np.all(reached >= 0)) == (len(rows) == 1)
+
+
+def _numberings(v: int, rng) -> dict:
+    """Vertex ids for the positions 0..v-1 of a path or tree; v a power of 2."""
+    ids = np.arange(v)
+    zigzag = np.empty(v, dtype=np.int64)
+    zigzag[0::2], zigzag[1::2] = ids[: v // 2], ids[::-1][: v // 2]
+    bits = (v - 1).bit_length()
+    reversed_bits = np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(v)])
+    return {
+        "sorted": ids,
+        "reversed": ids[::-1],
+        "zigzag": zigzag,
+        "bit_reversed": reversed_bits,
+        "random": rng.permutation(v),
+    }
+
+
+@pytest.mark.parametrize("shape", ["path", "tree"])
+def test_connected_under_adversarial_vertex_numberings(shape):
+    # a spanning path or random tree is connected, and dropping any one of
+    # its edges disconnects it, however its vertices are numbered and each
+    # edge is oriented
+    v = 2**12
+    rng = np.random.default_rng([41, v])
+    # the parent of the vertex at position i + 1 is at position parent[i]
+    parent = np.arange(v - 1) if shape == "path" else rng.integers(0, np.arange(1, v))
+    for name, ids in _numberings(v, rng).items():
+        u, w = ids[1:], ids[parent]
+        flip = rng.random(v - 1) < 0.5
+        u, w = np.where(flip, w, u), np.where(flip, u, w)
+        assert _connected(u, w, v), name
+        for cut in (0, v // 2, v - 2, int(rng.integers(v - 1))):
+            keep = np.arange(v - 1) != cut
+            assert not _connected(u[keep], w[keep], v), (name, cut)
 
 
 @pytest.mark.parametrize("token", ["x", "", "-3", "1.0"])

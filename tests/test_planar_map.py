@@ -96,7 +96,7 @@ def test_bfs_radius_profile_hand_cases():
 def test_bfs_distances_keep_the_last_origin_on_the_map(monkeypatch):
     tree, q = sample_rooted_pd(64, np.random.default_rng(17))
     he = q.map
-    fresh = HalfEdgeMap(he.twin, he.nxt, he.tail)  # validated, so it ran a BFS: made first
+    fresh = HalfEdgeMap(he.twin, he.nxt, he.tail)  # validated: its checks run no BFS
     origins = []
 
     def counted(twin, tail, n_vertices, origin):
@@ -116,6 +116,29 @@ def test_bfs_distances_keep_the_last_origin_on_the_map(monkeypatch):
     assert other[q.origin] == dist[5]
     # the cache is no field: equality and hashing ignore it
     assert he == fresh and hash(he) == hash(fresh)
+
+
+def test_map_checks_run_no_bfs(monkeypatch):
+    # connectivity by hooking stars, faces counted by the f^4 check: neither
+    # the constructor nor load_map walks the map level by level, which takes
+    # n + 1 levels on the quadrangulation of the path labeled (1, ..., n + 1)
+    n = 2**12
+    steps = np.concatenate((np.arange(n + 1), np.arange(n - 1, -1, -1)))
+    path = LabeledTree(walk_to_tree(Walk(steps)), np.arange(1, n + 2))
+    quads = [sample_rooted_pd(2**10, np.random.default_rng(3))[1], quad_of_tree(path)]
+    texts = [save_map(q) for q in quads]
+
+    def no_bfs(*args):
+        raise AssertionError("a map check ran a BFS")
+
+    monkeypatch.setattr(planar_map, "_bfs_arrays", no_bfs)
+    for q, text in zip(quads, texts):
+        he = q.map
+        assert HalfEdgeMap(he.twin, he.nxt, he.tail) == he
+        loaded = load_map(text)
+        assert type(loaded) is RootedQuadrangulation and loaded.root == q.root
+        assert np.array_equal(loaded.map.twin, he.twin) and np.array_equal(loaded.map.nxt, he.nxt)
+        assert save_map(loaded) == text
 
 
 def test_profile_of_maps_that_are_not_bipartite():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,26 @@ def test_tree_of_quad_arrays_raise_on_a_rotation_without_a_selected_dart():
         _tree_of_quad_arrays(
             he.twin[None], he.nxt[None], he.tail[None], np.array([[0, 0, 2]]), [q.root]
         )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tree_of_quad_arrays_reject_faulty_distances_without_reading_unset_entries(n):
+    # every distance vector over {0, 1, 2} on every quad with n faces: each
+    # call returns a tree or raises RuntimeError, never an IndexError from
+    # an unset contour entry, and the BFS distances give the tree back
+    for tree in well_labeled_trees(n):
+        q = quad_of_tree(tree)
+        he = q.map
+        arrays = (he.twin[None], he.nxt[None], he.tail[None])
+        for dist in itertools.product(range(3), repeat=he.n_vertices):
+            try:
+                _tree_of_quad_arrays(*arrays, np.array([dist]), [q.root])
+            except RuntimeError:
+                pass
+        walk, labels = _tree_of_quad_arrays(
+            *arrays, bfs_distances(he, q.origin)[None], [q.root]
+        )
+        assert LabeledTree(walk_to_tree(Walk(walk[0])), labels[0]) == tree
 
 
 @pytest.mark.parametrize("n", [2, 64])
