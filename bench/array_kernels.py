@@ -23,7 +23,11 @@ whose radius is n+1 (``HalfEdgeMap_validation_high_diameter``,
 takes O(n) numpy calls there.  The contour
 layers are timed on one walk of n edges, as one replica of the scaling
 experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
-``contour_accumulate`` of i.i.d. label increments along a fixed walk.  The
+``contour_accumulate`` of i.i.d. label increments along a fixed walk, and,
+for n > 256, ``contour_edges`` of a tall walk of n edges
+(``contour_edges_tall``): 256 up-steps, a seeded walk of n - 256 edges on
+top, then 256 down-steps.  Its levels pass 255, so its edge matching sorts
+int64 keys, where a replica's walk at small n sorts one-byte keys.  The
 code kernels ``_rooted_code_arrays`` and ``_pointed_code_arrays`` and the
 level kernel ``_bfs_arrays`` are also timed, whatever the sizes, at the
 shape of the exhaustive battery: one
@@ -109,7 +113,7 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     rng = np.random.default_rng([seed, n, 1])
     walks = paths.dyck_walk_batch(n, 1, rng)
     incs = rng.integers(-1, 2, size=n, dtype=np.int64)
-    return {
+    rows = {
         "dyck_walk_batch": _timed(lambda _: paths.dyck_walk_batch(n, 1, rng), repeats),
         "uniform_encoding_arrays": _timed(lambda _: paths.uniform_encoding_arrays(n, rng), repeats),
         "contour_accumulate": _timed(lambda _: paths.contour_accumulate(walks, incs, start=1), repeats),
@@ -147,6 +151,12 @@ def layers(n: int, seed: int, repeats: int) -> dict:
         ),
         "load_map_high_diameter": _timed(lambda _: planar_map.load_map(far_text), repeats),
     }
+    if n > 256:
+        inner = paths.dyck_walk_batch(n - 256, 1, np.random.default_rng([seed, n, 3]))[0]
+        ramp = np.arange(256)
+        tall = np.concatenate((ramp, inner + 256, ramp[::-1]))[None]
+        rows["contour_edges_tall"] = _timed(lambda _: paths.contour_edges(tall), repeats)
+    return rows
 
 
 def small_stack(repeats: int) -> dict:

@@ -98,9 +98,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             grid_m=2**12 if args.grid_m is None else args.grid_m,
             output=args.output,
         )
-    text = harness.run_experiment(cfg)
-    if cfg.output is None:
-        sys.stdout.write(text)
+    _write(cfg.output, harness.run_experiment(cfg))
     return 0
 
 

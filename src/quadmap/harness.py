@@ -34,7 +34,7 @@ from .paths import (
 )
 from .planar_map import PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point
-from .snake import SnakePath, _path, _representatives, distance, sample_snake_batch
+from .snake import _grid_path, _representatives, distance, sample_snake_batch
 from .trees import _integer
 
 __all__ = [
@@ -62,7 +62,8 @@ EXPERIMENTS = ("radius", "profile", "hp_gap", "class_diameter", "edge_gap")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """What to run: experiment name, sizes, replicas per size, master seed,
-    snake grid size, optional output path.  Every value ``run_experiment``
+    snake grid size, and the path the CLI writes the CSV to (stdout if it
+    is None or ``-``).  Every value ``run_experiment``
     would reject is rejected here, before any row is computed."""
 
     name: str
@@ -351,21 +352,12 @@ def class_diameter_samples(
     """Farthest metric distance between a class representative and the
     first-minimum representative of a normalized uniform encoding."""
     def stat(n, rng):
-        reps = _representatives(_normalized_uniform(n, rng))
+        labels, walks = uniform_encoding_arrays(n, rng)
+        reps = _representatives(_grid_path(labels[0], walks[0]))
         first = next(reps)
         return max((distance(r, first) for r in reps), default=0.0)
 
     return _replicas(stat, n, replicas, seed, size_index)
-
-
-def _normalized_uniform(n: int, rng: np.random.Generator) -> SnakePath:
-    """A uniform labeled tree with n edges as a grid path pair, scaled as
-    :func:`~quadmap.snake.normalize_encoding` scales its encoding; the
-    integer arrays are dropped on return."""
-    labels, walks = uniform_encoding_arrays(n, rng)
-    head = np.subtract(labels[0], 1.0)
-    head /= n**0.25
-    return _path(head, walks[0] / n**0.5)
 
 
 def edge_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.ndarray:
@@ -402,7 +394,7 @@ def _csv_header(cfg: ExperimentConfig, columns: Sequence[str]) -> list[str]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
-    """Run one experiment and return (and optionally write) its CSV."""
+    """Run one experiment and return its CSV, writing nothing."""
     rows: list[str] = []
     if cfg.name == "radius":
         lines = _csv_header(cfg, ("experiment", "law", "n", "replica", "value"))
@@ -430,8 +422,4 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         for si, n in enumerate(cfg.sizes):
             vals = sampler(n, cfg.replicas, cfg.seed, size_index=si)
             rows += [f"{cfg.name},{n},{r},{float(v)!r}" for r, v in enumerate(vals)]
-    text = "\n".join(lines + rows) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines + rows) + "\n"

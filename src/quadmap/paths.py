@@ -16,16 +16,16 @@ without an explicit tree.
 
 The walk, edge-matching and branch-sum kernels are linear in the walk
 length and keep their temporaries narrow: bits and steps in 8 bits, prefix
-sums in 32, and sort keys in 16 (or 8) whenever they fit.  The rotation is
-one window of the prefix sums read twice, and the stable sort that groups
-the steps by (row, level) runs as numpy's radix sort whenever its keys fit
-16 bits (:func:`_key_dtype`): a contour's levels are bounded by its height,
-typically about sqrt(n), so a single walk's keys fit unless it climbs past
-65535.  Every other grouping is :func:`_stable_order`, one sort of the keys
-packed with their indices into 32 or 64 bits.  Branch sums are scattered
-into the result itself and summed in place.  One kernel, :func:`_reroot`,
-reroots encodings and snake paths alike, by one path at one corner, which
-a stack rerooted at one corner per row takes once per distinct corner.
+sums in 32, and sort keys in 8 whenever they fit.  The rotation is one
+window of the prefix sums read twice.  Every grouping, the (row, level)
+one of edge matching included, is :func:`_stable_order`: numpy's one-pass
+counting sort for one-byte keys, else one sort of the keys packed with
+their indices into 32 or 64 bits.  A contour's levels are bounded by its
+height, typically about sqrt(n), so a single walk's keys fit one byte
+unless it climbs past 255.  Branch sums are scattered into the result
+itself and summed in place.  One kernel, :func:`_reroot`, reroots
+encodings and snake paths alike, by one path at one corner, which a stack
+rerooted at one corner per row takes once per distinct corner.
 :func:`_reroot_keys` gives every rerooting of an encoding one int64 key,
 which orders as the rerooted encodings do.
 """
@@ -149,31 +149,21 @@ def _balanced_bits(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return bits
 
 
-def _key_dtype(top) -> type:
-    """The narrowest of uint8, uint16 and int64 that holds the nonnegative
-    integer keys up to ``top``; numpy's stable sort of the first two is an
-    O(N) radix sort.  Only :func:`_edge_steps` sorts this way: it is the
-    scaling experiment's hot path, where the radix sort beats a packed one."""
-    if top < 2**8:
-        return np.uint8
-    if top < 2**16:
-        return np.uint16
-    return np.int64
-
-
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for a 1-D array of nonnegative
-    integer keys: numpy's default sort of the distinct packed keys ``key <<
-    b | index``, in uint32 if they fit and else in uint64, whose low b bits
-    are the order.  Keys whose packed form passes 64 bits take the stable
-    argsort."""
-    shift = (keys.size - 1).bit_length()
-    top = int(keys.max(initial=0)) << shift | keys.size - 1
-    if top >= 2**64:
-        return np.argsort(keys, kind="stable")
-    dtype = np.uint32 if top < 2**32 else np.uint64
-    packed = np.sort(keys.astype(dtype) << shift | np.arange(keys.size, dtype=dtype))
-    return (packed & (1 << shift) - 1).astype(np.intp)
+    integer keys, the library's one stable sort.  uint8 keys take numpy's
+    stable argsort, a one-pass counting sort.  Other keys take numpy's
+    default sort of the distinct packed keys ``key << b | index``, in
+    uint32 if they fit and else in uint64, whose low b bits are the order;
+    keys whose packed form passes 64 bits take the stable argsort."""
+    if keys.dtype != np.uint8:
+        shift = (keys.size - 1).bit_length()
+        top = int(keys.max(initial=0)) << shift | keys.size - 1
+        if top < 2**64:
+            dtype = np.uint32 if top < 2**32 else np.uint64
+            packed = np.sort(keys.astype(dtype) << shift | np.arange(keys.size, dtype=dtype))
+            return (packed & (1 << shift) - 1).astype(np.intp)
+    return np.argsort(keys, kind="stable")
 
 
 def _edge_steps(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,17 +177,17 @@ def _edge_steps(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step's level being the higher of its two heights, so at least 1 and at
     most n.  Column 0 is keyed by its row alone, so it heads its row and
     every row's steps fill the sorted positions of its own columns 1..2n.
-    The key is built in the dtype of :func:`_key_dtype`, uint16 or narrower
-    whenever the stack's keys fit 16 bits.
+    The key is built in uint8 whenever the stack's keys fit one byte, so
+    that :func:`_stable_order` counts them in one pass, and else in int64.
     """
     count, width = walks.shape
     top = (count - 1) * width + walks.max(initial=0)
-    key = np.empty(walks.shape, dtype=_key_dtype(top))
+    key = np.empty(walks.shape, dtype=np.uint8 if top < 2**8 else np.int64)
     key[:, 0] = 0
     np.maximum(walks[:, :-1], walks[:, 1:], out=key[:, 1:], casting="unsafe")
     if count > 1:
         key += (width * np.arange(count)).astype(key.dtype)[:, None]
-    order = np.argsort(key.reshape(-1), kind="stable").reshape(walks.shape)
+    order = _stable_order(key.reshape(-1)).reshape(walks.shape)
     return order[:, 1::2], order[:, 2::2]
 
 
@@ -245,9 +235,9 @@ def contour_edges(walks: np.ndarray) -> np.ndarray:
     alternate along the contour, starting with an up-step, so in the
     (row, level, time) order of :func:`_edge_steps` each pair of
     consecutive entries is an up-step and the down-step closing the same
-    edge.  That sort is a radix sort when its keys fit 16 bits, as a
-    single walk's do while its height, not its length, stays below 65536.
-    The result is a view that skips column 0 of a (count, 2n+1) array.
+    edge.  That sort counts one-byte keys in one pass, as a single walk's
+    are while its height, not its length, stays below 256.  The result is
+    a view that skips column 0 of a (count, 2n+1) array.
     """
     ups, downs = _edge_steps(walks)
     ids = np.arange(ups.size).reshape(ups.shape)

@@ -216,11 +216,17 @@ def class_distances(x: SnakePath, y: SnakePath) -> tuple[float, float]:
 def normalize_encoding(e: Encoding) -> SnakePath:
     """Scale a discrete encoding with n edges onto the grid: contour by
     n^(1/2), centered labels by n^(1/4); the grid size is 2n."""
-    n = e.n
-    f = (e.labels - 1.0) / n**0.25
-    z = e.walk.steps / n**0.5
-    # the encoding invariants already give the snake property exactly
-    return _path(f, z)
+    return _grid_path(e.labels, e.walk.steps)
+
+
+def _grid_path(labels: np.ndarray, walk: np.ndarray) -> SnakePath:
+    """:func:`normalize_encoding` of the label process and contour walk of
+    an encoding with n edges, both of length 2n+1; the encoding invariants
+    already give the snake property exactly."""
+    n = walk.shape[0] // 2
+    head = np.subtract(labels, 1.0)
+    head /= n**0.25
+    return _path(head, walk / n**0.5)
 
 
 def sample_snake_batch(

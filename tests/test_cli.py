@@ -86,6 +86,33 @@ def test_experiment_config_file(tmp_path):
     assert out.read_text().startswith("# experiment=edge_gap")
 
 
+@pytest.mark.parametrize("how", ["flags", "config"])
+def test_experiment_output_dash_is_stdout(how, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--name", "hp_gap", "--sizes", "16", "--replicas", "2", "--seed", "1"]
+    assert main(["experiment", *flags]) == 0
+    want = capsys.readouterr().out
+    if how == "flags":
+        argv = ["experiment", *flags, "-o", "-"]
+    else:
+        path = tmp_path / "c.json"
+        path.write_text('{"name": "hp_gap", "sizes": [16], "replicas": 2, "seed": 1, "output": "-"}')
+        argv = ["experiment", "--config", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want and want.startswith("# experiment=hp_gap")
+    assert not (tmp_path / "-").exists()
+
+
+def test_experiment_output_empty_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--name", "hp_gap", "--sizes", "16", "--replicas", "2", "--seed", "1", "-o", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "No such file" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_default_seed_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QUADMAP_SEED", "17")
     assert main(["sample", "--kind", "labeled", "--n", "2", "--count", "1"]) == 0

@@ -111,11 +111,13 @@ def _spike(n: int) -> np.ndarray:
 
 
 def test_contour_edges_match_lexsort_reference():
-    # the former 3-key sort: by row, then level, then time; the spikes'
-    # levels reach past 8 bits (n = 300) and past 16 bits (n = 70000)
+    # the former 3-key sort: by row, then level, then time.  Keys fit one
+    # byte up to the spike of height 255 and pass it at 256, or through
+    # the row offsets of the stacked spikes of height 100
     rng = np.random.default_rng(8)
     batches = [dyck_walk_batch(n, count, rng) for count, n in ((1, 1), (1, 257), (6, 40), (40, 300))]
-    for walks in batches + [_spike(300), _spike(70000)]:
+    spikes = [_spike(255), _spike(256), np.vstack([_spike(100)] * 2), _spike(300), _spike(70000)]
+    for walks in batches + spikes:
         count, width = walks.shape
         level = np.maximum(walks[:, :-1], walks[:, 1:])
         order = np.lexsort(
@@ -132,12 +134,17 @@ def test_contour_edges_match_lexsort_reference():
 
 @pytest.mark.parametrize("top", [0, 255, 256, 65535, 65536, 2**40])
 def test_stable_order_matches_stable_argsort(top):
-    # maxima on each side of the uint8, uint16 and int64 paths, with ties
+    # maxima on each side of one byte, packed into 32 and into 64 bits, with
+    # ties; the keys that fit one byte are sorted again as uint8, by the
+    # counting sort
     rng = np.random.default_rng(top)
     keys = rng.integers(0, min(top, 50) + 1, size=3000)
     keys[rng.integers(keys.size)] = top
     rows = (keys[:1000] + (top + 1) * np.arange(3)[:, None]).ravel()  # stacked rows
-    for k in (keys, rows, keys[:0]):
+    small = (keys[:1000] % 64 + 64 * np.arange(4)[:, None]).ravel()  # stacked, up to 255
+    cases = [keys, rows, small, keys[:0]]
+    cases += [k.astype(np.uint8) for k in cases if k.max(initial=0) < 2**8]
+    for k in cases:
         assert np.array_equal(_stable_order(k), np.argsort(k, kind="stable"))
 
 
@@ -187,7 +194,8 @@ def test_dyck_walk_batch_matches_modular_rotation(n, count):
 
 
 def test_contour_accumulate_matches_edge_id_reference():
-    # sort keys in uint8, uint16 and, for the spike climbing past 2^16, int64
+    # sort keys in uint8 for the single walks, and in int64 for the stack,
+    # whose row offsets pass 255, and for the spike
     rng = np.random.default_rng(9)
     stacks = [dyck_walk_batch(n, count, rng) for count, n in ((1, 1), (1, 300), (7, 50))]
     for walks in stacks + [_spike(70000)]:

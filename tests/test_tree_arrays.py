@@ -5,8 +5,8 @@ and every tree-layer operation is an array operation on them.  The loops
 the layer ran before are kept in ``reference_loops``; each array form must
 equal its loop on every plane and labeled tree with n <= 5, on random trees
 with 10^5 edges, and on a spike walk (n up-steps, then n down-steps) of
-70000 edges, whose levels no longer fit the 16-bit radix sort.  The tree
-types compare and hash by their arrays, and every integer field rejects
+70000 edges, whose edge matching packs its sort keys into 64 bits.  The
+tree types compare and hash by their arrays, and every integer field rejects
 entries that are not integers.
 """
 from dataclasses import fields
@@ -121,8 +121,8 @@ def _spike(n: int) -> Walk:
 @pytest.mark.parametrize("kind", ["random", "spike"])
 def test_tree_forms_match_the_loops_on_large_trees(kind):
     rng = np.random.default_rng([47, kind == "spike"])
-    # the contour levels sort as uint16 keys for the random trees and as
-    # int64 keys for the spike
+    # the contour levels pass one byte, so the edge matching packs them
+    # with their indices: into 32 bits for the random trees, 64 for the spike
     if kind == "random":
         labeled = [sample_labeled_uniform(10**5, rng) for _ in range(2)]
         labeled.append(sample_rooted_pd(10**5, rng)[0])  # well-labeled
