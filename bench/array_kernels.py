@@ -48,6 +48,15 @@ perfbench's reference seconds (``median_ref_s``): perfbench's calibration
 loop runs once before and once after the row's repeats, and the median is
 scaled by the mean of the two (``perfbench/run.py``, ``calibrate`` and
 ``reference``).
+
+The layer 5-7 rows of the bijection op (``MEMORY_ROWS``: ``sample_rooted_pd``,
+``_chord_arrays``, ``quad_of_tree``, ``tree_of_quad``, ``rooted_code``,
+``save_map``, ``load_map`` and ``HalfEdgeMap_validation``) also report
+``peak_b_per_dart``: the tracemalloc peak of one call above its start, its
+output included and its argument built beforehand, in bytes per dart of
+the 4n-dart map.  It is measured in a pass of its own after the timed
+rows, so no timed repeat runs under tracemalloc.  The stored map takes 24
+B/dart: three int64 arrays.
 """
 from __future__ import annotations
 
@@ -60,6 +69,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +84,11 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _timed(fn, repeats: int, setup=lambda: None) -> dict:
+def _timed(fn, repeats: int, setup=None) -> dict:
     times, faults = [], []
     cals = [calibrate()]
     for _ in range(repeats):
-        arg = setup()
+        arg = setup() if setup else None
         before = _minor_faults()
         start = time.perf_counter()
         fn(arg)
@@ -93,6 +103,31 @@ def _timed(fn, repeats: int, setup=lambda: None) -> dict:
         "max_s": max(times),
         "minflt_median": statistics.median(faults),
     }
+
+
+# the layer 5-7 rows of the bijection op, given a memory column
+MEMORY_ROWS = (
+    "sample_rooted_pd",
+    "_chord_arrays",
+    "quad_of_tree",
+    "tree_of_quad",
+    "rooted_code",
+    "save_map",
+    "load_map",
+    "HalfEdgeMap_validation",
+)
+
+
+def _peak_per_dart(fn, setup, darts: int) -> float:
+    """The tracemalloc peak of one call of ``fn`` above its start, with its
+    argument built by ``setup`` beforehand, in bytes per dart."""
+    arg = setup() if setup else None
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1] / darts
+    finally:
+        tracemalloc.stop()
 
 
 def layers(n: int, seed: int, repeats: int) -> dict:
@@ -113,44 +148,45 @@ def layers(n: int, seed: int, repeats: int) -> dict:
     rng = np.random.default_rng([seed, n, 1])
     walks = paths.dyck_walk_batch(n, 1, rng)
     incs = rng.integers(-1, 2, size=n, dtype=np.int64)
-    rows = {
-        "dyck_walk_batch": _timed(lambda _: paths.dyck_walk_batch(n, 1, rng), repeats),
-        "uniform_encoding_arrays": _timed(lambda _: paths.uniform_encoding_arrays(n, rng), repeats),
-        "contour_accumulate": _timed(lambda _: paths.contour_accumulate(walks, incs, start=1), repeats),
-        "sample_rooted_pd": _timed(
-            lambda _: harness.sample_rooted_pd(n, np.random.default_rng([seed, n])), repeats
+    work = {  # name: (the call, the setup that builds its argument)
+        "dyck_walk_batch": (lambda _: paths.dyck_walk_batch(n, 1, rng), None),
+        "uniform_encoding_arrays": (lambda _: paths.uniform_encoding_arrays(n, rng), None),
+        "contour_accumulate": (lambda _: paths.contour_accumulate(walks, incs, start=1), None),
+        "sample_rooted_pd": (
+            lambda _: harness.sample_rooted_pd(n, np.random.default_rng([seed, n])),
+            None,
         ),
-        "encode": _timed(lambda _: labeled.encode(tree), repeats),
-        "decode": _timed(lambda _: labeled.decode(enc), repeats),
-        "PlaneTree_validation": _timed(lambda _: trees.PlaneTree(children), repeats),
-        "Encoding_validation": _timed(lambda _: labeled.Encoding(enc.labels, enc.walk), repeats),
-        "_predecessor_array": _timed(lambda _: schaeffer._predecessor_array(body), repeats),
-        "_chord_arrays": _timed(lambda _: schaeffer._chord_arrays(body, walk), repeats),
-        "quad_of_tree": _timed(lambda _: schaeffer.quad_of_tree(tree), repeats),
-        "tree_of_quad": _timed(schaeffer.tree_of_quad, repeats, fresh),
-        "tree_of_quad_high_degree": _timed(
-            schaeffer.tree_of_quad, repeats, lambda: schaeffer.quad_of_tree(path)
+        "encode": (lambda _: labeled.encode(tree), None),
+        "decode": (lambda _: labeled.decode(enc), None),
+        "PlaneTree_validation": (lambda _: trees.PlaneTree(children), None),
+        "Encoding_validation": (lambda _: labeled.Encoding(enc.labels, enc.walk), None),
+        "_predecessor_array": (lambda _: schaeffer._predecessor_array(body), None),
+        "_chord_arrays": (lambda _: schaeffer._chord_arrays(body, walk), None),
+        "quad_of_tree": (lambda _: schaeffer.quad_of_tree(tree), None),
+        "tree_of_quad": (schaeffer.tree_of_quad, fresh),
+        "tree_of_quad_high_degree": (schaeffer.tree_of_quad, lambda: schaeffer.quad_of_tree(path)),
+        "bfs_distances": (lambda q: planar_map.bfs_distances(q.map, q.origin), fresh),
+        "rooted_code": (lambda q: planar_map.rooted_code(q.map, q.root), fresh),
+        "map_of_quad": (planar_map.map_of_quad, fresh),
+        "quad_of_map": (planar_map.quad_of_map, lambda: planar_map.map_of_quad(fresh())),
+        "fiber": (schaeffer.fiber, pointed),
+        "save_map": (planar_map.save_map, fresh),
+        "load_map": (lambda _: planar_map.load_map(text), None),
+        "HalfEdgeMap_validation": (
+            lambda q: planar_map.HalfEdgeMap(q.map.twin, q.map.nxt, q.map.tail),
+            fresh,
         ),
-        "bfs_distances": _timed(lambda q: planar_map.bfs_distances(q.map, q.origin), repeats, fresh),
-        "rooted_code": _timed(lambda q: planar_map.rooted_code(q.map, q.root), repeats, fresh),
-        "map_of_quad": _timed(planar_map.map_of_quad, repeats, fresh),
-        "quad_of_map": _timed(
-            planar_map.quad_of_map, repeats, lambda: planar_map.map_of_quad(fresh())
+        "validate_quadrangulation": (lambda q: planar_map.validate_quadrangulation(q.map), fresh),
+        "HalfEdgeMap_validation_high_diameter": (
+            lambda _: planar_map.HalfEdgeMap(far.map.twin, far.map.nxt, far.map.tail),
+            None,
         ),
-        "fiber": _timed(schaeffer.fiber, repeats, pointed),
-        "save_map": _timed(planar_map.save_map, repeats, fresh),
-        "load_map": _timed(lambda _: planar_map.load_map(text), repeats),
-        "HalfEdgeMap_validation": _timed(
-            lambda q: planar_map.HalfEdgeMap(q.map.twin, q.map.nxt, q.map.tail), repeats, fresh
-        ),
-        "validate_quadrangulation": _timed(
-            lambda q: planar_map.validate_quadrangulation(q.map), repeats, fresh
-        ),
-        "HalfEdgeMap_validation_high_diameter": _timed(
-            lambda _: planar_map.HalfEdgeMap(far.map.twin, far.map.nxt, far.map.tail), repeats
-        ),
-        "load_map_high_diameter": _timed(lambda _: planar_map.load_map(far_text), repeats),
+        "load_map_high_diameter": (lambda _: planar_map.load_map(far_text), None),
     }
+    rows = {name: _timed(fn, repeats, setup) for name, (fn, setup) in work.items()}
+    # a pass of its own: no timed repeat runs under tracemalloc
+    for name in MEMORY_ROWS:
+        rows[name]["peak_b_per_dart"] = _peak_per_dart(*work[name], darts=4 * n)
     if n > 256:
         inner = paths.dyck_walk_batch(n - 256, 1, np.random.default_rng([seed, n, 3]))[0]
         ramp = np.arange(256)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import _reroot_arrays
+from .paths import _int_line, _reroot_arrays
 from .trees import PlaneTree, Walk, _ArrayValue, _int64, _integer, _trusted, contour_nodes
 
 __all__ = [
@@ -95,7 +95,7 @@ class Encoding(_ArrayValue):
         if len(lines) != 2:
             raise ValueError(f"encoding text must be two lines (labels, walk), got {len(lines)}")
         first, second = lines
-        return cls([int(tok) for tok in first.split(",")], Walk.from_line(second))
+        return cls(_int_line(first.strip(), "labels line"), Walk.from_line(second))
 
 
 @dataclass(frozen=True, eq=False)

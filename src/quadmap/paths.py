@@ -58,6 +58,26 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
+def _int_line(line: str, what: str) -> np.ndarray:
+    """The integers of a line of comma-separated tokens, each an optional
+    ``-`` and ASCII digits, as int64: the reader behind every integer text
+    format.  Any other line, or a value past int64, is a ``ValueError``
+    naming ``what`` and quoting the line.  Numpy reads the checked bytes,
+    exactly below 10^18 and saturating past int64; ``int`` reads the rest."""
+    raw = np.frombuffer(line.encode("ascii", "replace"), dtype=np.uint8)
+    digit, comma, minus = raw - ord("0") < 10, raw == ord(","), raw == ord("-")  # uint8 wraps
+    # a "-" opens a token, a "," follows a digit, and the line ends in one
+    if raw.size and digit[-1] and not comma[0] and np.all(digit | comma | minus):
+        if np.all(comma[1:] <= digit[:-1]) and np.all(minus[1:] <= comma[:-1]):
+            values = np.fromstring(line, dtype=np.int64, sep=",")
+            if -(10**18) < values.min() and values.max() < 10**18:
+                return values
+            exact = [int(token) for token in line.split(",")]
+            if -(2**63) <= min(exact) and max(exact) < 2**63:
+                return np.array(exact, dtype=np.int64)
+    raise ValueError(f"{what} is not made of int64 integers: {line[:40]!r}")
+
+
 def dyck_walk(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform contour walk of length 2n+1 (a uniform plane tree with n edges)."""
     return dyck_walk_batch(n, 1, rng)[0]

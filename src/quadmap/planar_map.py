@@ -1,20 +1,22 @@
 """Rotation-system (half-edge) planar maps.
 
 A map is stored as two permutations of its darts: ``twin`` swaps the two
-darts of each edge and ``nxt`` is the rotation successor around the dart's
-origin vertex, and ``tail`` names each dart's origin vertex.  The three
-are stored once, as read-only one-dimensional int64 arrays copied from the
-values given.  Faces are the orbits of d -> nxt[twin[d]].  Every
-``HalfEdgeMap`` is a connected genus-0 map: the public constructor,
-``from_rotations`` and ``load_map`` enforce connectivity and the Euler
-relation V - E + F = 2 (stars hooked, no BFS; faces counted, not listed,
-a quadrangulation's by its cached f^4 check), and the maps this library
-derives from valid values (``quad_of_map``, ``map_of_quad``, the chord
-bijection) satisfy them by construction, so they skip the check; the
-first two compose nxt, twin and nxt o twin and list no orbit.  Instances
-are immutable, compare and hash by their arrays and cache only what their
-checks compute; BFS helpers allocate their own scratch and may be called
-concurrently, and a map keeps the distances from its last BFS origin.
+darts of each edge and ``nxt`` is the rotation successor around the
+dart's origin vertex, and ``tail`` names each dart's origin vertex.  The
+three are stored once, as read-only one-dimensional int64 arrays: the
+public constructor copies the values given, while ``load_map`` and the
+library's constructions hand over arrays that they own.  Faces are the
+orbits of d -> nxt[twin[d]].  Every ``HalfEdgeMap`` is a connected
+genus-0 map: the public constructor, ``from_rotations`` and ``load_map``
+enforce connectivity and the Euler relation V - E + F = 2 (stars hooked,
+no BFS; faces counted, not listed, a quadrangulation's by its cached f^4
+check), and the maps this library derives from valid values
+(``quad_of_map``, ``map_of_quad``, the chord bijection) satisfy them by
+construction, so they skip the check; the first two compose nxt, twin
+and nxt o twin and list no orbit.  Instances are immutable, compare and
+hash by their arrays and cache only what their checks compute; BFS
+helpers allocate their own scratch and may be called concurrently, and a
+map keeps the distances from its last BFS origin.
 
 The per-dart work (validation, orbits, BFS, rooted codes, map text) runs
 as numpy kernels over the arrays at every size.  The BFS and code kernels
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import _stable_order, _steps_to_end
+from .paths import _int_line, _stable_order, _steps_to_end
 from .trees import _ArrayValue, _index, _int64, _int64_lists, _trusted
 
 __all__ = [
@@ -57,22 +59,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HalfEdgeMap(_ArrayValue):
     """Connected genus-0 map given by its twin involution and rotations.
 
     ``tail[d]`` is the origin vertex of dart d; vertex ids are whatever the
     constructor supplied (``from_rotations`` numbers them by list position).
-    The fields are read-only int64 copies of the sequences given.
+    The fields are read-only int64 arrays: the constructor stores copies of
+    the sequences given, so later writes to them leave the map unchanged.
     """
 
     twin: np.ndarray
     nxt: np.ndarray
     tail: np.ndarray
 
+    def __init__(self, twin, nxt, tail) -> None:
+        for name, values in (("twin", twin), ("nxt", nxt), ("tail", tail)):
+            object.__setattr__(self, name, _int64(values, name))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        for name in ("twin", "nxt", "tail"):
-            object.__setattr__(self, name, _int64(getattr(self, name), name))
+        # the checks of the stored fields; load_map stores its parsed arrays and calls this
         m = self.twin.size
         if m == 0 or m % 2 or self.nxt.size != m or self.tail.size != m:
             raise ValueError("twin, nxt and tail must have equal positive even length")
@@ -106,7 +113,8 @@ class HalfEdgeMap(_ArrayValue):
         of a face of degree L iff L divides 4, and f^2 iff L divides 2."""
         f = self.nxt[self.twin]
         f2 = f[f]
-        ids = np.arange(f.size)
+        del f
+        ids = np.arange(f2.size)
         return bool(np.array_equal(f2[f2], ids) and not np.any(f2 == ids))
 
     def head(self, d: int) -> int:
@@ -157,7 +165,8 @@ def _cycle_mins(perm: np.ndarray) -> np.ndarray:
     """
     low, jump = np.arange(perm.size), perm
     while True:
-        new = np.minimum(low, low[jump])
+        new = low[jump]
+        np.minimum(new, low, out=new)
         if np.array_equal(new, low):
             return low
         low, jump = new, jump[jump]
@@ -215,7 +224,8 @@ def _check_arrays(he: HalfEdgeMap) -> None:
     if not in_range:
         raise ValueError("vertex ids must be 0..V-1")
     # each vertex is one rotation cycle, so darts connect iff vertices do
-    edges = np.flatnonzero(twin > ids)
+    edges = twin > ids  # each edge by its smaller dart
+    del ids  # freed before the connectivity rounds
     if not _connected(tail[edges], tail[twin[edges]], n_vertices):
         raise ValueError("map is not connected")
     if n_vertices - m // 2 + he.n_faces != 2:
@@ -234,8 +244,10 @@ def _connected(u: np.ndarray, v: np.ndarray, n_vertices: int) -> bool:
         apart = ru != rv
         if not apart.any():
             return not root.any()
-        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        u, v = u[apart], v[apart]  # two at a time: the old pair dies first
+        ru, rv = ru[apart], rv[apart]
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        del ru, rv  # dead before the next round's
         jumped = root[root]
         while not np.array_equal(jumped, root):
             root, jumped = jumped, jumped[jumped]
@@ -334,24 +346,6 @@ def _ascii_ints(values: np.ndarray) -> bytes:
     return chars.tobytes().translate(None, b"\0")[:-1]
 
 
-def _parse_ascii_ints(line: str) -> np.ndarray | None:
-    """The values of a comma-separated line of unsigned decimal integers
-    (at most 18 digits each) as int64, or None for any other line, which
-    is left to ``int``."""
-    try:
-        raw = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return None
-    other = np.flatnonzero(raw - ord("0") > 9)  # uint8: bytes below "0" wrap past 9
-    if np.any(raw[other] != ord(",")):
-        return None
-    sizes = np.diff(other, prepend=-1, append=raw.size) - 1
-    if sizes.min() < 1 or sizes.max() > 18:
-        return None
-    # digits and commas only, every token 1-18 digits: numpy's own reader is exact
-    return np.fromstring(line, dtype=np.int64, sep=",")
-
-
 def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root) -> list[bytes]:
     """:func:`rooted_code` by levels of the dart BFS, for (R, m) stacks of
     maps and one root per row, giving the rows' 2m labels as ``8 * m``
@@ -383,14 +377,16 @@ def _rooted_code_arrays(nxt: np.ndarray, twin: np.ndarray, root) -> list[bytes]:
         level = cand[claim[cand] == slot]
         levels.append(level)
     order = np.concatenate(levels)
+    del claim, levels
     if count > 1:
         order = order[_stable_order(order // m)]
-    label = np.empty(nxt.size, dtype=np.int64)
-    label[order] = np.tile(np.arange(m), count)  # a connected row reaches all m darts
-    parts = np.empty((count, 2 * m), dtype=np.int64)
-    parts[:, 0::2] = label[nxt[order]].reshape(count, m)
-    parts[:, 1::2] = label[twin[order]].reshape(count, m)
-    codes = parts.astype(">u4").tobytes()
+    # labels in 32 bits, gathered with no int64 temporary, stored big-endian
+    label = np.empty(nxt.size, dtype=np.uint32)
+    label[order] = np.tile(np.arange(m, dtype=np.uint32), count)  # a row reaches all m darts
+    parts = np.empty((count, 2 * m), dtype=">u4")
+    parts[:, 0::2] = label[nxt][order].reshape(count, m)
+    parts[:, 1::2] = label[twin][order].reshape(count, m)
+    codes = parts.tobytes()
     return [codes[start:start + 8 * m] for start in range(0, len(codes), 8 * m)]
 
 
@@ -624,7 +620,8 @@ def save_map(obj) -> str:
     Four lines: ``n=<edge count>``, the twin array, the rotation-successor
     array, then either the root dart or ``origin=<vertex>``.  Vertex ids in
     the origin line refer to rotation cycles ordered by their smallest dart,
-    so the text round-trips bit-exactly through :func:`load_map`.
+    so the text round-trips bit-exactly through :func:`load_map`; the map,
+    renumbered by those cycles, need not: compare texts or canonical codes.
     """
     m = obj.map
     lines = [f"n={m.n_edges}", *(_ascii_ints(a).decode("ascii") for a in (m.twin, m.nxt))]
@@ -638,13 +635,17 @@ def save_map(obj) -> str:
 
 def load_map(text: str) -> RootedMap | PointedMap:
     """Parse :func:`save_map` output; returns the matching rooted/pointed type,
-    a quadrangulation type whenever the map is one."""
-    lines = text.strip().splitlines()
-    if len(lines) != 4 or not lines[0].startswith("n="):
+    a quadrangulation type whenever the map is one, holding the parsed arrays."""
+    lines = text.splitlines()
+    # text.strip().splitlines() without copying the text: line breaks are whitespace
+    kept = [k for k, line in enumerate(lines) if line and not line.isspace()]
+    lines = lines[kept[0] : kept[-1] + 1] if kept else []
+    if len(lines) != 4 or not lines[0].lstrip().startswith("n="):
         raise ValueError("malformed map text")
-    n_edges = _parse_line(lines[0][2:], "edge count", int)
-    twin = _parse_line(lines[1], "twin", _int_line)
-    nxt = _parse_line(lines[2], "rotation", _int_line)
+    n_edges = _int_field(lines[0].lstrip()[2:], "edge count")
+    mark = lines[3].rstrip()
+    twin = _int_line(lines.pop(1), "map text: the twin line")  # each line freed once read
+    nxt = _int_line(lines.pop(1), "map text: the rotation line")
     if twin.size != 2 * n_edges:
         raise ValueError("edge count does not match dart arrays")
     if nxt.min() < 0 or nxt.max() >= nxt.size:
@@ -652,32 +653,24 @@ def load_map(text: str) -> RootedMap | PointedMap:
     # vertices are numbered by the smallest darts of their rotation cycles,
     # handed to the cycle check (which a non-permutation nxt never reaches)
     low = _cycle_mins(nxt)
-    he = object.__new__(HalfEdgeMap)
+    tail = (np.cumsum(low == np.arange(low.size)) - 1)[low]
+    he = _trusted(HalfEdgeMap, twin=twin, nxt=nxt, tail=tail)
     he.__dict__["_rotation_mins"] = low
-    HalfEdgeMap.__init__(he, twin, nxt, (np.cumsum(low == np.arange(low.size)) - 1)[low])
-    if lines[3].startswith("origin="):
+    he.__post_init__()
+    if mark.startswith("origin="):
         general, quad = PointedMap, PointedQuadrangulation
-        mark = _parse_line(lines[3][7:], "origin", int)
+        mark = _int_field(mark[7:], "origin")
     else:
         general, quad = RootedMap, RootedQuadrangulation
-        mark = _parse_line(lines[3], "root", int)
+        mark = _int_field(mark, "root")
     obj = general(he, mark)
     # the quadrangulation types add only the check made here
     return _trusted(quad, **vars(obj)) if validate_quadrangulation(he) else obj
 
 
-def _int_line(line: str) -> np.ndarray:
-    values = _parse_ascii_ints(line)
-    if values is None:  # signs, spaces or long tokens: left to int
-        values = _int64([int(token) for token in line.split(",")], "line")
-    return values
-
-
-def _parse_line(line: str, name: str, parse):
-    """``parse(line)``; a malformed entry raises a ValueError naming the line."""
-    try:
-        return parse(line)
-    except ValueError:
-        raise ValueError(
-            f"map text: the {name} line is not made of int64 integers: {line[:40]!r}"
-        ) from None
+def _int_field(line: str, name: str) -> int:
+    """The one integer of a map text line; else a ValueError naming the line."""
+    values = _int_line(line, f"map text: the {name} line")
+    if values.size != 1:
+        raise ValueError(f"map text: the {name} line is not one integer: {line[:40]!r}")
+    return int(values[0])

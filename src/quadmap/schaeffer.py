@@ -290,9 +290,10 @@ def _tree_of_quad_arrays(twin, nxt, tail, dist, root):
     """:func:`tree_of_quad` on (B, m) stacks of quadrangulations with F
     faces each, their (B, F+2) distances and one root per map, run as
     their disjoint union: the face patterns are read over the union's
-    ``_quad_faces``, the diagonals are spliced in one scatter, and the blue
-    tree's contour is the cycle of d -> next blue dart after twin(d),
-    ranked by pointer jumping from the root's first blue dart.  The next
+    ``_quad_faces``, the diagonals are spliced into ``nxt`` in one scatter,
+    and the blue tree's contour is the cycle of d -> next blue dart after
+    twin(d), ranked by pointer jumping from the root's first blue dart once
+    only the blue darts' twins and tails are kept.  The next
     blue darts are found by walks along ``nxt``, and by pointer jumping
     over the rotations whose walks outlast log2 of the dart count.  Faulty
     distances raise ``RuntimeError`` when a rotation holds no blue dart or
@@ -313,25 +314,29 @@ def _tree_of_quad_arrays(twin, nxt, tail, dist, root):
     p = lab.argmin(axis=1)
     side = faces[rows, (p + 2) % 4][three]
     # pattern (m, m+1, m, m+1): the k-th such face gets darts m + 2k (at its
-    # first m+1 corner) and m + 2k + 1, each just before its host dart
-    p = (lab == lo[:, None] + 1).argmax(axis=1)
-    hosts = np.stack((faces[rows, p], faces[rows, (p + 2) % 4]), axis=1)[~three].ravel()
+    # first m+1 corner) and m + 2k + 1, each just before its host dart, that
+    # is after twin(f^3(host)) in the rotation
+    p = (lab == lo[:, None] + 1).argmax(axis=1)[~three, None]
+    rows = rows[~three, None]
+    hosts = faces[rows, (p + (0, 2)) % 4].ravel()
+    before = twin[faces[rows, (p + (3, 1)) % 4].ravel()]
+    del faces, lab
     new = np.arange(m, m + hosts.size)
-    prev = np.empty(m, dtype=np.int64)
-    prev[nxt] = np.arange(m)
     nxt = np.concatenate((nxt, hosts))
-    nxt[prev[hosts]] = new
-    twin = np.concatenate((twin, new ^ 1))
-    tail = np.concatenate((tail, tail[hosts]))
+    nxt[before] = new
     blue = np.zeros(nxt.size, dtype=bool)
     blue[side] = True
     blue[twin[side]] = True
     blue[m:] = True
     darts = np.flatnonzero(blue)
+    # the twin and the tail of each blue dart, the new ones read off their hosts
+    old = darts[: darts.size - new.size]
+    mates = np.concatenate((twin[old], new ^ 1))
+    owner = np.concatenate((tail[old], tail[hosts]))
     # the first blue dart at or after nxt(twin(d)) in rotation order, for
     # every blue dart d and the roots: a step moves only the walks short of
     # one, for as many steps as pointer jumping takes passes
-    at = nxt[twin[np.concatenate((darts, root))]]
+    at = nxt[np.concatenate((mates, twin[root]))]
     short = np.flatnonzero(~blue[at])
     for _ in range(nxt.size.bit_length()):
         if not short.size:
@@ -341,31 +346,35 @@ def _tree_of_quad_arrays(twin, nxt, tail, dist, root):
     if short.size:  # long gaps, as at a vertex of high degree: pointer
         live = np.zeros(count * n_vertices, dtype=bool)  # jumping over their rotations
         live[tail[at[short]]] = True
-        sub = np.flatnonzero(live[tail])
+        sub = np.flatnonzero(live[tail])  # the new darts are blue: fixed points
         jump = np.where(blue, np.arange(nxt.size), nxt)
         for _ in range(sub.size.bit_length()):
             jump[sub] = jump[jump[sub]]
         at[short] = jump[at[short]]
         if not blue[at[short]].all():
             raise RuntimeError("tree_of_quad: a rotation holds no selected dart")
+    # from here on a blue dart goes by its place in darts
     index = np.empty(nxt.size, dtype=np.int64)
+    del nxt, blue
     index[darts] = np.arange(darts.size)
     succ = index[at[:-count]]
     start = np.zeros(darts.size, dtype=bool)
     start[index[at[-count:]]] = True
+    mates = index[mates]
+    del index, at
     per = darts.size // count  # 2F blue darts per map
     steps = _steps_to_end(succ, start[succ])
-    position = (tail[darts] // n_vertices + 1) * per - 1 - steps
+    position = (owner // n_vertices + 1) * per - 1 - steps
     if steps.max() >= per or np.any(np.bincount(position, minlength=darts.size) != 1):
         raise RuntimeError("tree_of_quad: the distances are not the map's BFS distances")
     contour = np.empty(darts.size, dtype=np.int64)
-    contour[position] = darts
-    down = np.arange(darts.size) < position[index[twin[contour]]]
+    contour[position] = np.arange(darts.size)
+    down = np.arange(darts.size) < position[mates[contour]]
     walk = np.zeros((count, per + 1), dtype=np.int64)
     np.cumsum(np.where(down, 1, -1).reshape(count, per), axis=1, out=walk[:, 1:])
     node_labels = np.empty((count, per // 2 + 1), dtype=np.int64)
     node_labels[:, 0] = dist[tail[twin[root]]]
-    node_labels[:, 1:] = dist[tail[twin[contour[down]]]].reshape(count, -1)
+    node_labels[:, 1:] = dist[owner[mates[contour[down]]]].reshape(count, -1)
     return walk, node_labels
 
 

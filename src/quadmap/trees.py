@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .paths import _contour_node_array, _doddering_rdfw, _integer, _stable_order, _steps_to_end
+from .paths import _contour_node_array, _doddering_rdfw, _int_line, _integer
+from .paths import _stable_order, _steps_to_end
 
 __all__ = [
     "PlaneTree",
@@ -154,7 +155,7 @@ class Walk(_ArrayValue):
 
     @classmethod
     def from_line(cls, line: str) -> "Walk":
-        return cls([int(tok) for tok in line.strip().split(",")])
+        return cls(_int_line(line.strip(), "walk line"))
 
 
 @dataclass(frozen=True, eq=False, init=False)

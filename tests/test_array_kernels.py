@@ -42,7 +42,7 @@ from quadmap.labeled import (
     stabilizer_size,
     to_positive,
 )
-from quadmap.paths import _reroot_arrays, uniform_encoding_arrays
+from quadmap.paths import _int_line, _reroot_arrays, uniform_encoding_arrays
 from quadmap.planar_map import (
     HalfEdgeMap,
     PointedMap,
@@ -51,7 +51,6 @@ from quadmap.planar_map import (
     _check_arrays,
     _connected,
     _orbit_arrays,
-    _parse_ascii_ints,
     _pointed_code_arrays,
     _quad_faces,
     _rooted_code_arrays,
@@ -334,13 +333,15 @@ def test_text_kernels_match_join_and_int():
     for values in samples:
         line = ",".join(map(str, values.tolist()))
         assert _ascii_ints(values) == line.encode("ascii")
-        parsed = _parse_ascii_ints(line)
-        if values.max() < 10**18:
-            assert parsed.tolist() == values.tolist()
-        else:
-            assert parsed is None  # 19 digits: left to int
-    for line in ("", ",", "1,", ",1", "1,,2", "-1,2", " 1", "1_0", "+1", "１", "1 "):
-        assert _parse_ascii_ints(line) is None
+        assert _int_line(line, "line").tolist() == values.tolist()  # 19 digits read exactly
+    assert _int_line("-1,2", "line").tolist() == [-1, 2]
+    ends = f"{-(2**63)},{2**63 - 1},-{'0' * 30}7"
+    assert _int_line(ends, "line").tolist() == [-(2**63), 2**63 - 1, -7]
+    malformed = ("", ",", "1,", ",1", "1,,2", " 1", "1_0", "+1", "１", "1 ", "--1", "1-2", "-")
+    past = (str(2**63), str(-(2**63) - 1), "9" * 40)  # past int64, where numpy saturates
+    for line in malformed + past:
+        with pytest.raises(ValueError, match="line is not made of int64 integers"):
+            _int_line(line, "line")
 
 
 def test_stacked_text_rows_match_single_rows():
@@ -625,6 +626,16 @@ def test_batch_of_one_matches_stacked_large_maps(n):
         assert np.array_equal(tree[0], back_walks[one])
         assert np.array_equal(tree[1], back_labels[one])
         assert np.array_equal(back_walks[b], walks[b])
+
+
+def test_rooted_codes_of_a_stack_are_its_maps_codes():
+    # the stacked kernel labels darts in 32 bits and writes them big-endian
+    quads = [harness.sample_rooted_pd(300, np.random.default_rng([53, k]))[1] for k in range(3)]
+    nxt, twin = (np.stack([getattr(q.map, name) for q in quads]) for name in ("nxt", "twin"))
+    roots = [1, 517, 1199]
+    codes = _rooted_code_arrays(nxt, twin, roots)
+    for q, root, code in zip(quads, roots, codes):
+        assert code == rooted_code(q.map, root) and len(code) == 8 * q.map.n_darts
 
 
 def stack_faces(twin: np.ndarray, nxt: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import reference_loops as reference
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 from quadmap.enumeration import plane_trees, rooted_quads, well_labeled_trees
 from quadmap import planar_map
 from quadmap.harness import sample_pointed_ps, sample_rooted_pd
-from quadmap.labeled import LabeledTree
+from quadmap.labeled import Encoding, LabeledTree
+from quadmap.paths import _int_line
 from quadmap.planar_map import (
     HalfEdgeMap,
     PointedMap,
@@ -27,7 +31,7 @@ from quadmap.planar_map import (
     validate_quadrangulation,
 )
 from quadmap.schaeffer import fiber, point, quad_of_tree, tree_of_quad
-from quadmap.trees import Walk, walk_to_tree
+from quadmap.trees import PlaneTree, Walk, walk_to_tree
 
 
 EDGE = walk_to_tree(Walk((0, 1, 0)))
@@ -474,3 +478,112 @@ def test_conversions_and_fibers_match_the_loops_on_thin_maps():
                 pq = PointedQuadrangulation(he, origin)
                 assert map_of_quad(pq) == reference.map_of_quad(pq)
                 assert fiber(pq) == reference.fiber(pq)
+
+
+def test_bijection_stages_stay_within_their_dart_budget():
+    # the stages that set the memory peak of perfbench's bijection op, each
+    # measured above its start with the earlier outputs kept alive as the op
+    # keeps them; tree_of_quad includes its BFS.  The stored map itself
+    # takes 24 B/dart: three int64 arrays
+    n = 2**15
+    budget = {"tree_of_quad": 80, "rooted_code": 40, "load_map": 80}
+    peaks = {}
+
+    def stage(name, fn):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / (4 * n)
+        return out
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tree, q = sample_rooted_pd(n, np.random.default_rng([1, n]))
+        back = stage("tree_of_quad", lambda: tree_of_quad(q))
+        code = stage("rooted_code", lambda: rooted_code(q.map, q.root))
+        text = save_map(q)
+        loaded = stage("load_map", lambda: load_map(text))
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert back == tree and rooted_code(loaded.map, loaded.root) == code
+    print({name: round(peak, 1) for name, peak in peaks.items()}, "B/dart")
+    assert all(peaks[name] <= bound for name, bound in budget.items()), peaks
+
+
+def test_public_constructor_copies_and_load_map_hands_over_read_only_arrays():
+    _, q = sample_rooted_pd(64, np.random.default_rng([47, 64]))
+    twin, nxt, tail = q.map.twin.copy(), q.map.nxt.copy(), q.map.tail.copy()
+    built = HalfEdgeMap(twin, nxt, tail)
+    for field in (twin, nxt, tail):
+        field += 1  # the caller's arrays, not the map's
+    assert built == q.map
+    loaded = load_map(save_map(q)).map
+    for field in (loaded.twin, loaded.nxt, loaded.tail):
+        assert field.dtype == np.int64 and field.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda text: "  " + text,
+        lambda text: text + "\n",
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: "\n \t\n " + text.rstrip("\n") + " \n\n",
+    ],
+    ids=["leading spaces", "trailing blank line", "crlf", "blank lines and spaces"],
+)
+def test_load_map_accepts_whitespace_around_the_text(variant):
+    for obj in (path_quad((1, 2)), point(path_quad((1, 2)))):
+        text = save_map(obj)
+        assert save_map(load_map(variant(text))) == text
+
+
+@pytest.mark.parametrize("token", ["١", " 1 ", "0_1", "+1"])
+def test_integer_text_readers_reject_malformed_tokens(token):
+    # every integer text format reads tokens of an optional "-" and ASCII
+    # digits; Python's int would take each of these tokens as 1
+    def named(what, line):
+        return re.escape(f"{what} is not made of int64 integers: {line!r}")
+
+    line = f"0,{token},0"
+    for read in (Walk.from_line, PlaneTree.from_line):
+        with pytest.raises(ValueError, match=named("walk line", line)):
+            read(line)
+    labels = f"1,{token.replace('1', '2')},1"
+    with pytest.raises(ValueError, match=named("labels line", labels)):
+        Encoding.from_lines(f"{labels}\n0,1,0")
+    head, twin, nxt, root = save_map(path_quad((1, 2))).splitlines()
+    lines = {"edge count": head, "twin": twin, "rotation": nxt, "root": root}
+    for name, line in lines.items():
+        bad = dict(lines, **{name: re.sub("[0-9]", token, line, count=1)})
+        with pytest.raises(ValueError, match=f"map text: the {name} line"):
+            load_map("\n".join(bad.values()) + "\n")
+
+
+TOKEN_PIECES = ["0", "7", "8", "-", ",", "922337203685477580", "9" * 19, "0" * 20]
+
+
+@given(
+    st.lists(st.sampled_from(TOKEN_PIECES), max_size=12),
+    st.sampled_from(["", "+", " ", "_", "١"]),
+    st.integers(0, 12),
+)
+@example(["-", ",", "7"], "", 0)
+@example(["-", "922337203685477580", "8", ",", "922337203685477580", "7"], "", 0)
+@settings(max_examples=300, deadline=None)
+def test_integer_reader_follows_the_token_grammar(pieces, junk, at):
+    # one optional "-" and ASCII digits per comma-separated token, read
+    # exactly within int64; any other line is a ValueError
+    line = "".join(pieces[:at] + [junk] + pieces[at:])
+    grammar = re.fullmatch("-?[0-9]+(,-?[0-9]+)*", line)
+    values = [int(token) for token in line.split(",")] if grammar else []
+    if grammar and all(-(2**63) <= v < 2**63 for v in values):
+        assert _int_line(line, "line").tolist() == values
+    else:
+        with pytest.raises(ValueError, match="line is not made of int64 integers"):
+            _int_line(line, "line")
