@@ -16,14 +16,19 @@ one process, which moves perfbench's ``bijection`` figures by a few
 percent, out of the comparison.
 
 Printed per side: the median op time in reference seconds with its
-quartiles, the op rate, and the pairs the change won; every iteration
-that both sides ran must digest alike.  ``--tiny`` runs perfbench's
-smoke-test sizes, and ``--seconds 0`` one timed iteration per process.
+quartiles, the op rate, the minor page faults per op, and the pairs the
+change won; every iteration that both sides ran must digest alike.  The
+faults are the rise of ``ru_minflt`` over the timed steps of a process's
+loop, over its ops, the median over the side's processes; the
+calibrations between the steps allocate large tables and are left out.
+``--tiny`` runs perfbench's smoke-test sizes, and ``--seconds 0`` one
+timed iteration per process.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -32,6 +37,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT), str(ROOT / "perfbench")]  # run.py imports ``workloads``
 from perfbench.run import quartiles  # noqa: E402
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class FaultCount:
+    """A workload whose ``run`` adds the minor faults of its steps, not of
+    the calibrations that ``pause`` runs between them, to ``faults``."""
+
+    def __init__(self, wl) -> None:
+        self.wl, self.faults = wl, 0
+
+    def __getattr__(self, name: str):
+        return getattr(self.wl, name)
+
+    def run(self, k: int, pause):
+        start = minor_faults()
+
+        def counted_pause() -> None:
+            nonlocal start
+            self.faults += minor_faults() - start
+            pause()
+            start = minor_faults()
+
+        output = self.wl.run(k, counted_pause)
+        self.faults += minor_faults() - start
+        return output
 
 
 def child(src: str, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
@@ -45,12 +78,14 @@ def child(src: str, workload: str, seed: int, seconds: float, tiny: bool) -> dic
         raise SystemExit(f"quadmap imported from {quadmap.__file__}, not from {src}")
     wl = WORKLOADS[workload](seed, tiny)
     measure(wl, 0)  # warm-up: one iteration
+    counted = FaultCount(wl)
     rows = [
         {"k": r["k"], "reference_s": r["reference_s"], "wall_s": r["seconds"],
          "failed": r["checked"].failed, "digests": r["checked"].digests}
-        for r in measure(wl, seconds)
+        for r in measure(counted, seconds)
     ]
-    return {"quadmap": quadmap.__file__, "ops_per_iteration": wl.ops_per_iteration, "rows": rows}
+    return {"quadmap": quadmap.__file__, "ops_per_iteration": wl.ops_per_iteration, "rows": rows,
+            "minor_faults_per_op": counted.faults / (len(rows) * wl.ops_per_iteration)}
 
 
 def run_side(src: str, args: argparse.Namespace) -> dict:
@@ -74,6 +109,7 @@ def summary(runs: list[dict]) -> dict:
         "quartiles_ref_s": quartiles(ops),
         "ops_per_ref_s": len(ops) / sum(ops),
         "process_medians_ref_s": [statistics.median(op_seconds([run])) for run in runs],
+        "minor_faults_per_op": statistics.median(run["minor_faults_per_op"] for run in runs),
         "failed": sum(r["failed"] for run in runs for r in run["rows"]),
     }
 
@@ -125,7 +161,7 @@ def main(argv: list[str]) -> int:
         q1, _, q3 = s["quartiles_ref_s"]
         print(f"{name}: median {1000 * s['median_ref_s']:.2f} ms/op "
               f"(quartiles {1000 * q1:.2f}-{1000 * q3:.2f}), {s['ops_per_ref_s']:.3f} ops/s, "
-              f"{s['failed']} failed")
+              f"{s['minor_faults_per_op']:.1f} minor faults/op, {s['failed']} failed")
     print(f"change won {won} of {args.pairs} pairs; digests equal: {record['digests_equal']}")
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -26,8 +26,8 @@ experiment draws it: ``dyck_walk_batch``, ``uniform_encoding_arrays`` and
 ``contour_accumulate`` of i.i.d. label increments along a fixed walk, and,
 for n > 256, ``contour_edges`` of a tall walk of n edges
 (``contour_edges_tall``): 256 up-steps, a seeded walk of n - 256 edges on
-top, then 256 down-steps.  Its levels pass 255, so its edge matching sorts
-int64 keys, where a replica's walk at small n sorts one-byte keys.  The
+top, then 256 down-steps.  Its levels pass 255, so its edge matching packs
+uint16 keys, where a replica's walk at small n counts one-byte keys.  The
 code kernels ``_rooted_code_arrays`` and ``_pointed_code_arrays`` and the
 level kernel ``_bfs_arrays`` are also timed, whatever the sizes, at the
 shape of the exhaustive battery: one

@@ -13,6 +13,8 @@ included: replica r at size index i evaluates ``stat(n, rng)`` on its own
 stream, keyed by ``[seed, size_index, replica]``.  A value depends only
 on its key, so runs are prefix-stable in the replica count and the CSVs
 are byte-identical for a fixed configuration regardless of scheduling.
+Each statistic's loop allocates its working rows once, and every replica
+writes over them.
 """
 from __future__ import annotations
 
@@ -25,16 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .labeled import Encoding, LabeledTree, _node_labels
-from .paths import (
-    _doddering_rdfw,
-    _reroot_arrays,
-    contour_accumulate,
-    dyck_walk_batch,
-    uniform_encoding_arrays,
-)
+from .paths import _branch_sums, _doddering_rdfw, _dyck_walks, _edge_steps, _reroot, _reroot_arrays
+from .paths import _uniform_encoding, _walk_rows, contour_accumulate, uniform_encoding_arrays
 from .planar_map import PointedQuadrangulation, RootedQuadrangulation
 from .schaeffer import _labeled_tree_of_arrays, _quad_of_arrays, point
-from .snake import _grid_path, _representatives, distance, sample_snake_batch
+from .snake import _grid_rows, _sup_gap, sample_snake_batch
 from .trees import _integer
 
 __all__ = [
@@ -159,9 +156,6 @@ class EdgeLengthModel:
         return scale * (1.0 - rng.random(size)) ** (-1.0 / beta)
 
 
-_EDGE_LENGTHS = EdgeLengthModel("uniform", (0.5, 1.5))  # the edge_gap experiment's lengths
-
-
 def replica_rng(master_seed: int, size_index: int, replica: int) -> np.random.Generator:
     """Independent stream per (seed, size, replica); schedule independent."""
     return np.random.default_rng([master_seed, size_index, replica])
@@ -229,21 +223,13 @@ def perturbed_walk(
     """
     if encoding.labels.min() < 1:
         raise ValueError("encoding must be well-labeled")
-    walk, weighted = _chord_contours(encoding.labels[:-1], model, rng)
+    body = encoding.labels[:-1]
+    walk = _doddering_rdfw(body, np.empty(2 * body.size + 1, dtype=np.int64))
+    weighted = contour_accumulate(walk[None], model.sample(body.size, rng), start=0.0)[0]
     scale = encoding.n**0.25
     c_tilde = weighted / scale
     gap = float(np.abs(c_tilde - walk / scale).max())
     return c_tilde, gap
-
-
-def _chord_contours(
-    body: np.ndarray, model: EdgeLengthModel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit and length-weighted contours of the chord tree of a positive
-    label body; the edge lengths are drawn from ``rng``."""
-    walk = _doddering_rdfw(body)[None, :]
-    lengths = model.sample((walk.shape[1] - 1) // 2, rng)
-    return walk[0], contour_accumulate(walk, lengths, start=0.0)[0]
 
 
 # -- statistics ---------------------------------------------------------------
@@ -281,8 +267,10 @@ def radius_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.
     well-labeled tree, which only sees the label range, and for
     ``pointed_ps`` it is the range of the unrerooted encoding.
     """
+    labels, walks = _walk_rows(n, 2)[:, None]  # the loop's own (1, 2n+1) rows
+
     def stat(n, rng):
-        labels, _ = uniform_encoding_arrays(n, rng)
+        _uniform_encoding(rng, labels, walks)
         return (labels.max() - labels.min()) / n**0.25
 
     return _replicas(stat, n, replicas, seed, size_index)
@@ -312,9 +300,10 @@ def profile_curve(
     matches the well-labeled representative of the draw.
     """
     levels = lambdas * n**0.25 + 1.0
+    labels, walks = _walk_rows(n, 2)[:, None]  # the loop's own (1, 2n+1) rows
 
     def stat(n, rng):
-        labels, _ = uniform_encoding_arrays(n, rng)
+        _uniform_encoding(rng, labels, walks)
         body = labels[0, : 2 * n]
         body -= body.min()  # the closing label equals the first, so this is the minimum
         # cum[j] = fraction with centered label < j; level function at integers
@@ -332,13 +321,15 @@ def hp_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.
     linear interpolation.  Both processes visit nodes in the same order, so
     the gap vanishes as n grows.
     """
+    walks = _walk_rows(n, 1)
+    walk, dense = walks[0], np.empty(walks.shape[1])
+
     def stat(n, rng):
-        walk = dyck_walk_batch(n, 1, rng)[0]
-        heights = np.concatenate(([0], walk[1:][walk[1:] > walk[:-1]]))
-        # height process at half-integer positions j/2, j = 0..2n
-        dense = np.empty(2 * n + 1)
-        dense[0::2] = heights
-        np.add(heights[:-1], heights[1:], out=dense[1::2])
+        _dyck_walks(rng, walks)
+        # the height process at j/2, j = 0..2n: at the integers the node heights
+        dense[0] = 0
+        dense[2::2] = walk[1:][walk[1:] > walk[:-1]]
+        np.add(dense[:-1:2], dense[2::2], out=dense[1::2])
         dense[1::2] /= 2.0
         np.subtract(walk, dense, out=dense)
         return np.abs(dense, out=dense).max() / math.sqrt(n)
@@ -351,11 +342,21 @@ def class_diameter_samples(
 ) -> np.ndarray:
     """Farthest metric distance between a class representative and the
     first-minimum representative of a normalized uniform encoding."""
+    labels, walks = _walk_rows(n, 2)[:, None]  # the loop's own (1, 2n+1) rows
+    grid = []  # the grid path and the first representative, made when first needed
+
     def stat(n, rng):
-        labels, walks = uniform_encoding_arrays(n, rng)
-        reps = _representatives(_grid_path(labels[0], walks[0]))
-        first = next(reps)
-        return max((distance(r, first) for r in reps), default=0.0)
+        _uniform_encoding(rng, labels, walks)
+        body = labels[0, : 2 * n]
+        corners = np.flatnonzero(body == body.min())  # the head's minima
+        if corners.size == 1:
+            return 0.0  # one representative
+        if not grid:
+            grid.extend(np.empty((4, 2 * n + 1)))
+        path = _grid_rows(labels[0], walks[0], *grid[:2])
+        first = path if corners[0] == 0 else _reroot(*path, corners[0], grid[2:])
+        rep = labels[0].view(np.float64), walks[0].view(np.float64)  # the encoding's rows, read
+        return max(_sup_gap(*_reroot(*path, k, rep), *first, rep[0]) for k in corners[1:])
 
     return _replicas(stat, n, replicas, seed, size_index)
 
@@ -363,13 +364,21 @@ def class_diameter_samples(
 def edge_gap_samples(n: int, replicas: int, seed: int, size_index: int = 0) -> np.ndarray:
     """Sup gap between the unit and the length-perturbed chord-tree
     contours, with edge lengths uniform on [0.5, 1.5]."""
+    labels, walks = _walk_rows(n, 2)[:, None]  # the loop's own (1, 2n+1) rows
+    # the chord tree's unit and weighted contours, 4n+1 steps each, its heights in int32
+    walk, weighted = np.empty((1, 4 * n + 1), dtype=np.int32), np.empty((1, 4 * n + 1))
+
     def stat(n, rng):
-        labels = uniform_encoding_arrays(n, rng)[0][0, : 2 * n]
-        # well-labeled representative: rotate the first minimum to the front
-        body = np.roll(labels, -int(np.argmin(labels)))
-        del labels  # frees the encoding before the chord contours are built
+        _uniform_encoding(rng, labels, walks)
+        # well-labeled representative: the first minimum rotated to the front, in the walk row
+        row, body = labels[0, : 2 * n], walks[0, : 2 * n]
+        k = int(np.argmin(row))
+        body[: 2 * n - k], body[2 * n - k :] = row[k:], row[:k]
         body -= body[0] - 1
-        walk, weighted = _chord_contours(body, _EDGE_LENGTHS, rng)
+        _doddering_rdfw(body, walk[0])
+        lengths = rng.random(out=row.view(np.float64))
+        lengths += 0.5  # rng.uniform(0.5, 1.5)'s draws, bit for bit
+        _branch_sums(*_edge_steps(walk), lengths, 0.0, weighted)
         np.subtract(weighted, walk, out=weighted)
         return np.abs(weighted, out=weighted).max() / n**0.25
 

@@ -23,9 +23,11 @@ counting sort for one-byte keys, else one sort of the keys packed with
 their indices into 32 or 64 bits.  A contour's levels are bounded by its
 height, typically about sqrt(n), so a single walk's keys fit one byte
 unless it climbs past 255.  Branch sums are scattered into the result
-itself and summed in place.  One kernel, :func:`_reroot`, reroots
-encodings and snake paths alike, by one path at one corner, which a stack
-rerooted at one corner per row takes once per distinct corner.
+itself and summed in place.  Each public kernel allocates its result and
+calls a private one that writes into given arrays, so that a replica loop
+can reuse its rows.  One kernel, :func:`_reroot`, reroots encodings and
+snake paths alike, by one path at one corner, which a stack rerooted at
+one corner per row takes once per distinct corner.
 :func:`_reroot_keys` gives every rerooting of an encoding one int64 key,
 which orders as the rerooted encodings do.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "dyck_walk",
@@ -101,24 +103,38 @@ def dyck_walk_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     of 2n prefix sums after its cut, over the row read twice, less the sum
     at the cut.  The walks are int64.
     """
+    return _dyck_walks(rng, _walk_rows(n, count))
+
+
+def _walk_rows(n, count) -> np.ndarray:
+    """An empty (count, 2n+1) int64 array, once n >= 1 and count >= 0."""
     n, count = _integer(n, "n"), _integer(count, "count")
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
-    width = 2 * n + 1
-    steps = _balanced_bits(n, count, rng).view(np.int8)
+    return np.empty((count, 2 * n + 1), dtype=np.int64)
+
+
+def _dyck_walks(rng: np.random.Generator, walks: np.ndarray) -> np.ndarray:
+    """:func:`dyck_walk_batch` written into the (count, 2n+1) int64 ``walks``."""
+    count, width = walks.shape
+    steps = _balanced_bits(width // 2, count, rng).view(np.int8)
     steps *= 2
     steps -= 1  # a one is an up-step, a zero a down-step
-    # prefix sums over the row read twice: the second pass ends 1 lower
-    sums = np.empty((count, 2 * width - 1), dtype=np.int32)
+    # prefix sums, in the walks' memory, over the row read twice: the second pass ends 1 lower
+    sums = walks.view(np.int32)[:, : 2 * width - 1]
     np.cumsum(steps, axis=1, dtype=np.int32, out=sums[:, :width])
     np.subtract(sums[:, : width - 1], 1, out=sums[:, width:])
+    del steps  # the bits are freed before the window is copied
     rows = np.arange(count)
     cut = np.argmin(sums[:, :width], axis=1) + 1
-    walks = np.zeros((count, width), dtype=np.int64)
-    window = sliding_window_view(sums, 2 * n, axis=1)[rows, cut]
-    np.subtract(window, sums[rows, cut - 1, None], out=walks[:, 1:])
+    # windows of 2n = width - 1 sums, one starting at each column 0..width
+    shape, strides = (count, width + 1, width - 1), (*sums.strides, sums.strides[1])
+    window = as_strided(sums, shape, strides, writeable=False)[rows, cut]
+    base = sums[rows, cut - 1, None]
+    walks[:, 0] = 0
+    np.subtract(window, base, out=walks[:, 1:])
     return walks
 
 
@@ -152,9 +168,10 @@ def _balanced_bits(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     total = flips.sum()
     if not total:
         return bits
-    surplus = (ones > n).view(np.uint8)
+    other = (ones <= n).view(np.uint8)[:, None]  # the symbol that is not in surplus
     copies = np.where(ones > n, ones, width - ones)  # surplus copies per row
-    where = np.flatnonzero(bits == surplus[:, None])  # their flat positions, row by row
+    bits ^= other  # the surplus copies read 1 until the flips
+    where = np.flatnonzero(bits.view(np.bool_))  # their flat positions, row by row
     first = np.cumsum(copies) - copies  # each row's first entry of ``where``
     picked = np.empty(0, dtype=np.int64)
     short = flips
@@ -166,6 +183,7 @@ def _balanced_bits(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
             break
         short = flips - np.bincount(np.searchsorted(first, picked, "right") - 1, minlength=count)
     bits.reshape(-1)[where[picked]] ^= 1
+    bits ^= other
     return bits
 
 
@@ -197,12 +215,12 @@ def _edge_steps(walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step's level being the higher of its two heights, so at least 1 and at
     most n.  Column 0 is keyed by its row alone, so it heads its row and
     every row's steps fill the sorted positions of its own columns 1..2n.
-    The key is built in uint8 whenever the stack's keys fit one byte, so
-    that :func:`_stable_order` counts them in one pass, and else in int64.
+    The key takes the narrowest unsigned type that holds it, uint8 whenever
+    the stack's keys fit one byte, so that :func:`_stable_order` counts them.
     """
     count, width = walks.shape
     top = (count - 1) * width + walks.max(initial=0)
-    key = np.empty(walks.shape, dtype=np.uint8 if top < 2**8 else np.int64)
+    key = np.empty(walks.shape, dtype=np.min_scalar_type(top))
     key[:, 0] = 0
     np.maximum(walks[:, :-1], walks[:, 1:], out=key[:, 1:], casting="unsafe")
     if count > 1:
@@ -282,11 +300,15 @@ def contour_accumulate(
     scratch array of the result's size.
     """
     values = np.asarray(edge_values)
-    ups, downs = _edge_steps(walks)
+    return _branch_sums(*_edge_steps(walks), values, start, np.empty(walks.shape, values.dtype))
+
+
+def _branch_sums(ups, downs, values: np.ndarray, start, out: np.ndarray) -> np.ndarray:
+    """:func:`contour_accumulate` of the walks whose :func:`_edge_steps` are
+    ``ups`` and ``downs``, written into ``out`` (the walks' shape, the values' dtype)."""
     if values.size != ups.size:
         raise ValueError("edge_values must hold one value per edge of the walks")
     per_row = values.reshape(ups.shape)
-    out = np.empty(walks.shape, dtype=values.dtype)
     out.reshape(-1)[downs] = per_row
     np.negative(out, out=out)
     out.reshape(-1)[ups] = per_row
@@ -304,10 +326,15 @@ def uniform_encoding_arrays(
     The underlying trees are exactly uniform over the C_n shapes and the
     per-edge label increments are i.i.d. uniform on {-1, 0, +1}.
     """
-    walks = dyck_walk_batch(n, count, rng)
-    incs = rng.integers(-1, 2, size=count * n, dtype=np.int64)
-    labels = contour_accumulate(walks, incs, start=1)
-    return labels, walks
+    walks = _walk_rows(n, count)
+    return _uniform_encoding(rng, np.empty_like(walks), walks)
+
+
+def _uniform_encoding(rng, labels: np.ndarray, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`uniform_encoding_arrays` written into the (count, 2n+1) int64 labels and walks."""
+    ups, downs = _edge_steps(_dyck_walks(rng, walks))
+    incs = rng.integers(-1, 2, size=ups.size, dtype=np.int64)  # drawn once the sort is done
+    return _branch_sums(ups, downs, incs, 1, labels), walks
 
 
 def _check_label_process(labels) -> np.ndarray:
@@ -336,33 +363,35 @@ def doddering_rdfw(labels_body) -> np.ndarray:
     process that does not start at 1, drops below 1 or rises by more than
     1 in a step is a ``ValueError``.
     """
-    return _doddering_rdfw(_check_label_process(labels_body))
+    labs = _check_label_process(labels_body)
+    return _doddering_rdfw(labs, np.empty(2 * labs.size + 1, dtype=np.int64))
 
 
-def _doddering_rdfw(labs: np.ndarray) -> np.ndarray:
+def _doddering_rdfw(labs: np.ndarray, walk: np.ndarray) -> np.ndarray:
     """:func:`doddering_rdfw` of an int64 label process already known to be
-    positive, to start at 1 and to rise by at most 1 per step."""
+    positive, to start at 1 and to rise by at most 1 per step, written into
+    the integer array ``walk`` of length 2 ``labs.size`` + 1."""
     non_root = labs.shape[0]  # the tree has N+2 nodes, N+1 of them non-root
     length = 2 * non_root
     first_visit = np.arange(2, length + 1, 2)  # 2l, less labs[l-1] below
     first_visit -= labs
     # walk[t] holds the step ending at time t, then the sum of the steps
-    walk = np.full(length + 1, -1, dtype=np.int64)
+    walk.fill(-1)
     walk[0] = 0
     walk[first_visit] = 1
     np.cumsum(walk[1:], out=walk[1:])
     return walk
 
 
-def _reroot(values: np.ndarray, contour: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
+def _reroot(values: np.ndarray, contour: np.ndarray, theta, out) -> tuple[np.ndarray, np.ndarray]:
     """(values, contour) rows of length m+1 and one dtype, one alone or a
     stack of them, rerooted at one corner ``theta`` in [0, m], or at one
-    corner per row of a (B, m+1) stack.  Each contour row must be >= 0 and
-    0 at both ends, and each values row equal at both ends.  Returns the
-    values rotated to start at the corner less their value there, and the
-    new contour c(s) + c(theta) - 2 min c over the corners from theta to
-    s = theta + t (mod m): forward from theta up to m, then backward from
-    theta down to 0.
+    corner per row of a (B, m+1) stack, written into the pair ``out``.
+    Each contour row must be >= 0 and 0 at both ends, and each values row
+    equal at both ends.  Returns the values rotated to start at the corner
+    less their value there, and the new contour c(s) + c(theta) - 2 min c
+    over the corners from theta to s = theta + t (mod m): forward from
+    theta up to m, then backward from theta down to 0.
 
     One corner takes two slices per row, one running minimum each (float
     snake paths only ever take this path).  One corner per row takes that
@@ -370,34 +399,35 @@ def _reroot(values: np.ndarray, contour: np.ndarray, theta) -> tuple[np.ndarray,
     """
     theta = np.asarray(theta)
     m = values.shape[-1] - 1
+    new_values, new = out
     if theta.size != 1:
-        new_values, new = np.empty_like(values), np.empty_like(contour)
         for k in np.unique(theta).tolist():
             rows = theta == k
-            new_values[rows], new[rows] = _reroot(values[rows], contour[rows], k)
-        return new_values, new
+            part = values[rows], contour[rows]
+            new_values[rows], new[rows] = _reroot(*part, k, tuple(map(np.empty_like, part)))
+        return out
     k = theta.item()
     base, top = values[..., k], contour[..., k]
     if values.ndim > 1:  # one row keeps them 0-d, which numpy broadcasts faster
         base, top = base[..., None], top[..., None]
-    new_values, new = np.empty_like(values), np.empty_like(contour)
     ahead, behind = new[..., : m - k + 1], new[..., m - k :]
     # forward from k, then backward; the minima go to ``new_values`` before it is filled
-    for out, part, step in ((ahead, contour[..., k:], 1), (behind, contour[..., : k + 1], -1)):
+    for side, part, step in ((ahead, contour[..., k:], 1), (behind, contour[..., : k + 1], -1)):
         low = new_values[..., : part.shape[-1]]
         np.minimum.accumulate(part[..., ::step], axis=-1, out=low)
         low += low
-        np.add(part, top, out=out)
-        out -= low[..., ::step]
+        np.add(part, top, out=side)
+        side -= low[..., ::step]
     np.subtract(values[..., k:], base, out=new_values[..., : m - k + 1])
     np.subtract(values[..., 1 : k + 1], base, out=new_values[..., m - k + 1 :])
-    return new_values, new
+    return out
 
 
 def _reroot_arrays(labels: np.ndarray, walk: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
     """Array form of :func:`quadmap.labeled.reroot`: :func:`_reroot` of label
     processes and walks, with the labels shifted so the new root is labeled 1."""
-    new_labels, new_walk = _reroot(labels, walk, theta)
+    out = np.empty_like(labels), np.empty_like(walk)
+    new_labels, new_walk = _reroot(labels, walk, theta, out)
     new_labels += 1
     return new_labels, new_walk
 
@@ -425,8 +455,9 @@ def _reroot_keys(labels: np.ndarray, walks: np.ndarray, shape: np.ndarray) -> np
     keys <<= two_n
     bits = 1 << np.arange(two_n - 1, -1, -1, dtype=np.int64)
     ups = np.empty((len(walks), two_n), dtype=np.int64)
+    out = np.empty_like(walks), np.empty_like(walks)
     for theta in range(two_n):
-        _, new_walks = _reroot(walks, walks, theta)  # only the walks are read
+        _, new_walks = _reroot(walks, walks, theta, out)  # only the walks are read
         ups[:, theta] = (new_walks[:, 1:] > new_walks[:, :-1]) @ bits
     keys += ups[shape]
     return keys

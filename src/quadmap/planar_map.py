@@ -120,11 +120,6 @@ class HalfEdgeMap(_ArrayValue):
     def head(self, d: int) -> int:
         return int(self.tail[self.twin[_index(d, "dart", self.n_darts)]])
 
-    @cached_property
-    def _rotation_mins(self) -> np.ndarray:
-        """``_cycle_mins(nxt)``: the cycle check and the map text number vertices by it."""
-        return _cycle_mins(self.nxt)
-
     # -- orbits -------------------------------------------------------
 
     @cached_property
@@ -211,7 +206,8 @@ def _check_arrays(he: HalfEdgeMap) -> None:
         raise ValueError("twin is not a fixed-point-free involution")
     if np.any(tail[nxt] != tail):
         raise ValueError("nxt mixes darts of different vertices")
-    owners = tail[he._rotation_mins == ids]  # one tail per rotation cycle
+    low = he.__dict__.pop("_rotation_mins", None)  # load_map's, not kept: 8 B/dart
+    owners = tail[(_cycle_mins(nxt) if low is None else low) == ids]  # one tail per rotation cycle
     n_vertices = owners.size
     # distinct ids inside 0..V-1 are exactly 0..V-1
     in_range = owners.min() >= 0 and owners.max() < n_vertices
@@ -628,7 +624,7 @@ def save_map(obj) -> str:
     if isinstance(obj, RootedMap):
         lines.append(str(obj.root))
     else:  # the smallest darts of the rotation cycles, ascending, number the vertices
-        first = np.flatnonzero(m._rotation_mins == np.arange(m.n_darts))
+        first = np.flatnonzero(_cycle_mins(m.nxt) == np.arange(m.n_darts))
         lines.append(f"origin={np.searchsorted(first, np.argmax(m.tail == obj.origin))}")
     return "\n".join(lines) + "\n"
 

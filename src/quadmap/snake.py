@@ -148,9 +148,15 @@ def distance(x: SnakePath, y: SnakePath) -> float:
     """Sup-norm distance: ||head difference|| + ||contour difference||."""
     if x.grid != y.grid:
         raise ValueError("grids must match")
-    gap = np.subtract(x.head, y.head)
+    return _sup_gap(x.head, x.contour, y.head, y.contour, np.empty_like(x.head))
+
+
+def _sup_gap(x_head, x_contour, y_head, y_contour, gap: np.ndarray) -> float:
+    """:func:`distance` of two (head, contour) pairs, with the float row ``gap``
+    as scratch; ``gap`` may be ``x_head``, which it then overwrites."""
+    np.subtract(x_head, y_head, out=gap)
     head = np.abs(gap, out=gap).max()
-    np.subtract(x.contour, y.contour, out=gap)
+    np.subtract(x_contour, y_contour, out=gap)
     return float(head + np.abs(gap, out=gap).max())
 
 
@@ -171,7 +177,7 @@ def reroot_path(x: SnakePath, theta: float) -> SnakePath:
     k = _theta_index(x, theta)
     if k == 0:
         return x
-    f2, z2 = _reroot(x.head, x.contour, k)
+    f2, z2 = _reroot(x.head, x.contour, k, (np.empty_like(x.head), np.empty_like(x.contour)))
     # rerooting preserves membership, so skip the per-point re-validation
     return _path(f2, z2, max(x.snake_tol, _SNAKE_TOL_SAMPLED))
 
@@ -188,15 +194,9 @@ def positive_representatives(x: SnakePath) -> list[SnakePath]:
 
     Each output attains its head minimum 0 at time 0.
     """
-    return list(_representatives(x))
-
-
-def _representatives(x: SnakePath):
-    """:func:`positive_representatives` one at a time, in time order, so a
-    caller that reads each once holds one rerooted copy, not all of them."""
     m = x.grid
     body = x.head[:m]
-    return (reroot_path(x, k / m) for k in np.flatnonzero(body == body.min()))
+    return [reroot_path(x, k / m) for k in np.flatnonzero(body == body.min())]
 
 
 def class_distances(x: SnakePath, y: SnakePath) -> tuple[float, float]:
@@ -216,17 +216,19 @@ def class_distances(x: SnakePath, y: SnakePath) -> tuple[float, float]:
 def normalize_encoding(e: Encoding) -> SnakePath:
     """Scale a discrete encoding with n edges onto the grid: contour by
     n^(1/2), centered labels by n^(1/4); the grid size is 2n."""
-    return _grid_path(e.labels, e.walk.steps)
+    rows = np.empty((2, e.labels.size))
+    # the encoding invariants already give the snake property exactly
+    return _path(*_grid_rows(e.labels, e.walk.steps, *rows))
 
 
-def _grid_path(labels: np.ndarray, walk: np.ndarray) -> SnakePath:
-    """:func:`normalize_encoding` of the label process and contour walk of
-    an encoding with n edges, both of length 2n+1; the encoding invariants
-    already give the snake property exactly."""
-    n = walk.shape[0] // 2
-    head = np.subtract(labels, 1.0)
+def _grid_rows(labels, walk, head, contour) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize_encoding` of the label process and contour walk of an
+    encoding with n edges, written into the float rows ``head`` and ``contour``."""
+    n = walk.shape[-1] // 2
+    np.subtract(labels, 1.0, out=head)
     head /= n**0.25
-    return _path(head, walk / n**0.5)
+    np.divide(walk, n**0.5, out=contour)
+    return head, contour
 
 
 def sample_snake_batch(

@@ -191,7 +191,8 @@ class PlaneTree(_ArrayValue):
         # visits 2v - depth(v)); that walk must give the same children back
         valid = np.all(parent < ids)
         if valid:
-            walk = _doddering_rdfw(_steps_to_end(np.maximum(parent, 0), ids == 0)[1:])
+            depths = _steps_to_end(np.maximum(parent, 0), ids == 0)[1:]
+            walk = _doddering_rdfw(depths, np.empty(2 * depths.size + 1, dtype=np.int64))
             valid = walk[-1] == 0 and walk.min() >= 0
         if not (
             valid

@@ -26,8 +26,8 @@ from quadmap.harness import (
     sample_rooted_pd,
     snake_radius_samples,
 )
-from quadmap.labeled import _node_labels, encode, minima_set
-from quadmap.paths import uniform_encoding_arrays
+from quadmap.labeled import Encoding, _node_labels, encode, minima_set
+from quadmap.paths import contour_accumulate, doddering_rdfw, dyck_walk_batch, uniform_encoding_arrays
 from quadmap.planar_map import (
     _bfs_arrays,
     _rooted_code_arrays,
@@ -35,6 +35,8 @@ from quadmap.planar_map import (
     validate_quadrangulation,
 )
 from quadmap.schaeffer import _chord_arrays, _labeled_tree_of_arrays, point, quad_of_tree
+from quadmap.snake import distance, normalize_encoding, positive_representatives
+from quadmap.trees import Walk
 
 CHI2_99 = {2: 9.2103, 8: 20.0902, 17: 33.4087}
 
@@ -329,3 +331,101 @@ def test_statistics_prefix_stable(name, monkeypatch):
     monkeypatch.undo()
     for reps in (k, big):
         assert np.array_equal(draw(reps), sum(curves[:reps], np.zeros(LAMBDAS.size)) / reps)
+
+
+# Each statistic's replica loop writes every replica into rows it owns; these
+# references rebuild each replica from the public kernels, which return fresh
+# arrays, as the loops did before they reused their rows.
+
+
+def _reference_radius(n, rng):
+    labels, _ = uniform_encoding_arrays(n, rng)
+    return (labels.max() - labels.min()) / n**0.25
+
+
+def _reference_profile(n, rng, levels):
+    labels, _ = uniform_encoding_arrays(n, rng)
+    body = labels[0, : 2 * n] - labels[0, : 2 * n].min()
+    cum = np.concatenate(([0], np.cumsum(np.bincount(body)))) / (2 * n)
+    return np.interp(levels, np.arange(cum.size), cum, right=1.0)
+
+
+def _reference_hp_gap(n, rng):
+    walk = dyck_walk_batch(n, 1, rng)[0]
+    heights = np.concatenate(([0], walk[1:][walk[1:] > walk[:-1]]))
+    dense = np.empty(2 * n + 1)
+    dense[0::2] = heights
+    dense[1::2] = (heights[:-1] + heights[1:]) / 2.0
+    return np.abs(walk - dense).max() / math.sqrt(n)
+
+
+def _reference_class_diameter(n, rng):
+    labels, walks = uniform_encoding_arrays(n, rng)
+    path = normalize_encoding(Encoding(labels[0], Walk(walks[0])))
+    first, *rest = positive_representatives(path)
+    return max((distance(r, first) for r in rest), default=0.0)
+
+
+def _reference_edge_gap(n, rng):
+    labels, _ = uniform_encoding_arrays(n, rng)
+    body = np.roll(labels[0, : 2 * n], -int(np.argmin(labels[0, : 2 * n])))
+    body -= body[0] - 1
+    walk = doddering_rdfw(body)
+    lengths = EdgeLengthModel("uniform", (0.5, 1.5)).sample(2 * n, rng)
+    weighted = contour_accumulate(walk[None], lengths, start=0.0)[0]
+    return np.abs(weighted - walk).max() / n**0.25
+
+
+def _draw_features(n, seed, size_index, replicas):
+    """Which kernel paths the replicas' encodings take: a walk taller than
+    255 (edge keys past one byte), a first label minimum at corner 0 with
+    more minima after it, and a single label minimum."""
+    found = set()
+    for r in range(replicas):
+        labels, walks = uniform_encoding_arrays(n, replica_rng(seed, size_index, r))
+        corners = np.flatnonzero(labels[0, :-1] == labels.min())
+        if walks.max() > 255:
+            found.add("tall")
+        if corners.size == 1:
+            found.add("single")
+        elif corners[0] == 0:
+            found.add("first at 0")
+    return found
+
+
+@pytest.mark.parametrize(
+    "n, seeds, size_index, replicas, paths",
+    [
+        (16, range(4), 0, 10, {"single", "first at 0"}),
+        (2**10, range(3), 2, 4, {"single"}),
+        (2**14, (5,), 1, 3, {"tall", "single"}),
+    ],
+)
+def test_statistics_match_public_kernel_references(n, seeds, size_index, replicas, paths):
+    levels = LAMBDAS * n**0.25 + 1.0
+    features = set()
+    for seed in seeds:
+        features |= _draw_features(n, seed, size_index, replicas)
+        rngs = lambda: [replica_rng(seed, size_index, r) for r in range(replicas)]  # noqa: E731
+        for sampler, reference in (
+            (radius_samples, _reference_radius),
+            (hp_gap_samples, _reference_hp_gap),
+            (class_diameter_samples, _reference_class_diameter),
+            (edge_gap_samples, _reference_edge_gap),
+        ):
+            want = np.array([reference(n, rng) for rng in rngs()])
+            assert np.array_equal(sampler(n, replicas, seed, size_index), want), sampler.__name__
+        curves = [_reference_profile(n, rng, levels) for rng in rngs()]
+        want = sum(curves, np.zeros(LAMBDAS.size)) / replicas
+        assert np.array_equal(profile_curve(n, replicas, seed, LAMBDAS, size_index), want)
+    assert paths <= features
+
+
+def test_uniform_lengths_are_fair_doubles_plus_a_half():
+    # edge_gap_samples draws its lengths as rng.random(out=) + 0.5 into a row it owns
+    model = EdgeLengthModel("uniform", (0.5, 1.5))
+    for seed in range(20):
+        row = np.empty(1000)
+        np.random.default_rng(seed).random(out=row)
+        row += 0.5
+        assert np.array_equal(row, model.sample(1000, np.random.default_rng(seed)))

@@ -336,3 +336,13 @@ def test_reroot_takes_one_corner_in_any_integer_form():
         for new_labels, new_walk in results[1:]:
             assert np.array_equal(new_labels, results[0][0])
             assert np.array_equal(new_walk, results[0][1])
+
+
+def test_public_kernels_return_fresh_arrays():
+    # the private kernels write into given rows; the public ones allocate them anew
+    rng = np.random.default_rng(61)
+    first, second = (uniform_encoding_arrays(40, rng, count=2) for _ in range(2))
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    assert not np.shares_memory(dyck_walk_batch(40, 2, rng), dyck_walk_batch(40, 2, rng))
+    walks, values = first[1], rng.normal(size=80)
+    assert not np.shares_memory(contour_accumulate(walks, values), contour_accumulate(walks, values))

@@ -587,3 +587,17 @@ def test_integer_reader_follows_the_token_grammar(pieces, junk, at):
     else:
         with pytest.raises(ValueError, match="line is not made of int64 integers"):
             _int_line(line, "line")
+
+
+def test_maps_keep_no_rotation_minima():
+    # the constructor's cycle check reads the rotation minima that load_map
+    # seeds, or computes them, and the map keeps them no longer
+    pq = sample_pointed_ps(200, np.random.default_rng(71))
+    rq = sample_rooted_pd(200, np.random.default_rng(72))[1]
+    for obj in (pq, rq):
+        built = HalfEdgeMap(obj.map.twin, obj.map.nxt, obj.map.tail)
+        text = save_map(obj)
+        loaded = load_map(text)
+        assert "_rotation_mins" not in vars(built) and "_rotation_mins" not in vars(loaded.map)
+        assert save_map(loaded) == text
+        assert "_rotation_mins" not in vars(loaded.map)
